@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import FiniteSemigroup, RangeError
+from .core import FiniteSemigroup, RangeError, _index
 
 #: Multiplier standing for the formal identity of S^1; serialized as "1".
 FORMAL_IDENTITY = None
@@ -41,12 +41,10 @@ class PairSet:
 
 
 def pair_set(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]) -> PairSet:
-    out = set()
-    for a, b in pairs:
-        if not (0 <= a < s.size and 0 <= b < s.size):
-            raise RangeError(f"pair ({a}, {b}) out of range")
-        out.add((int(a), int(b)))
-    return PairSet(parent=s, pairs=frozenset(out))
+    """Validated pairs: entries are ints (numpy integers too) in range, never bools."""
+    return PairSet(parent=s, pairs=frozenset(
+        (_index(a, "pair entry", s.size), _index(b, "pair entry", s.size))
+        for a, b in pairs))
 
 
 @dataclass(frozen=True)
@@ -69,13 +67,9 @@ class RightCongruence:
 
 
 def _canonical_classes(keys) -> tuple[int, ...]:
+    """Class labels numbered by first occurrence."""
     seen: dict = {}
-    out = []
-    for k in keys:
-        if k not in seen:
-            seen[k] = len(seen)
-        out.append(seen[k])
-    return tuple(out)
+    return tuple([seen.setdefault(k, len(seen)) for k in keys])
 
 
 def right_congruence(s: FiniteSemigroup, class_of: Iterable) -> RightCongruence:
@@ -104,16 +98,19 @@ def universal_congruence(s: FiniteSemigroup) -> RightCongruence:
     return RightCongruence(parent=s, class_of=(0,) * s.size, index=1)
 
 
-def rc_generate(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]],
-                two_sided: bool = False) -> RightCongruence:
-    """Smallest right (or two-sided) congruence containing the pairs.
+def _close(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]] = (),
+           closed: Iterable[tuple[int, ...]] = (),
+           two_sided: bool = False) -> RightCongruence:
+    """Union-find saturation: the least right (or two-sided) congruence
+    containing the pairs and the partitions in `closed`.
 
-    Union-find saturation: every union event is queued, and each queued pair
-    is translated on the right by all elements (and on the left when
+    The classes in `closed` are merged without translating, so each must be
+    a congruence of the kind built (the transitive closure of compatible
+    equivalences is compatible); with no pairs, the result is their plain
+    join as equivalences.  Every union that a pair adds is queued and
+    translated on the right by all elements (and on the left when
     two_sided) until the queue empties.
     """
-    if not isinstance(x, PairSet):
-        x = pair_set(s, x)
     n = s.size
     table = s.table
     parent = list(range(n))
@@ -124,7 +121,15 @@ def rc_generate(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]],
             a = parent[a]
         return a
 
-    queue = deque()
+    for class_of in closed:
+        first: dict[int, int] = {}
+        for x, c in enumerate(class_of):
+            f = first.setdefault(c, x)
+            if f != x:
+                rx, rf = find(x), find(f)
+                if rx != rf:
+                    parent[rx] = rf
+    queue = []
 
     def union(a, b):
         ra, rb = find(a), find(b)
@@ -132,18 +137,26 @@ def rc_generate(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]],
             parent[rb] = ra
             queue.append((a, b))
 
-    for a, b in sorted(x.pairs):
+    for a, b in pairs:
         union(a, b)
     while queue:
-        a, b = queue.popleft()
-        ta, tb = table[a], table[b]
-        for t in range(n):
-            union(ta[t], tb[t])
+        a, b = queue.pop()
+        for u, v in zip(table[a], table[b]):
+            union(u, v)
         if two_sided:
-            for t in range(n):
-                union(table[t][a], table[t][b])
-    canon = _canonical_classes(find(a) for a in range(n))
-    return RightCongruence(parent=s, class_of=canon, index=len(set(canon)))
+            for row in table:
+                union(row[a], row[b])
+    canon = _canonical_classes(map(find, range(n)))
+    return RightCongruence(parent=s, class_of=canon, index=max(canon) + 1)
+
+
+def rc_generate(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]],
+                two_sided: bool = False) -> RightCongruence:
+    """Smallest right (or two-sided) congruence containing the pairs, by
+    union-find saturation from the identity partition."""
+    if not isinstance(x, PairSet):
+        x = pair_set(s, x)
+    return _close(s, x.pairs, two_sided=two_sided)
 
 
 @dataclass(frozen=True)
@@ -210,8 +223,7 @@ def find_x_sequence(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]],
     """
     if not isinstance(x, PairSet):
         x = pair_set(s, x)
-    if not (0 <= a < s.size and 0 <= b < s.size):
-        raise RangeError("endpoints out of range")
+    a, b = _index(a, "endpoint", s.size), _index(b, "endpoint", s.size)
     if a == b:
         return XSequence(parent=s, a=a, b=b, steps=())
     adj = _sequence_edges(s, x)
@@ -289,14 +301,6 @@ class CongruenceLattice:
         return len(self.congruences)
 
 
-def linking_pairs(rho: RightCongruence) -> list[tuple[int, int]]:
-    """One spanning pair set for the partition: first member to each other member."""
-    out = []
-    for members in rho.classes():
-        out.extend((members[0], m) for m in members[1:])
-    return out
-
-
 def within_class_pairs(rho: RightCongruence) -> list[tuple[int, int]]:
     out = []
     for members in rho.classes():
@@ -305,18 +309,19 @@ def within_class_pairs(rho: RightCongruence) -> list[tuple[int, int]]:
 
 
 def join(rho: RightCongruence, sigma: RightCongruence) -> RightCongruence:
-    """Join by re-saturating the union of spanning pair sets."""
-    return rc_generate(rho.parent, linking_pairs(rho) + linking_pairs(sigma))
+    """Least congruence above both: sigma's classes merged into rho's partition.
 
-
-def enumerate_right_congruences(s: FiniteSemigroup,
-                                cap: int | None = None) -> CongruenceLattice:
-    """All right congruences: principal ones closed under pairwise join.
-
-    Every right congruence is the join of the principal congruences of its
-    pairs, so the closure is exhaustive.  Raises CapExceeded as soon as the
-    count passes the cap.
+    Both are closed already, so the merged partition is closed too and no
+    union needs translating: the join costs one union-find pass over S.
+    Joins of two-sided congruences are therefore two-sided.
     """
+    return _close(rho.parent, closed=(rho.class_of, sigma.class_of))
+
+
+def _principal_closure(s: FiniteSemigroup, two_sided: bool = False,
+                       cap: int | None = None) -> list[RightCongruence]:
+    """All right (or two-sided) congruences by the principal-join closure
+    of enumerate_right_congruences, ordered by (-index, class_of)."""
     found: dict[tuple[int, ...], RightCongruence] = {}
 
     def add(rho):
@@ -328,20 +333,46 @@ def enumerate_right_congruences(s: FiniteSemigroup,
         return False
 
     add(identity_congruence(s))
-    fresh = list(found.values())
+    principal = []
     for a in range(s.size):
         for b in range(a + 1, s.size):
-            rho = rc_generate(s, [(a, b)])
+            rho = rc_generate(s, [(a, b)], two_sided=two_sided)
             if add(rho):
-                fresh.append(rho)
+                principal.append((a, b, rho))
+    fresh = [rho for _, _, rho in principal]
     while fresh:
         rho = fresh.pop()
-        for other in list(found.values()):
-            j = join(rho, other)
-            if add(j):
-                fresh.append(j)
-    ordered = sorted(found.values(), key=lambda r: (-r.index, r.class_of))
-    return CongruenceLattice(parent=s, congruences=tuple(ordered))
+        cls = rho.class_of
+        for a, b, sigma in principal:
+            if cls[a] != cls[b]:
+                j = join(rho, sigma)
+                if add(j):
+                    fresh.append(j)
+    return sorted(found.values(), key=lambda r: (-r.index, r.class_of))
+
+
+def enumerate_right_congruences(s: FiniteSemigroup,
+                                cap: int | None = None) -> CongruenceLattice:
+    """All right congruences: the principal ones closed under join.
+
+    Every right congruence rho is the join of the principal right
+    congruences <(a, b)> of its own pairs: it contains each of them, and
+    together they relate all of its pairs.  The closure starts from the
+    identity and the distinct principal congruences, keeping one
+    generating pair (a, b) for each, and joins every congruence found with
+    each principal one, skipping the join when it already relates (a, b)
+    (the join is then itself).  The set found is closed under joining with
+    principal congruences, so it holds every finite join of them, which is
+    every right congruence.  Each join merges two closed partitions and
+    re-saturates nothing.
+
+    Congruences are ordered by decreasing index, then by class map.
+    Raises CapExceeded as soon as the count passes the cap, which must be
+    None or a non-negative int (RangeError otherwise).
+    """
+    if cap is not None:
+        cap = _index(cap, "cap")
+    return CongruenceLattice(parent=s, congruences=tuple(_principal_closure(s, cap=cap)))
 
 
 def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,

@@ -1,6 +1,7 @@
 """Finite semigroups given by Cayley tables: constructors and classification."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -10,6 +11,18 @@ import numpy as np
 
 class RangeError(ValueError):
     pass
+
+
+def _index(v, what: str, size: int | None = None) -> int:
+    """v as an int in [0, size), else RangeError; bools and non-integers are rejected."""
+    try:
+        i = operator.index(v) if not isinstance(v, bool) else None
+    except TypeError:
+        i = None
+    if i is None or i < 0 or (size is not None and i >= size):
+        want = "a non-negative int" if size is None else f"an int in [0, {size})"
+        raise RangeError(f"{what} must be {want}, got {v!r}")
+    return i
 
 
 class AssociativityViolation(ValueError):

@@ -4,20 +4,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import FiniteSemigroup, InternalAssertFailure, from_cayley
+from .congruence import _canonical_classes, _close
+from .core import FiniteSemigroup, InternalAssertFailure, _index, from_cayley
 
 #: Formal identity adjoined to S when acting on the right; never an element index.
 FORMAL_IDENTITY = None
-
-
-def _canonical(keys) -> tuple[int, ...]:
-    seen: dict = {}
-    out = []
-    for k in keys:
-        if k not in seen:
-            seen[k] = len(seen)
-        out.append(seen[k])
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -50,36 +41,12 @@ def green_data(s: FiniteSemigroup) -> GreenData:
         for x in range(n):
             m |= 1 << table[x][a]
         lmask[a] = m
-    r_class = _canonical(rmask)
-    l_class = _canonical(lmask)
-    h_class = _canonical(zip(r_class, l_class))
+    r_class = _canonical_classes(rmask)
+    l_class = _canonical_classes(lmask)
+    h_class = _canonical_classes(zip(r_class, l_class))
 
-    # D = transitive closure of R union L: merge every R-class and L-class.
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    firsts_r: dict[int, int] = {}
-    firsts_l: dict[int, int] = {}
-    for x in range(n):
-        if r_class[x] in firsts_r:
-            union(firsts_r[r_class[x]], x)
-        else:
-            firsts_r[r_class[x]] = x
-        if l_class[x] in firsts_l:
-            union(firsts_l[l_class[x]], x)
-        else:
-            firsts_l[l_class[x]] = x
-    d_class = _canonical(find(x) for x in range(n))
+    # D = R v L: the transitive closure of their union
+    d_class = _close(s, closed=(r_class, l_class)).class_of
 
     jmask = []
     for a in range(n):
@@ -92,7 +59,7 @@ def green_data(s: FiniteSemigroup) -> GreenData:
             m >>= 1
             x += 1
         jmask.append(acc)
-    j_class = _canonical(jmask)
+    j_class = _canonical_classes(jmask)
     if d_class != j_class:
         raise InternalAssertFailure("D != J on a finite semigroup")
 
@@ -120,6 +87,7 @@ def schutzenberger(s: FiniteSemigroup, element: int) -> SchutzGroup:
     The stabilizer is taken inside S^1 (the formal identity is FORMAL_IDENTITY,
     listed last); the quotient is returned as an explicit group table.
     """
+    element = _index(element, "element", s.size)
     gd = green_data(s)
     members = tuple(gd.h_members(gd.h_class[element]))
     hset = frozenset(members)

@@ -15,9 +15,9 @@ from .core import (FiniteSemigroup, InternalAssertFailure, NotAnIdeal,
                    adjoin_identity, direct_product, sub_semigroup,
                    subsemigroup_closure)
 from .congruence import (FORMAL_IDENTITY, PairSet, RightCongruence,
-                         enumerate_right_congruences, minimal_generating_pairs,
-                         pair_set, rc_generate, right_congruence,
-                         within_class_pairs)
+                         _principal_closure, enumerate_right_congruences,
+                         minimal_generating_pairs, pair_set, rc_generate,
+                         right_congruence, within_class_pairs)
 from .green import green_data, schutzenberger
 
 
@@ -192,6 +192,7 @@ def verify_schutz_gens(s: FiniteSemigroup, element: int, full_pairs: bool = Fals
     is generated, and for each generating pair inside the R-class a
     stabilizer element realizing the translate is reduced to its class.
     """
+    sg = schutzenberger(s, element)  # range-checks element
     t = adjoin_identity(s)
     gdt = green_data(t)
     h_members = [v for v in range(s.size)
@@ -205,7 +206,6 @@ def verify_schutz_gens(s: FiniteSemigroup, element: int, full_pairs: bool = Fals
     rho = right_congruence(t, keys)
     x = _generating_pairs(rho, full_pairs)
 
-    sg = schutzenberger(s, element)
     h0 = h_members[0]
     a_classes = set()
     for (px, py) in sorted(x.symmetrized()):
@@ -375,22 +375,9 @@ def isomorphic(s: FiniteSemigroup, t: FiniteSemigroup,
 
 
 def two_sided_congruences(s: FiniteSemigroup) -> list[RightCongruence]:
-    out = []
-    for rho in enumerate_right_congruences(s).congruences:
-        ok = True
-        for members in rho.classes():
-            for a, b in zip(members, members[1:]):
-                for w in range(s.size):
-                    if rho.class_of[s.table[w][a]] != rho.class_of[s.table[w][b]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(rho)
-    return out
+    """All two-sided congruences, ordered by (-index, class_of): the
+    principal two-sided congruences closed under join."""
+    return _principal_closure(s, two_sided=True)
 
 
 def ideals_with_identity(s: FiniteSemigroup):

@@ -133,6 +133,14 @@ def test_congruences_cap(files, capsys):
     assert "cap exceeded" in captured.err
 
 
+@pytest.mark.parametrize("cap", ["-3", "-1"])
+def test_congruences_negative_cap_is_one_error_line(files, capsys, cap):
+    code = run(["congruences", "-i", files["rz3"], "--max", cap])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_minimize(files, capsys):
     code = run(["minimize", "-i", files["z3"],
                 "--pairs", "0 1; 0 2; 1 2", "--json"])
@@ -154,6 +162,15 @@ def test_schutz(files, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0 and payload["group_size"] == 3
     assert payload["stabilizer"][-1] == "1"
+
+
+@pytest.mark.parametrize("verb", [["schutz"], ["verify", "--construction", "schutz"]])
+@pytest.mark.parametrize("element", ["7", "3", "-1"])
+def test_schutz_element_out_of_range_is_one_error_line(files, capsys, verb, element):
+    code = run([*verb, "-i", files["z3"], "--element", element])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_decompose(files, capsys):

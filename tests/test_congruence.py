@@ -1,7 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sgt.congruence import (CapExceeded, Disconnected, NotTwoSided,
@@ -10,7 +13,11 @@ from sgt.congruence import (CapExceeded, Disconnected, NotTwoSided,
                             pair_set, quotient_semigroup, rc_diameter,
                             rc_generate, right_congruence,
                             universal_congruence, within_class_pairs)
-from sgt.library import chain, cyclic, left_zero, right_zero, t2
+from sgt.core import RangeError, Transformation, from_cayley, from_transformations
+from sgt.library import chain, cyclic, left_zero, library, right_zero, t2
+from sgt.verify import two_sided_congruences
+
+T3_GENS = ((1, 2, 0), (1, 0, 2), (0, 0, 2))
 
 
 def test_rc_generate_two_chain_universal():
@@ -160,9 +167,30 @@ def test_enumerate_order_and_extremes(lib):
 
 
 def test_enumerate_cap():
-    with pytest.raises(CapExceeded) as err:
-        enumerate_right_congruences(right_zero(4), cap=5)
-    assert err.value.partial_count == 6
+    # rz4 has 15 right congruences; counting stops at the first past the cap
+    for cap in (0, 1, 2, 5, 7, 14, np.int64(14)):
+        with pytest.raises(CapExceeded) as err:
+            enumerate_right_congruences(right_zero(4), cap=cap)
+        assert err.value.partial_count == cap + 1
+    assert len(enumerate_right_congruences(right_zero(4), cap=15)) == 15
+
+
+@pytest.mark.parametrize("cap", [-1, -3, 2.5, 3.0, True, False, "5"])
+def test_enumerate_rejects_bad_cap(cap):
+    with pytest.raises(RangeError):
+        enumerate_right_congruences(right_zero(3), cap=cap)
+
+
+def test_t3_lattice_counts():
+    t3 = from_transformations(3, [Transformation(3, g) for g in T3_GENS])
+    assert t3.size == 27
+    lattice = enumerate_right_congruences(t3)
+    assert len(lattice) == 287
+    keys = [(-r.index, r.class_of) for r in lattice.congruences]
+    assert keys == sorted(keys)
+    two_sided = two_sided_congruences(t3)
+    assert len(two_sided) == 7
+    assert {r.class_of for r in two_sided} <= {r.class_of for r in lattice.congruences}
 
 
 def test_join_resaturation_agrees_with_partition_join(lib):
@@ -287,6 +315,60 @@ def test_pair_set_symmetrization_is_derived():
     y = pair_set(s, [(0, 1)])
     assert y.symmetrized() == {(0, 1), (1, 0)}
     assert y.pairs == frozenset({(0, 1)})
+
+
+def test_pair_set_rejects_non_integer_and_out_of_range_entries():
+    z2 = cyclic(2)
+    for bad in [[(0, 1.7)], [(0.0, 1)], [(True, 0)], [(0, False)], [("0", 1)],
+                [(0, 2)], [(-1, 0)]]:
+        with pytest.raises(RangeError):
+            pair_set(z2, bad)
+        with pytest.raises(RangeError):
+            rc_generate(z2, bad)
+
+
+def test_pair_set_accepts_numpy_integers():
+    x = pair_set(cyclic(3), [(np.int64(0), np.int8(2))])
+    assert x.pairs == frozenset({(0, 2)})
+    assert all(type(v) is int for pair in x.pairs for v in pair)
+
+
+def _relabel(s, perm):
+    """Isomorphic copy of s with element x renamed perm[x]."""
+    inv = sorted(range(s.size), key=perm.__getitem__)
+    return from_cayley(s.size, [[perm[s.table[inv[a]][inv[b]]] for b in range(s.size)]
+                                for a in range(s.size)])
+
+
+def _check_against_brute(s):
+    right = sorted(oracles.brute_right_congruences(s), key=lambda c: (-(max(c) + 1), c))
+    assert [r.class_of for r in enumerate_right_congruences(s).congruences] == right
+    assert ([r.class_of for r in two_sided_congruences(s)]
+            == [c for c in right if oracles.is_left_compatible(s, c)])
+
+
+_SMALL_LIBRARY = [s for s in library().values() if s.size <= 6]
+_PROPERTY = settings(max_examples=100, deadline=None,
+                     suppress_health_check=[HealthCheck.filter_too_much])
+
+
+@_PROPERTY
+@given(st.integers(2, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(0, d - 1)] * d), min_size=1, max_size=3)))
+# the two constants and the identity: left translation by the last element matters
+@example(gens=[(0, 0), (0, 1), (1, 1)])
+def test_lattice_matches_brute_on_transformation_semigroups(gens):
+    s = from_transformations(len(gens[0]), [Transformation(len(g), g) for g in gens])
+    assume(s.size <= 7)
+    _check_against_brute(s)
+
+
+@_PROPERTY
+@given(st.sampled_from(_SMALL_LIBRARY).flatmap(
+    lambda s: st.tuples(st.just(s), st.permutations(range(s.size)))))
+def test_lattice_matches_brute_on_relabelled_library(case):
+    s, perm = case
+    _check_against_brute(_relabel(s, perm))
 
 
 def test_right_congruence_validates():

@@ -1,7 +1,10 @@
 import random
 
+import numpy as np
+import pytest
+
 import oracles
-from sgt.core import classify, from_cayley
+from sgt.core import RangeError, classify, from_cayley
 from sgt.green import green_data, maximal_subgroups, schutzenberger
 from sgt.library import chain, cyclic, rectangular_band, right_zero, t2
 from sgt.verify import isomorphic
@@ -86,6 +89,14 @@ def test_schutzenberger_rectangular_band_trivial():
     s = rectangular_band(2, 2)
     for x in range(4):
         assert schutzenberger(s, x).group.size == 1
+
+
+def test_schutzenberger_rejects_bad_element():
+    z2 = cyclic(2)
+    for bad in (-1, 2, 7, 1.0, True):
+        with pytest.raises(RangeError):
+            schutzenberger(z2, bad)
+    assert schutzenberger(z2, np.int64(1)).group.size == 2
 
 
 def test_schutzenberger_size_law_library(lib):
