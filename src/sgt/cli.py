@@ -9,7 +9,8 @@ from . import (classify, enumerate_right_congruences, find_x_sequence,
                green_data, maximal_subgroups, minimal_generating_pairs,
                pair_set, rc_diameter, rc_generate, schutzenberger)
 from .congruence import CapExceeded, Disconnected, FORMAL_IDENTITY
-from .core import FiniteSemigroup, Transformation, from_cayley, from_transformations
+from .core import (FiniteSemigroup, InternalAssertFailure, Transformation,
+                   from_cayley, from_transformations)
 from .green import GreenData
 from .structure import (ReesStructure, archimedean_decomposition,
                         cr_decomposition, diagonal_cyclic_witness,
@@ -19,6 +20,17 @@ from .verify import (ideal_subsemigroup, sweep, verify_dp_gens,
                      verify_extend_gens, verify_fg_gens, verify_ideal_gens,
                      verify_lclass_gens, verify_quotient_gens,
                      verify_schutz_gens)
+
+
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error instead of printing usage and exiting 2."""
+
+    def error(self, message):
+        raise _UsageError(message)
 
 
 class ParseError(ValueError):
@@ -476,8 +488,7 @@ def _verify_dispatch(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sgt",
-                                     description="finite semigroup toolkit")
+    parser = _Parser(prog="sgt", description="finite semigroup toolkit")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p):
@@ -553,8 +564,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Exit codes: 0 success, 1 usage/parse/precondition error, 2 a failed
+    verification, 3 an internal check failed (a bug)."""
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     handlers = {
         "info": _cmd_info,
         "green": _cmd_green,
@@ -577,6 +593,9 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalAssertFailure as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

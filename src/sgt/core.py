@@ -4,6 +4,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -100,27 +101,16 @@ class SubsetClosure:
     closed: bool
 
 
-def _detect_identity(table) -> int | None:
-    n = len(table)
-    for e in range(n):
-        if all(table[e][x] == x == table[x][e] for x in range(n)):
-            return e
-    return None
+# Cells per temporary array in the associativity checks, so that memory
+# stays bounded as n grows (a block holds at least one n-by-n slice).
+_CHUNK_CELLS = 1 << 21
 
 
-def _detect_zero(table) -> int | None:
-    n = len(table)
-    for z in range(n):
-        if all(table[z][x] == z == table[x][z] for x in range(n)):
-            return z
-    return None
-
-
-def _first_nonassociative_triple(table) -> tuple[int, int, int] | None:
-    t = np.asarray(table, dtype=np.int32)
+def _first_nonassociative_triple(t: np.ndarray) -> tuple[int, int, int] | None:
+    """First (i, j, k) in lexicographic order with (i*j)*k != i*(j*k), by full scan."""
     n = t.shape[0]
     # t[t[i]] is row-indexed: (t[t[i]])[j,k] = t[t[i,j], k]; t[i, t] gives t[i, t[j,k]].
-    block = 64
+    block = max(1, _CHUNK_CELLS // (n * n))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         left = t[t[lo:hi]]
@@ -131,37 +121,108 @@ def _first_nonassociative_triple(table) -> tuple[int, int, int] | None:
     return None
 
 
+def _greedy_generators(rows: list[list[int]]) -> list[int]:
+    """A generating set: each generator is the least element not yet reached.
+
+    Reached elements are the generators and their left-bracketed products,
+    found by walking x -> x*a over the generators; every (x, a) is walked
+    once, so the cost is O(n*k) for k generators.
+    """
+    seen = [False] * len(rows)
+    reached: list[int] = []
+    gens: list[int] = []
+    for g in range(len(rows)):
+        if seen[g]:
+            continue
+        old = len(reached)
+        gens.append(g)
+        seen[g] = True
+        reached.append(g)
+        for x in reached[:old]:
+            y = rows[x][g]
+            if not seen[y]:
+                seen[y] = True
+                reached.append(y)
+        pos = old
+        while pos < len(reached):
+            row = rows[reached[pos]]
+            for a in gens:
+                y = row[a]
+                if not seen[y]:
+                    seen[y] = True
+                    reached.append(y)
+            pos += 1
+    return gens
+
+
+def _light_associative(t: np.ndarray, gens: list[int]) -> bool:
+    """Light's test: (x*a)*y == x*(a*y) for all x, y and every generator a.
+
+    Exact: the b with (x*b)*y == x*(b*y) for all x, y are closed under
+    products, so holding on a generating set it holds on all of S.
+    """
+    n = t.shape[0]
+    step = max(1, _CHUNK_CELLS // (n * n))
+    gens = np.array(gens)
+    for lo in range(0, len(gens), step):
+        g = gens[lo:lo + step]
+        # Both have shape (n, len(g), n): [x, a, y] is (x*a)*y, resp. x*(a*y).
+        left = t.take(t.take(g, axis=1), axis=0)
+        right = t.take(t.take(g, axis=0), axis=1)
+        if not (left == right).all():
+            return False
+    return True
+
+
 def from_cayley(n: int, rows: Sequence[Sequence[int]],
                 labels: Sequence[str] | None = None) -> FiniteSemigroup:
     """Validate an n-by-n multiplication table and build the semigroup.
 
-    Raises RangeError for malformed entries and AssociativityViolation
-    (carrying the first failing triple) for non-associative tables.
-    The identity and zero, when present, are detected and cached.
+    Entries must be ints (numpy integers included) in [0, n); bools,
+    floats and strings raise RangeError, as do out-of-range entries.
+    Associativity is decided by Light's test over a greedy generating set
+    of size k, in O(n^2 * k) array work; a non-associative table raises
+    AssociativityViolation carrying the lexicographically first failing
+    triple.  The identity and zero, when present, are detected and cached.
     """
     if n <= 0:
         raise RangeError("size must be positive")
     if len(rows) != n:
         raise RangeError(f"expected {n} rows, got {len(rows)}")
-    table = []
     for row in rows:
         if len(row) != n:
             raise RangeError(f"expected {n} columns, got {len(row)}")
-        for v in row:
-            if not 0 <= int(v) < n:
-                raise RangeError(f"entry {v} out of range [0, {n})")
-        table.append(tuple(int(v) for v in row))
-    table = tuple(table)
-    bad = _first_nonassociative_triple(table)
-    if bad is not None:
-        raise AssociativityViolation(bad)
+    # np.asarray casts bools mixed with ints to ints, so the cell types are checked too.
+    try:
+        t = np.asarray(rows)
+        valid = (t.shape == (n, n) and t.dtype.kind in "iu"
+                 and (isinstance(rows, np.ndarray)
+                      or all(tp is int or issubclass(tp, np.integer)
+                             for tp in set(map(type, chain.from_iterable(rows)))))
+                 and t.min() >= 0 and t.max() < n)
+    except (ValueError, TypeError):
+        valid = False
+    if not valid:
+        # one check per cell, to name the first bad entry
+        t = np.array([[_index(v, "entry", n) for v in row] for row in rows])
+    rows = t.tolist()
+    if not _light_associative(t, _greedy_generators(rows)):
+        raise AssociativityViolation(_first_nonassociative_triple(t))
     if labels is not None:
         if len(labels) != n:
             raise RangeError("labels length must equal size")
         labels = tuple(str(x) for x in labels)
-    return FiniteSemigroup(size=n, table=table, labels=labels,
-                           identity=_detect_identity(table),
-                           zero=_detect_zero(table))
+    # An identity is the only left identity, and a zero is the product of
+    # all elements, so each has one candidate to check.
+    ar = list(range(n))
+    e = next((x for x in ar if rows[x] == ar), None)
+    identity = e if e is not None and all(row[e] == x for x, row in enumerate(rows)) else None
+    z = 0
+    for x in ar:
+        z = rows[z][x]
+    zero = z if rows[z].count(z) == n and all(row[z] == z for row in rows) else None
+    return FiniteSemigroup(size=n, table=tuple(map(tuple, rows)), labels=labels,
+                           identity=identity, zero=zero)
 
 
 def from_transformations(degree: int, gens: Sequence[Transformation]) -> FiniteSemigroup:

@@ -84,6 +84,17 @@ def contains_pairs(class_of, pairs):
     return all(class_of[a] == class_of[b] for a, b in pairs)
 
 
+def brute_first_nonassociative(rows):
+    """First (i, j, k) in lexicographic order with (ij)k != i(jk), else None."""
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if rows[rows[i][j]][k] != rows[i][rows[j][k]]:
+                    return (i, j, k)
+    return None
+
+
 def brute_right_congruences(s):
     """Every right-compatible partition, by exhaustive scan."""
     return [p for p in set_partitions(s.size) if is_right_compatible(s, p)]

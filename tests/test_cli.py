@@ -304,3 +304,43 @@ def test_failed_verification_is_exit_2(files, capsys, monkeypatch):
                 "--element", "0"])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["congruences", "-i", "{z3}", "--max", "2.5"],
+    ["schutz", "-i", "{z3}", "--element", "x"],
+    ["close", "-i", "{z3}"],
+    ["witness", "-i", "{z3}", "--pairs", "0 1", "--from", "0"],
+    ["frobnicate"],
+    [],
+    ["info", "-i", "{z3}", "--format", "xml"],
+    ["rees", "-i", "{z3}"],
+    ["info", "-i", "{z3}", "--no-such-flag"],
+])
+def test_usage_errors_are_one_error_line_with_exit_1(files, capsys, argv):
+    code = run([a.format(**files) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["congruences", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert "usage: sgt" in capsys.readouterr().out
+
+
+def test_internal_failure_is_one_error_line_with_exit_3(files, capsys, monkeypatch):
+    import sgt.cli as cli
+    from sgt.core import InternalAssertFailure
+
+    def broken(s):
+        raise InternalAssertFailure("H-class is not a group")
+
+    monkeypatch.setattr(cli, "green_data", broken)
+    code = run(["green", "-i", files["z3"]])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: internal: H-class is not a group\n"

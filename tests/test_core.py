@@ -1,14 +1,21 @@
 import random
+import time
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from sgt import core
 from sgt.core import (AssociativityViolation, DegreeMismatch, NotAnIdeal,
                       RangeError, Transformation, adjoin_identity, adjoin_zero,
                       classify, direct_product, from_cayley,
                       from_transformations, rees_quotient, sub_semigroup,
                       subsemigroup_closure)
-from sgt.library import chain, cyclic, left_zero, rectangular_band, right_zero
+from sgt.library import (chain, cyclic, left_zero, library, rectangular_band,
+                         right_zero)
 from sgt.verify import isomorphic
 
 
@@ -257,3 +264,158 @@ def test_every_library_table_associative(lib):
             for j in range(n):
                 for k in range(n):
                     assert s.table[s.table[i][j]][k] == s.table[i][s.table[j][k]]
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1.9], [1, 0]],
+    [[0, 1.0], [1, 0]],
+    [[0, True], [True, 0]],
+    [[0, 1], [1, False]],
+    [[False, True], [True, False]],
+    [[0, "1"], [1, 0]],
+    [[0, np.bool_(True)], [1, 0]],
+    [[0, None], [1, 0]],
+    [[0, [1]], [1, 0]],
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    [np.array([0, 1]), np.array([True, False])],
+])
+def test_from_cayley_rejects_non_integer_entries(rows):
+    with pytest.raises(RangeError, match=r"entry must be an int in \[0, 2\), got "):
+        from_cayley(2, rows)
+
+
+@pytest.mark.parametrize("rows, entry", [
+    ([[0, 1], [1, 2]], "2"),
+    ([[0, -1], [1, 0]], "-1"),
+    ([[0, 1], [1, 2 ** 70]], str(2 ** 70)),
+    (np.array([[0, 1], [1, 5]], dtype=np.uint8), "np.uint8(5)"),
+])
+def test_from_cayley_range_error_names_the_entry(rows, entry):
+    with pytest.raises(RangeError) as err:
+        from_cayley(2, rows)
+    assert str(err.value) == f"entry must be an int in [0, 2), got {entry}"
+
+
+@pytest.mark.parametrize("rows", [
+    [[np.int64(0), np.int8(1)], [np.uint16(1), 0]],
+    [np.array([0, 1]), np.array([1, 0], dtype=np.int32)],
+    np.array([[0, 1], [1, 0]], dtype=np.uint8),
+])
+def test_from_cayley_accepts_numpy_integers(rows):
+    s = from_cayley(2, rows)
+    assert s.table == ((0, 1), (1, 0)) and s.identity == 0
+    assert all(type(v) is int for row in s.table for v in row)
+
+
+def _brute_identity_zero(rows):
+    n = len(rows)
+    ident = [e for e in range(n) if all(rows[e][x] == x == rows[x][e] for x in range(n))]
+    zero = [z for z in range(n) if all(rows[z][x] == z == rows[x][z] for x in range(n))]
+    return (ident or [None])[0], (zero or [None])[0]
+
+
+def _check_against_brute(rows):
+    bad = oracles.brute_first_nonassociative(rows)
+    if bad is None:
+        s = from_cayley(len(rows), rows)
+        assert s.table == tuple(map(tuple, rows))
+        assert (s.identity, s.zero) == _brute_identity_zero(rows)
+    else:
+        with pytest.raises(AssociativityViolation) as err:
+            from_cayley(len(rows), rows)
+        assert err.value.triple == bad
+        assert str(err.value) == "({0}*{1})*{2} != {0}*({1}*{2})".format(*bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n)))
+# the generating set is {0}, and the first failing triple has middle element 1
+@example(rows=[[1, 2, 0], [2, 0, 1], [0, 0, 0]])
+def test_from_cayley_matches_brute_associativity(rows):
+    _check_against_brute(rows)
+
+
+def _null(n):
+    return from_cayley(n, [[0] * n for _ in range(n)])
+
+
+_MANY_GENERATORS = [left_zero(7), right_zero(7), _null(7), rectangular_band(2, 3),
+                    direct_product(left_zero(2), right_zero(3)),
+                    direct_product(chain(2), cyclic(3))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_MANY_GENERATORS + list(library().values())
+                      + [adjoin_zero(cyclic(3)), adjoin_identity(right_zero(3))]).flatmap(
+    lambda s: st.tuples(st.just(s), st.permutations(range(s.size)))))
+def test_from_cayley_accepts_relabelled_associative_tables(case):
+    s, perm = case
+    _check_against_brute([list(r) for r in _permuted(s, perm).table])
+
+
+def _brute_closure(rows, seed):
+    members = set(seed)
+    while True:
+        more = {rows[a][b] for a in members for b in members} - members
+        if not more:
+            return members
+        members |= more
+
+
+_T3 = from_transformations(3, [Transformation(3, (1, 0, 2)), Transformation(3, (1, 2, 0)),
+                               Transformation(3, (0, 0, 2))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_MANY_GENERATORS + [_T3, cyclic(12)]).flatmap(
+    lambda s: st.tuples(st.just(s), st.permutations(range(s.size)))))
+def test_greedy_generators_take_the_least_unreached_element(case):
+    s, perm = case
+    rows = [list(r) for r in _permuted(s, perm).table]
+    gens = core._greedy_generators(rows)
+    for i, g in enumerate(gens):
+        assert g == min(set(range(s.size)) - _brute_closure(rows, gens[:i]))
+    assert _brute_closure(rows, gens) == set(range(s.size))
+
+
+def test_greedy_generators_sizes():
+    assert core._greedy_generators([list(r) for r in _T3.table]) == [0, 1, 2]
+    assert core._greedy_generators([list(r) for r in cyclic(500).table]) == [0, 1]
+    assert core._greedy_generators([list(r) for r in left_zero(5).table]) == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("s", _MANY_GENERATORS)
+def test_from_cayley_chunked_light_test_is_exact(monkeypatch, s):
+    # one generator per chunk, so a defect seen only by a late generator
+    # must be found in a later chunk
+    monkeypatch.setattr(core, "_CHUNK_CELLS", 1)
+    n = s.size
+    rows = [list(r) for r in s.table]
+    _check_against_brute(rows)
+    rng = random.Random(n)
+    for _ in range(20):
+        bent = [list(r) for r in rows]
+        bent[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        _check_against_brute(bent)
+
+
+def test_from_cayley_cpu_time_is_bounded():
+    rows = [list(r) for r in cyclic(500).table]
+    start = time.process_time()
+    s = from_cayley(500, rows)
+    assert time.process_time() - start < 0.5
+    assert s.identity == 0
+
+
+def test_from_cayley_memory_is_bounded_when_every_element_generates():
+    # an unchunked (n, k, n) gather over left_zero(300)'s 300 generators
+    # would take 216 MB
+    rows = [[a] * 300 for a in range(300)]
+    tracemalloc.start()
+    try:
+        from_cayley(300, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
