@@ -8,18 +8,20 @@ import sys
 from . import (classify, enumerate_right_congruences, find_x_sequence,
                green_data, maximal_subgroups, minimal_generating_pairs,
                pair_set, rc_diameter, rc_generate, schutzenberger)
-from .congruence import CapExceeded, Disconnected, FORMAL_IDENTITY
+from .congruence import (CapExceeded, Disconnected, FORMAL_IDENTITY,
+                         identity_congruence, quotient_semigroup,
+                         universal_congruence)
 from .core import (FiniteSemigroup, InternalAssertFailure, Transformation,
-                   from_cayley, from_transformations)
+                   direct_product, from_cayley, from_transformations)
 from .green import GreenData
 from .structure import (ReesStructure, archimedean_decomposition,
                         cr_decomposition, diagonal_cyclic_witness,
                         rees_construct, rees_coordinates, rees_structure,
                         theta_congruence)
-from .verify import (ideal_subsemigroup, sweep, verify_dp_gens,
-                     verify_extend_gens, verify_fg_gens, verify_ideal_gens,
-                     verify_lclass_gens, verify_quotient_gens,
-                     verify_schutz_gens)
+from .verify import (_internal_identity, _l_congruence, ideal_subsemigroup,
+                     sweep, verify_dp_gens, verify_extend_gens, verify_fg_gens,
+                     verify_ideal_gens, verify_lclass_gens,
+                     verify_quotient_gens, verify_schutz_gens)
 
 
 class _UsageError(Exception):
@@ -385,6 +387,12 @@ def _report_json(rep) -> dict:
     }
 
 
+def _congruence_arg(s: FiniteSemigroup, pairs: str | None, default):
+    """The right congruence generated by a pairs option, or default(s) when
+    the option is not given."""
+    return rc_generate(s, parse_pairs(pairs, s)) if pairs else default(s)
+
+
 def _verify_dispatch(args) -> int:
     if args.sweep:
         reports = sweep()
@@ -422,11 +430,9 @@ def _verify_dispatch(args) -> int:
     if con == "fg":
         gens = ([int(v) for v in args.gens.split(",")] if args.gens
                 else list(range(s.size)))
-        rho = rc_generate(s, parse_pairs(args.pairs, s)) if args.pairs \
-            else rc_generate(s, [(0, b) for b in range(s.size)])
+        rho = _congruence_arg(s, args.pairs, universal_congruence)
         rep = verify_fg_gens(s, gens, rho, inputs="cli")
     elif con == "lclass":
-        from .verify import _l_congruence
         if args.pairs:
             x = parse_pairs(args.pairs, s)
         else:
@@ -438,19 +444,18 @@ def _verify_dispatch(args) -> int:
             return 1
         m = s
         n2, _ = parse_input(_read(args.second), "auto")
-        from .core import direct_product
         p = direct_product(m, n2)
-        rho = rc_generate(p, parse_pairs(args.pairs, p)) if args.pairs \
-            else rc_generate(p, [(0, b) for b in range(p.size)])
+        rho = _congruence_arg(p, args.pairs, universal_congruence)
         rep = verify_dp_gens(m, n2, rho, inputs="cli")
     elif con == "schutz":
         rep = verify_schutz_gens(s, args.element, inputs="cli")
     elif con == "quotient":
-        from .congruence import quotient_semigroup
+        if not args.pairs:
+            print("quotient needs --pairs", file=sys.stderr)
+            return 1
         rho2 = rc_generate(s, parse_pairs(args.pairs, s), two_sided=True)
         t = quotient_semigroup(s, rho2)
-        rho_t = rc_generate(t, parse_pairs(args.target_pairs, t)) \
-            if args.target_pairs else rc_generate(t, [(0, b) for b in range(t.size)])
+        rho_t = _congruence_arg(t, args.target_pairs, universal_congruence)
         rep = verify_quotient_gens(s, t, rho2.class_of, rho_t, inputs="cli")
     elif con == "ideal":
         if not args.ideal:
@@ -458,21 +463,15 @@ def _verify_dispatch(args) -> int:
             return 1
         ideal = sorted(int(v) for v in args.ideal.split(","))
         isub, members = ideal_subsemigroup(s, ideal)
-        e = next((c for c in members
-                  if all(s.table[c][v] == v == s.table[v][c] for v in members)),
-                 None)
+        e = _internal_identity(s, members)
         if e is None:
             print("ideal has no internal identity", file=sys.stderr)
             return 1
-        rho_i = rc_generate(isub, parse_pairs(args.target_pairs, isub)) \
-            if args.target_pairs \
-            else rc_generate(isub, [(0, b) for b in range(isub.size)])
+        rho_i = _congruence_arg(isub, args.target_pairs, universal_congruence)
         rep = verify_ideal_gens(s, ideal, e, rho_i, inputs="cli")
     elif con == "extend":
-        rho = rc_generate(s, parse_pairs(args.pairs, s)) if args.pairs \
-            else rc_generate(s, [])
-        sigma = rc_generate(s, parse_pairs(args.sigma_pairs, s)) \
-            if args.sigma_pairs else rc_generate(s, [(0, b) for b in range(s.size)])
+        rho = _congruence_arg(s, args.pairs, identity_congruence)
+        sigma = _congruence_arg(s, args.sigma_pairs, universal_congruence)
         rep = verify_extend_gens(s, rho, sigma, inputs="cli")
     else:
         print(f"unknown construction {con!r}", file=sys.stderr)

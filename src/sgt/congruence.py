@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import FiniteSemigroup, RangeError, _index
+from .core import FiniteSemigroup, RangeError, _index, from_cayley
 
 #: Multiplier standing for the formal identity of S^1; serialized as "1".
 FORMAL_IDENTITY = None
@@ -72,22 +72,36 @@ def _canonical_classes(keys) -> tuple[int, ...]:
     return tuple([seen.setdefault(k, len(seen)) for k in keys])
 
 
+def _incompatible(s: FiniteSemigroup, class_of,
+                  two_sided: bool = False) -> tuple[int, int, int] | None:
+    """First (a, b, t) with a ~ b but a*t !~ b*t (or, when two_sided,
+    t*a !~ t*b), else None.  Classes go in order of first occurrence, then
+    consecutive members (a, b), which suffice by transitivity, then t."""
+    table = s.table
+    groups: dict = {}
+    for x, c in enumerate(class_of):
+        groups.setdefault(c, []).append(x)
+    for members in groups.values():
+        for a, b in zip(members, members[1:]):
+            row_a, row_b = table[a], table[b]
+            for t in range(s.size):
+                if class_of[row_a[t]] != class_of[row_b[t]] or (
+                        two_sided and class_of[table[t][a]] != class_of[table[t][b]]):
+                    return a, b, t
+    return None
+
+
 def right_congruence(s: FiniteSemigroup, class_of: Iterable) -> RightCongruence:
     """Canonicalize a class map and check right compatibility."""
     labels = list(class_of)
     if len(labels) != s.size:
         raise RangeError("class map length must equal semigroup size")
     canon = _canonical_classes(labels)
-    groups: dict[int, list[int]] = {}
-    for x, c in enumerate(canon):
-        groups.setdefault(c, []).append(x)
-    for members in groups.values():
-        for a, b in zip(members, members[1:]):
-            for t in range(s.size):
-                if canon[s.table[a][t]] != canon[s.table[b][t]]:
-                    raise ValueError(
-                        f"not right compatible: {a} ~ {b} but {a}*{t} !~ {b}*{t}")
-    return RightCongruence(parent=s, class_of=canon, index=len(groups))
+    bad = _incompatible(s, canon)
+    if bad is not None:
+        a, b, t = bad
+        raise ValueError(f"not right compatible: {a} ~ {b} but {a}*{t} !~ {b}*{t}")
+    return RightCongruence(parent=s, class_of=canon, index=max(canon) + 1)
 
 
 def identity_congruence(s: FiniteSemigroup) -> RightCongruence:
@@ -400,7 +414,7 @@ def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
         for c in candidates:
             if current.related(*c):
                 continue
-            trial = rc_generate(s, chosen + [c])
+            trial = _close(s, [c], closed=(current.class_of,))
             gain = sum(1 for (a, b) in candidates
                        if trial.related(a, b) and not current.related(a, b))
             if best is None or gain > best[0]:
@@ -412,24 +426,13 @@ def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
 
 def quotient_semigroup(s: FiniteSemigroup, rho: RightCongruence) -> FiniteSemigroup:
     """Quotient by a two-sided congruence; classes keep their canonical order."""
-    n = s.size
     cls = rho.class_of
+    bad = _incompatible(s, cls, two_sided=True)
+    if bad is not None:
+        raise NotTwoSided(bad)
     groups = rho.classes()
-    for members in groups:
-        for a, b in zip(members, members[1:]):
-            for t in range(n):
-                if cls[s.table[t][a]] != cls[s.table[t][b]]:
-                    raise NotTwoSided((a, b, t))
-                if cls[s.table[a][t]] != cls[s.table[b][t]]:
-                    raise NotTwoSided((a, b, t))
+    # compatibility makes the products of representatives well defined
     reps = [members[0] for members in groups]
     table = [[cls[s.table[ra][rb]] for rb in reps] for ra in reps]
-    # well-definedness across representative choices
-    for members in groups:
-        for a in members:
-            for j, rb in enumerate(reps):
-                if cls[s.table[a][rb]] != table[cls[a]][j]:
-                    raise NotTwoSided((reps[cls[a]], a, rb))
     labels = tuple("|".join(s.label(m) for m in members) for members in groups)
-    from .core import from_cayley
     return from_cayley(rho.index, table, labels=labels)

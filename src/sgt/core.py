@@ -303,20 +303,25 @@ def direct_product(m: FiniteSemigroup, n: FiniteSemigroup) -> FiniteSemigroup:
     return from_cayley(size, table, labels=labels)
 
 
+def _ideal_members(s: FiniteSemigroup, ideal: Iterable[int]) -> list[int]:
+    """The sorted members of a two-sided ideal of s; RangeError for a bad
+    entry, NotAnIdeal for an empty set or the first escaping product."""
+    members = sorted({_index(v, "ideal element", s.size) for v in ideal})
+    if not members:
+        raise NotAnIdeal("ideal must be nonempty")
+    mset = set(members)
+    for a in members:
+        for x in range(s.size):
+            if s.table[a][x] not in mset:
+                raise NotAnIdeal(f"{a}*{x} escapes the ideal", pair=(a, x))
+            if s.table[x][a] not in mset:
+                raise NotAnIdeal(f"{x}*{a} escapes the ideal", pair=(x, a))
+    return members
+
+
 def rees_quotient(s: FiniteSemigroup, ideal: Iterable[int]) -> FiniteSemigroup:
     """Collapse a two-sided ideal to a fresh zero (placed at the last index)."""
-    ideal = set(ideal)
-    if not ideal:
-        raise NotAnIdeal("ideal must be nonempty")
-    for v in ideal:
-        if not 0 <= v < s.size:
-            raise RangeError(f"ideal element {v} out of range")
-    for a in ideal:
-        for x in range(s.size):
-            if s.table[a][x] not in ideal:
-                raise NotAnIdeal(f"{a}*{x} escapes the ideal", pair=(a, x))
-            if s.table[x][a] not in ideal:
-                raise NotAnIdeal(f"{x}*{a} escapes the ideal", pair=(x, a))
+    ideal = set(_ideal_members(s, ideal))
     keep = [x for x in range(s.size) if x not in ideal]
     new_index = {x: i for i, x in enumerate(keep)}
     z = len(keep)
@@ -343,20 +348,17 @@ def sub_semigroup(s: FiniteSemigroup, members: Sequence[int]) -> FiniteSemigroup
 
 
 def subsemigroup_closure(s: FiniteSemigroup, seed: Iterable[int]) -> SubsetClosure:
-    """Smallest multiplicatively closed superset of seed."""
-    members = set()
-    for v in seed:
-        if not 0 <= v < s.size:
-            raise RangeError(f"seed element {v} out of range")
-        members.add(v)
-    queue = list(members)
-    while queue:
-        a = queue.pop()
-        for b in list(members):
-            for p in (s.table[a][b], s.table[b][a]):
-                if p not in members:
-                    members.add(p)
-                    queue.append(p)
+    """Smallest multiplicatively closed superset of seed: the products of
+    seeds, reached by multiplying on the right by seeds only."""
+    gens = sorted({_index(v, "seed element", s.size) for v in seed})
+    members = set(gens)
+    queue = list(gens)
+    for a in queue:  # grows while it is walked
+        row = s.table[a]
+        for g in gens:
+            if row[g] not in members:
+                members.add(row[g])
+                queue.append(row[g])
     return SubsetClosure(parent=s, members=tuple(sorted(members)), closed=True)
 
 
@@ -393,25 +395,11 @@ def _is_nilpotent(s: FiniteSemigroup) -> bool:
     return False
 
 
-def _h_is_congruence(s: FiniteSemigroup, h_class: Sequence[int]) -> bool:
-    n = s.size
-    by_class: dict[int, list[int]] = {}
-    for x in range(n):
-        by_class.setdefault(h_class[x], []).append(x)
-    for members in by_class.values():
-        for a, b in zip(members, members[1:]):
-            for t in range(n):
-                if h_class[s.table[a][t]] != h_class[s.table[b][t]]:
-                    return False
-                if h_class[s.table[t][a]] != h_class[s.table[t][b]]:
-                    return False
-    return True
-
-
 @lru_cache(maxsize=512)
 def classify(s: FiniteSemigroup) -> Classification:
     """Compute the standard property flags by direct definition checks."""
     from . import green  # deferred: green builds FiniteSemigroup values
+    from .congruence import _incompatible  # deferred: congruence imports core
 
     n = s.size
     table = s.table
@@ -445,7 +433,8 @@ def classify(s: FiniteSemigroup) -> Classification:
         has_zero=s.zero is not None,
         nilpotent=_is_nilpotent(s),
         completely_regular=completely_regular,
-        cryptogroup=completely_regular and _h_is_congruence(s, gd.h_class),
+        cryptogroup=(completely_regular
+                     and _incompatible(s, gd.h_class, two_sided=True) is None),
         left_simple=num_l == 1,
         right_simple=num_r == 1,
         simple=num_j == 1,

@@ -4,11 +4,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .congruence import _canonical_classes, _close
-from .core import FiniteSemigroup, InternalAssertFailure, _index, from_cayley
-
-#: Formal identity adjoined to S when acting on the right; never an element index.
-FORMAL_IDENTITY = None
+from .congruence import FORMAL_IDENTITY, _canonical_classes, _close
+from .core import (FiniteSemigroup, InternalAssertFailure, _index, classify,
+                   from_cayley, sub_semigroup)
 
 
 @dataclass(frozen=True)
@@ -25,22 +23,26 @@ class GreenData:
         return [x for x in range(self.parent.size) if self.h_class[x] == h]
 
 
+def _principal_masks(rows) -> list[int]:
+    """Bitmask of {a} and the a-th row's entries, for each a: aS^1 over the
+    table's rows, S^1a over its columns."""
+    masks = []
+    for a, row in enumerate(rows):
+        m = 1 << a
+        for v in row:
+            m |= 1 << v
+        masks.append(m)
+    return masks
+
+
 @lru_cache(maxsize=256)
 def green_data(s: FiniteSemigroup) -> GreenData:
     """Compute R, L, H, D and J as canonical class maps; asserts D = J."""
     n = s.size
     table = s.table
-    rmask = [0] * n
-    lmask = [0] * n
-    for a in range(n):
-        m = 1 << a
-        for x in range(n):
-            m |= 1 << table[a][x]
-        rmask[a] = m
-        m = 1 << a
-        for x in range(n):
-            m |= 1 << table[x][a]
-        lmask[a] = m
+    columns = list(zip(*table))
+    rmask = _principal_masks(table)
+    lmask = _principal_masks(columns)
     r_class = _canonical_classes(rmask)
     l_class = _canonical_classes(lmask)
     h_class = _canonical_classes(zip(r_class, l_class))
@@ -48,17 +50,13 @@ def green_data(s: FiniteSemigroup) -> GreenData:
     # D = R v L: the transitive closure of their union
     d_class = _close(s, closed=(r_class, l_class)).class_of
 
+    # S^1aS^1 is aS^1 together with xS^1 for every x in Sa
     jmask = []
-    for a in range(n):
-        m = lmask[a]
-        acc = 0
-        x = 0
-        while m:
-            if m & 1:
-                acc |= rmask[x]
-            m >>= 1
-            x += 1
-        jmask.append(acc)
+    for a, column in enumerate(columns):
+        m = rmask[a]
+        for x in column:
+            m |= rmask[x]
+        jmask.append(m)
     j_class = _canonical_classes(jmask)
     if d_class != j_class:
         raise InternalAssertFailure("D != J on a finite semigroup")
@@ -123,8 +121,6 @@ def schutzenberger(s: FiniteSemigroup, element: int) -> SchutzGroup:
     table = [[class_of[mul1(reps[a], reps[b])] for b in range(size)]
              for a in range(size)]
     group = from_cayley(size, table)
-
-    from .core import classify
     if not classify(group).group:
         raise InternalAssertFailure("stabilizer quotient is not a group")
     if size != len(members):
@@ -142,8 +138,5 @@ def maximal_subgroups(s: FiniteSemigroup) -> list[tuple[tuple[int, ...], FiniteS
     out = []
     for h in sorted(gd.group_h_classes):
         members = gd.h_members(h)
-        index = {x: i for i, x in enumerate(members)}
-        table = [[index[s.table[a][b]] for b in members] for a in members]
-        labels = tuple(s.label(x) for x in members)
-        out.append((tuple(members), from_cayley(len(members), table, labels=labels)))
+        out.append((tuple(members), sub_semigroup(s, members)))
     return out

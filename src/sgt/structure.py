@@ -5,10 +5,10 @@ import warnings
 from dataclasses import dataclass
 
 from .core import (FiniteSemigroup, InternalAssertFailure, RangeError, classify,
-                   from_cayley)
-from .congruence import (NotTwoSided, RightCongruence, quotient_semigroup,
-                         right_congruence)
-from .green import green_data
+                   from_cayley, sub_semigroup)
+from .congruence import (NotTwoSided, RightCongruence, _incompatible,
+                         quotient_semigroup, right_congruence)
+from .green import _principal_masks, green_data
 
 
 class InvalidGroup(ValueError):
@@ -214,9 +214,7 @@ def rees_coordinates(s: FiniteSemigroup) -> tuple[ReesStructure, tuple[int, ...]
     g_members = [x for x in range(s.size)
                  if gd.r_class[x] == re_ and gd.l_class[x] == le_]
     g_index = {x: k for k, x in enumerate(g_members)}
-    g_table = [[g_index[s.table[a][b]] for b in g_members] for a in g_members]
-    group = from_cayley(len(g_members), g_table,
-                        labels=[s.label(x) for x in g_members])
+    group = sub_semigroup(s, g_members)
 
     # q_j in R_e /\ L_j, r_i in R_i /\ L_e, both smallest.
     q = [min(x for x in range(s.size) if x not in skip
@@ -283,7 +281,6 @@ class Decomposition:
 
 
 def _component_semigroup(s: FiniteSemigroup, members: list[int]) -> FiniteSemigroup:
-    from .core import sub_semigroup
     try:
         return sub_semigroup(s, members)
     except ValueError as exc:
@@ -320,29 +317,14 @@ def cr_decomposition(s: FiniteSemigroup) -> Decomposition:
 
 def h_congruence_check(s: FiniteSemigroup) -> tuple[bool, tuple[int, int, int] | None]:
     """Is Green's H a two-sided congruence?  On failure return (a, b, t)."""
-    gd = green_data(s)
-    by_class: dict[int, list[int]] = {}
-    for x in range(s.size):
-        by_class.setdefault(gd.h_class[x], []).append(x)
-    for members in by_class.values():
-        for a, b in zip(members, members[1:]):
-            for t in range(s.size):
-                if gd.h_class[s.table[a][t]] != gd.h_class[s.table[b][t]]:
-                    return False, (a, b, t)
-                if gd.h_class[s.table[t][a]] != gd.h_class[s.table[t][b]]:
-                    return False, (a, b, t)
-    return True, None
+    witness = _incompatible(s, green_data(s).h_class, two_sided=True)
+    return witness is None, witness
 
 
 def _divisibility(s: FiniteSemigroup):
     """Bitmask helpers: divides[a][b] iff a^n lies in b*S^1 for some n <= |S|."""
     n = s.size
-    rmask = []
-    for b in range(n):
-        m = 1 << b
-        for x in range(n):
-            m |= 1 << s.table[b][x]
-        rmask.append(m)
+    rmask = _principal_masks(s.table)
     powmask = []
     for a in range(n):
         m = 0

@@ -7,18 +7,18 @@ tie-breaking so reports are reproducible.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import (FiniteSemigroup, InternalAssertFailure, NotAnIdeal,
+from .core import (FiniteSemigroup, InternalAssertFailure, _ideal_members,
                    adjoin_identity, direct_product, sub_semigroup,
                    subsemigroup_closure)
 from .congruence import (FORMAL_IDENTITY, PairSet, RightCongruence,
                          _principal_closure, enumerate_right_congruences,
-                         minimal_generating_pairs, pair_set, rc_generate,
-                         right_congruence, within_class_pairs)
+                         minimal_generating_pairs, pair_set, quotient_semigroup,
+                         rc_generate, right_congruence, within_class_pairs)
 from .green import green_data, schutzenberger
+from .library import library
 
 
 class NotGenerating(ValueError):
@@ -259,17 +259,14 @@ def verify_quotient_gens(s: FiniteSemigroup, t: FiniteSemigroup,
 
 def ideal_subsemigroup(s: FiniteSemigroup, ideal: Iterable[int]) -> tuple[FiniteSemigroup, tuple[int, ...]]:
     """Restrict s to a two-sided ideal; returns the semigroup and sorted members."""
-    members = sorted(set(ideal))
-    if not members:
-        raise NotAnIdeal("ideal must be nonempty")
-    mset = set(members)
-    for a in members:
-        for x in range(s.size):
-            if s.table[a][x] not in mset:
-                raise NotAnIdeal(f"{a}*{x} escapes the ideal", pair=(a, x))
-            if s.table[x][a] not in mset:
-                raise NotAnIdeal(f"{x}*{a} escapes the ideal", pair=(x, a))
+    members = _ideal_members(s, ideal)
     return sub_semigroup(s, members), tuple(members)
+
+
+def _internal_identity(s: FiniteSemigroup, members: Sequence[int]) -> int | None:
+    """The identity of the subsemigroup on members, or None; it is unique."""
+    return next((c for c in members
+                 if all(s.table[c][v] == v == s.table[v][c] for v in members)), None)
 
 
 def verify_ideal_gens(s: FiniteSemigroup, ideal: Iterable[int], e: int,
@@ -279,10 +276,9 @@ def verify_ideal_gens(s: FiniteSemigroup, ideal: Iterable[int], e: int,
     isub, members = ideal_subsemigroup(s, ideal)
     if e not in members:
         raise NoInternalIdentity("e must belong to the ideal")
+    if _internal_identity(s, members) != e:
+        raise NoInternalIdentity(f"{e} is not an identity inside the ideal")
     sub_index = {v: k for k, v in enumerate(members)}
-    for v in members:
-        if s.table[e][v] != v or s.table[v][e] != v:
-            raise NoInternalIdentity(f"{e} is not an identity inside the ideal")
     if rho_on_i.parent.table != isub.table:
         raise ValueError("congruence does not live on the ideal subsemigroup")
     pulled = right_congruence(
@@ -295,13 +291,18 @@ def verify_ideal_gens(s: FiniteSemigroup, ideal: Iterable[int], e: int,
                               expected, computed)
 
 
+def _refines(rho: RightCongruence, sigma: RightCongruence) -> bool:
+    """Every class of rho lies in one class of sigma, i.e. the meet of the
+    two has rho's index."""
+    return len(set(zip(rho.class_of, sigma.class_of))) == rho.index
+
+
 def verify_extend_gens(s: FiniteSemigroup, rho: RightCongruence,
                        sigma: RightCongruence, full_pairs: bool = False,
                        inputs: str = "") -> VerificationReport:
     """Extend a refinement's generating set by representative cross pairs."""
-    for members in rho.classes():
-        if len({sigma.class_of[v] for v in members}) != 1:
-            raise NotRefinement("rho does not refine sigma")
+    if not _refines(rho, sigma):
+        raise NotRefinement("rho does not refine sigma")
     x = _generating_pairs(rho, full_pairs)
     alpha = [members[0] for members in rho.classes()]
     built = set(x.pairs)
@@ -381,26 +382,26 @@ def two_sided_congruences(s: FiniteSemigroup) -> list[RightCongruence]:
 
 
 def ideals_with_identity(s: FiniteSemigroup):
-    """All two-sided ideals possessing an internal identity, with that identity."""
+    """All two-sided ideals possessing an internal identity, with that
+    identity, in (size, members) order.  An ideal I with identity f has
+    I = fIf inside S^1fS^1 inside I, so the candidates are the principal
+    ideals S^1eS^1 = SeS (as e = eee) of the idempotents e."""
+    table = s.table
+    candidates = set()
+    for e in s.idempotents():
+        right = set(table[e])
+        candidates.add(tuple(sorted({row[r] for row in table for r in right})))
     out = []
-    for size in range(1, s.size + 1):
-        for subset in itertools.combinations(range(s.size), size):
-            mset = set(subset)
-            if any(s.table[a][x] not in mset or s.table[x][a] not in mset
-                   for a in subset for x in range(s.size)):
-                continue
-            e = next((c for c in subset
-                      if all(s.table[c][v] == v == s.table[v][c] for v in subset)),
-                     None)
-            if e is not None:
-                out.append((subset, e))
+    for ideal in sorted(candidates, key=lambda m: (len(m), m)):
+        f = _internal_identity(s, ideal)
+        if f is not None:
+            out.append((ideal, f))
     return out
 
 
 def sweep(size_limit: int = 5, schutz_limit: int = 6, dp_limit: int = 3,
           lib: dict[str, FiniteSemigroup] | None = None) -> list[VerificationReport]:
     """Run every construction over the built-in library; returns all reports."""
-    from .library import library
     if lib is None:
         lib = library()
     reports: list[VerificationReport] = []
@@ -418,12 +419,10 @@ def sweep(size_limit: int = 5, schutz_limit: int = 6, dp_limit: int = 3,
             reports.append(verify_lclass_gens(s, xfull, inputs=f"{name} full"))
             for a, rho in enumerate(lattice):
                 for b, sigma in enumerate(lattice):
-                    if all(len({sigma.class_of[v] for v in members}) == 1
-                           for members in rho.classes()):
+                    if _refines(rho, sigma):
                         reports.append(verify_extend_gens(
                             s, rho, sigma, inputs=f"{name} rho#{a} sigma#{b}"))
             for k, rho2 in enumerate(two_sided_congruences(s)):
-                from .congruence import quotient_semigroup
                 t = quotient_semigroup(s, rho2)
                 for k2, rho_t in enumerate(enumerate_right_congruences(t).congruences):
                     reports.append(verify_quotient_gens(

@@ -95,6 +95,34 @@ def brute_first_nonassociative(rows):
     return None
 
 
+def brute_closure(s, seed):
+    """Smallest superset of seed closed under products, by squaring until stable."""
+    members = set(seed)
+    while True:
+        grown = members | {s.table[a][b] for a in members for b in members}
+        if grown == members:
+            return tuple(sorted(members))
+        members = grown
+
+
+def brute_ideals_with_identity(s):
+    """(ideal, identity) for every two-sided ideal with an internal identity,
+    by scanning all 2^n subsets in (size, members) order."""
+    out = []
+    for size in range(1, s.size + 1):
+        for subset in itertools.combinations(range(s.size), size):
+            mset = set(subset)
+            if any(s.table[a][x] not in mset or s.table[x][a] not in mset
+                   for a in subset for x in range(s.size)):
+                continue
+            e = next((c for c in subset
+                      if all(s.table[c][v] == v == s.table[v][c] for v in subset)),
+                     None)
+            if e is not None:
+                out.append((subset, e))
+    return out
+
+
 def brute_right_congruences(s):
     """Every right-compatible partition, by exhaustive scan."""
     return [p for p in set_partitions(s.size) if is_right_compatible(s, p)]

@@ -173,6 +173,22 @@ def test_schutz_element_out_of_range_is_one_error_line(files, capsys, verb, elem
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("ideal", ["7", "3", "0,3", "-1,0", "0.5"])
+def test_ideal_out_of_range_is_one_error_line(files, capsys, ideal):
+    code = run(["verify", "-i", files["z3"], "--construction", "ideal",
+                f"--ideal={ideal}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_quotient_without_pairs_is_one_line_with_exit_1(files, capsys):
+    code = run(["verify", "-i", files["z3"], "--construction", "quotient"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "quotient needs --pairs\n"
+
+
 def test_decompose(files, capsys):
     code = run(["decompose", "-i", files["t2"], "--mode", "cr", "--json"])
     payload = json.loads(capsys.readouterr().out)

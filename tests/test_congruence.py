@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 
 import oracles
 from sgt.congruence import (CapExceeded, Disconnected, NotTwoSided,
-                            enumerate_right_congruences, find_x_sequence,
+                            RightCongruence, enumerate_right_congruences, find_x_sequence,
                             identity_congruence, minimal_generating_pairs,
                             pair_set, quotient_semigroup, rc_diameter,
                             rc_generate, right_congruence,
                             universal_congruence, within_class_pairs)
-from sgt.core import RangeError, Transformation, from_cayley, from_transformations
+from sgt.core import (RangeError, Transformation, direct_product, from_cayley,
+                      from_transformations)
 from sgt.library import chain, cyclic, left_zero, library, right_zero, t2
 from sgt.verify import two_sided_congruences
 
@@ -247,6 +249,36 @@ def test_minimal_generating_pairs_greedy_mode():
     assert rc_generate(s, x).index == 1
 
 
+# Greedy pairs of the parent implementation, which re-saturated every trial
+# from the identity partition.
+_GREEDY_PINS = {
+    ("z6", "universal"): [(0, 1)],
+    ("rz4", "universal"): [(0, 1), (0, 2), (0, 3)],
+    ("lz4", "L"): [(0, 1), (0, 2), (0, 3)],
+    ("rb22", "universal"): [(0, 3)],
+    ("t2", "universal"): [(0, 1), (0, 2)],
+    ("t2xz2", "universal"): [(0, 3), (0, 4)],
+    ("t2xz2", "L"): [(0, 1), (0, 4)],
+}
+
+
+def test_minimal_generating_pairs_greedy_branch(lib):
+    from sgt.verify import _l_congruence
+    tables = dict(lib, t2xz2=direct_product(lib["t2"], lib["z2"]))
+    for name, s in tables.items():
+        congruences = (enumerate_right_congruences(s).congruences if s.size <= 6
+                       else (universal_congruence(s), _l_congruence(s)))
+        for rho in congruences:
+            x, optimal = minimal_generating_pairs(s, rho, exact_limit=0)
+            assert rc_generate(s, x).class_of == rho.class_of, name
+            assert all(rho.related(a, b) for a, b in x.pairs), name
+            assert optimal == (rho.index == s.size)
+    for (name, which), pairs in _GREEDY_PINS.items():
+        s = tables[name]
+        rho = universal_congruence(s) if which == "universal" else _l_congruence(s)
+        assert sorted(minimal_generating_pairs(s, rho, exact_limit=0)[0].pairs) == pairs
+
+
 def test_rc_diameter_values():
     z3 = cyclic(3)
     assert oracles.brute_diameter(z3, [(0, 1)]) == 1
@@ -374,3 +406,61 @@ def test_lattice_matches_brute_on_relabelled_library(case):
 def test_right_congruence_validates():
     with pytest.raises(ValueError):
         right_congruence(cyclic(3), [0, 0, 1])  # e ~ g is not closed
+
+
+# Library tables and their direct products of size <= 9, for class-map properties.
+_MAP_TABLES = list(library().values()) + [
+    direct_product(a, b) for a in library().values() for b in library().values()
+    if 1 < a.size and 1 < b.size and a.size * b.size <= 9]
+
+
+@st.composite
+def _class_maps(draw):
+    """A table and a class map: random labels, or a generated right or
+    two-sided congruence with one element possibly moved into another class
+    (so that both outcomes occur)."""
+    s = draw(st.sampled_from(_MAP_TABLES))
+    element = st.integers(0, s.size - 1)
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(element, element), max_size=2))
+        class_of = list(rc_generate(s, pairs, two_sided=draw(st.booleans())).class_of)
+        class_of[draw(element)] = class_of[draw(element)]
+    else:
+        k = draw(st.integers(1, s.size))
+        class_of = draw(st.lists(st.integers(0, k - 1), min_size=s.size, max_size=s.size))
+    return s, class_of
+
+
+@_PROPERTY
+@given(_class_maps())
+def test_right_congruence_accepts_exactly_right_compatible_maps(case):
+    s, class_of = case
+    canon = oracles.canonical(class_of)
+    if oracles.is_right_compatible(s, canon):
+        rho = right_congruence(s, class_of)
+        assert rho.class_of == canon and rho.index == len(set(canon))
+        return
+    with pytest.raises(ValueError, match="not right compatible") as err:
+        right_congruence(s, class_of)
+    a, b, t = map(int, re.match(r"not right compatible: (\d+) ~ (\d+) but \1\*(\d+) ",
+                                str(err.value)).groups())
+    assert canon[a] == canon[b] and canon[s.table[a][t]] != canon[s.table[b][t]]
+
+
+@_PROPERTY
+@given(_class_maps())
+def test_quotient_rejects_exactly_maps_not_compatible_on_both_sides(case):
+    s, class_of = case
+    canon = oracles.canonical(class_of)
+    rho = RightCongruence(parent=s, class_of=canon, index=len(set(canon)))
+    if oracles.is_right_compatible(s, canon) and oracles.is_left_compatible(s, canon):
+        q = quotient_semigroup(s, rho)
+        assert all(q.table[canon[a]][canon[b]] == canon[s.table[a][b]]
+                   for a in range(s.size) for b in range(s.size))
+        return
+    with pytest.raises(NotTwoSided) as err:
+        quotient_semigroup(s, rho)
+    a, b, t = err.value.witness
+    assert canon[a] == canon[b]
+    assert (canon[s.table[a][t]] != canon[s.table[b][t]]
+            or canon[s.table[t][a]] != canon[s.table[t][b]])

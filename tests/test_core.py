@@ -16,7 +16,7 @@ from sgt.core import (AssociativityViolation, DegreeMismatch, NotAnIdeal,
                       subsemigroup_closure)
 from sgt.library import (chain, cyclic, left_zero, library, rectangular_band,
                          right_zero)
-from sgt.verify import isomorphic
+from sgt.verify import ideal_subsemigroup, isomorphic
 
 
 def test_trivial_semigroup():
@@ -197,6 +197,49 @@ def test_subsemigroup_closure():
     const0 = Transformation(2, (0, 0))
     t2 = from_transformations(2, [swap, const0])
     assert subsemigroup_closure(t2, {0}).members == (0, 2)  # swap, id
+
+
+def _relabelled_library(seed):
+    """The library, its products of size <= 9, each with a random relabelling."""
+    rng = random.Random(seed)
+    lib = library()
+    tables = list(lib.values()) + [direct_product(a, b) for a in lib.values()
+                                   for b in lib.values() if a.size * b.size <= 9]
+    out = []
+    for s in tables:
+        perm = list(range(s.size))
+        rng.shuffle(perm)
+        out += [s, _permuted(s, perm)]
+    return out
+
+
+def test_subsemigroup_closure_matches_brute_force():
+    rng = random.Random(11)
+    for s in _relabelled_library(5):
+        for k in range(min(s.size, 4) + 1):
+            for _ in range(3):
+                seed = rng.sample(range(s.size), k)
+                assert (subsemigroup_closure(s, seed).members
+                        == oracles.brute_closure(s, seed))
+
+
+def test_ideal_and_seed_entries_are_range_checked():
+    n3 = library()["n3"]
+    for bad in ([-1, 0], [3], [0.0], [True], ["0"]):
+        with pytest.raises(RangeError):
+            rees_quotient(n3, bad)
+        with pytest.raises(RangeError):
+            ideal_subsemigroup(n3, bad)
+        with pytest.raises(RangeError):
+            subsemigroup_closure(n3, bad)
+    # the range check comes before the ideal check, whose message is kept
+    with pytest.raises(RangeError, match=r"ideal element must be an int in \[0, 3\), got -1"):
+        ideal_subsemigroup(n3, [-1, 0])
+    with pytest.raises(NotAnIdeal, match=r"^0\*0 escapes the ideal$"):
+        rees_quotient(n3, [0, 2])
+    with pytest.raises(NotAnIdeal, match=r"^1\*0 escapes the ideal$"):
+        ideal_subsemigroup(left_zero(3), [0])  # a right ideal only
+    assert rees_quotient(n3, [np.int64(2)]).size == 3
 
 
 def test_sub_semigroup_rejects_unclosed():

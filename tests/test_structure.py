@@ -1,9 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from sgt.core import classify
+from sgt.core import classify, direct_product, from_cayley
+from sgt.green import green_data
+from sgt.library import library
 from sgt.library import chain, cyclic, left_zero, nilpotent_n3, rectangular_band, right_zero, t2, trivial
 from sgt.structure import (InvalidGroup, MismatchedInput, NotCommutative,
                            NotCompletelyRegular, NotCompletelySimple,
@@ -204,6 +208,30 @@ def test_h_congruence_agrees_with_definition_oracle(lib):
             for a in range(s.size) for b in range(s.size) if h[a] == h[b]
             for w in range(s.size))
         assert h_congruence_check(s)[0] == expect
+
+
+_TABLES = list(library().values()) + [
+    direct_product(a, b) for a in library().values() for b in library().values()
+    if 1 < a.size and 1 < b.size and a.size * b.size <= 12]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_TABLES).flatmap(
+    lambda s: st.tuples(st.just(s), st.permutations(range(s.size)))))
+def test_h_congruence_check_and_cryptogroup_on_relabelled_tables(case):
+    s, perm = case
+    inv = sorted(range(s.size), key=perm.__getitem__)
+    s = from_cayley(s.size, [[perm[s.table[inv[a]][inv[b]]] for b in range(s.size)]
+                             for a in range(s.size)])
+    h = green_data(s).h_class
+    ok, witness = h_congruence_check(s)
+    assert ok == (oracles.is_right_compatible(s, h) and oracles.is_left_compatible(s, h))
+    if not ok:
+        a, b, t = witness
+        assert h[a] == h[b]
+        assert h[s.table[a][t]] != h[s.table[b][t]] or h[s.table[t][a]] != h[s.table[t][b]]
+    flags = classify(s)
+    assert flags.cryptogroup == (flags.completely_regular and ok)
 
 
 def test_cryptogroup_cross_module_consistency(lib):

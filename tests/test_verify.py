@@ -1,13 +1,19 @@
+import random
+
 import pytest
 
+import oracles
 from sgt.congruence import (identity_congruence, minimal_generating_pairs,
                             pair_set, rc_generate, universal_congruence)
-from sgt.core import adjoin_zero, direct_product, sub_semigroup
-from sgt.library import chain, cyclic, left_zero, rectangular_band, right_zero, t2, trivial
+from sgt.core import (adjoin_identity, adjoin_zero, direct_product, from_cayley,
+                      sub_semigroup)
+from sgt.library import (chain, cyclic, left_zero, library, rectangular_band,
+                         right_zero, t2, trivial)
 from sgt.verify import (NoInternalIdentity, NotGenerating, NotHomomorphism,
                         NotMonoids, NotRefinement, NotSurjective,
-                        PreconditionFailed, SizeLimitExceeded, isomorphic,
-                        sweep, two_sided_congruences, verify_dp_gens,
+                        PreconditionFailed, SizeLimitExceeded,
+                        ideals_with_identity, isomorphic, sweep,
+                        two_sided_congruences, verify_dp_gens,
                         verify_extend_gens, verify_fg_gens, verify_ideal_gens,
                         verify_lclass_gens, verify_quotient_gens,
                         verify_schutz_gens)
@@ -177,6 +183,31 @@ def test_ideal_validation():
     isub = sub_semigroup(s, [0])
     with pytest.raises(NoInternalIdentity):
         verify_ideal_gens(s, [0], 1, universal_congruence(isub))
+    s = chain(3)
+    isub = sub_semigroup(s, [0, 1])
+    with pytest.raises(NoInternalIdentity, match="0 is not an identity inside the ideal"):
+        verify_ideal_gens(s, [0, 1], 0, universal_congruence(isub))
+    assert verify_ideal_gens(s, [0, 1], 1, universal_congruence(isub)).passed
+
+
+def _relabelled(s, rng):
+    perm = list(range(s.size))
+    rng.shuffle(perm)
+    inv = sorted(range(s.size), key=perm.__getitem__)
+    return from_cayley(s.size, [[perm[s.table[inv[a]][inv[b]]] for b in range(s.size)]
+                                for a in range(s.size)])
+
+
+def test_ideals_with_identity_matches_subset_scan():
+    rng = random.Random(3)
+    lib = library()
+    tables = list(lib.values())
+    tables += [direct_product(a, b) for a in lib.values() for b in lib.values()
+               if a.size * b.size <= 9]
+    tables += [adjoin(s) for s in lib.values() for adjoin in (adjoin_identity, adjoin_zero)]
+    tables += [_relabelled(s, rng) for s in list(tables)]
+    for s in tables:
+        assert ideals_with_identity(s) == oracles.brute_ideals_with_identity(s)
 
 
 def test_extend_identity_to_universal():
