@@ -24,8 +24,8 @@ from .verify import (_internal_identity, _l_congruence, ideal_subsemigroup,
                      verify_quotient_gens, verify_schutz_gens)
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(ValueError):
+    """A usage or precondition failure; run prints it as one error line."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,39 +151,38 @@ def _rees_text(r: ReesStructure) -> str:
     return "\n".join(lines)
 
 
-def _egg_box(gd: GreenData) -> dict:
-    s = gd.parent
-    d_ids = sorted(set(gd.d_class))
+def _d_classes(gd: GreenData) -> list[tuple[int, list[list[tuple[int, bool]]]]]:
+    """(d, grid) per D-class in id order, the one walk behind both egg-box
+    views.  The grid has a row per R-class and a column per L-class, by class
+    id, and each cell, an H-class, gives its size and whether it is a group."""
+    cells: dict[int, dict[tuple[int, int], list[int]]] = {}
+    for x in range(gd.parent.size):
+        cells.setdefault(gd.d_class[x], {}).setdefault(
+            (gd.r_class[x], gd.l_class[x]), []).append(x)
     out = []
-    for d in d_ids:
-        members = [x for x in range(s.size) if gd.d_class[x] == d]
-        r_ids = sorted({gd.r_class[x] for x in members})
-        l_ids = sorted({gd.l_class[x] for x in members})
-        h_size = len([x for x in members
-                      if gd.h_class[x] == gd.h_class[members[0]]])
-        out.append({"R_rows": len(r_ids), "L_cols": len(l_ids),
-                    "H_size": h_size,
-                    "is_group": any(gd.h_class[x] in gd.group_h_classes
-                                    for x in members)})
-    return {"D": out}
+    for d in sorted(cells):
+        h_cells = cells[d]
+        grid = [[h_cells[r, l] for l in sorted({l for _, l in h_cells})]
+                for r in sorted({r for r, _ in h_cells})]
+        out.append((d, [[(len(h), gd.h_class[h[0]] in gd.group_h_classes) for h in row]
+                        for row in grid]))
+    return out
 
 
-def _egg_box_grid(gd: GreenData) -> str:
-    s = gd.parent
+def _egg_box(d_classes) -> dict:
+    # H-classes of one D-class have equal size (Green's lemma)
+    return {"D": [{"R_rows": len(grid), "L_cols": len(grid[0]), "H_size": grid[0][0][0],
+                   "is_group": any(group for row in grid for _, group in row)}
+                  for _, grid in d_classes]}
+
+
+def _egg_box_grid(d_classes) -> str:
     lines = []
-    for d in sorted(set(gd.d_class)):
-        members = [x for x in range(s.size) if gd.d_class[x] == d]
-        r_ids = sorted({gd.r_class[x] for x in members})
-        l_ids = sorted({gd.l_class[x] for x in members})
-        lines.append(f"D-class {d}: {len(r_ids)} x {len(l_ids)}")
-        for r in r_ids:
-            cells = []
-            for l in l_ids:
-                cell = [x for x in members
-                        if gd.r_class[x] == r and gd.l_class[x] == l]
-                star = "*" if gd.h_class[cell[0]] in gd.group_h_classes else " "
-                cells.append(f"{len(cell)}{star}")
-            lines.append("  [ " + " ".join(cells) + "]")
+    for d, grid in d_classes:
+        lines.append(f"D-class {d}: {len(grid)} x {len(grid[0])}")
+        for row in grid:
+            lines.append("  [ " + " ".join(f"{size}{'*' if group else ' '}"
+                                           for size, group in row) + "]")
     return "\n".join(lines)
 
 
@@ -219,12 +218,13 @@ def _cmd_info(args) -> int:
 
 def _cmd_green(args) -> int:
     s = _require_semigroup(args)
-    gd = green_data(s)
-    payload = _egg_box(gd)
+    d_classes = _d_classes(green_data(s))
+    subgroups = maximal_subgroups(s)
+    payload = _egg_box(d_classes)
     payload["maximal_subgroups"] = [{"h_class": list(m), "order": g.size}
-                                    for m, g in maximal_subgroups(s)]
-    human = _egg_box_grid(gd) + "\nmaximal subgroups: " + " ".join(
-        f"{list(m)}(order {g.size})" for m, g in maximal_subgroups(s))
+                                    for m, g in subgroups]
+    human = _egg_box_grid(d_classes) + "\nmaximal subgroups: " + " ".join(
+        f"{list(m)}(order {g.size})" for m, g in subgroups)
     _emit(args, payload, human)
     return 0
 
@@ -234,9 +234,8 @@ def _cmd_congruences(args) -> int:
     try:
         lattice = enumerate_right_congruences(s, cap=args.max)
     except CapExceeded as exc:
-        print(f"cap exceeded: more than {args.max} right congruences "
-              f"(found {exc.partial_count})", file=sys.stderr)
-        return 1
+        raise _UsageError(f"cap exceeded: more than {args.max} right congruences "
+                          f"(found {exc.partial_count})") from exc
     payload = {"count": len(lattice),
                "congruences": [congruence_json(r) for r in lattice.congruences]}
     human = [f"count: {len(lattice)}"]
@@ -337,8 +336,7 @@ def _cmd_rees(args) -> int:
     s, r = parse_input(_read(args.input), args.format)
     if args.construct:
         if r is None:
-            print("--construct needs rees-format input", file=sys.stderr)
-            return 1
+            raise _UsageError("--construct needs rees-format input")
         payload = {"size": s.size, "table": [list(row) for row in s.table]}
         _emit(args, payload, _cayley_text(s))
         return 0
@@ -356,8 +354,7 @@ def _cmd_rees(args) -> int:
 def _cmd_theta(args) -> int:
     s, r = parse_input(_read(args.input), args.format)
     if r is None:
-        print("theta needs rees-format input", file=sys.stderr)
-        return 1
+        raise _UsageError("theta needs rees-format input")
     pattern, rho = theta_congruence(s, r)
     payload = {"patterns": [list(v) for v in pattern.vectors],
                **congruence_json(rho)}
@@ -414,6 +411,8 @@ def _verify_dispatch(args) -> int:
             print("all passed" if all_passed else "FAILURES PRESENT")
         return 0 if all_passed else 2
 
+    if not args.construction:
+        raise _UsageError("verify needs --construction or --sweep")
     s, r = parse_input(_read(args.input), args.format)
     con = args.construction
     if con == "diagonal":
@@ -440,8 +439,7 @@ def _verify_dispatch(args) -> int:
         rep = verify_lclass_gens(s, x, inputs="cli")
     elif con == "dp":
         if not args.second:
-            print("dp needs --second FILE", file=sys.stderr)
-            return 1
+            raise _UsageError("dp needs --second FILE")
         m = s
         n2, _ = parse_input(_read(args.second), "auto")
         p = direct_product(m, n2)
@@ -451,31 +449,25 @@ def _verify_dispatch(args) -> int:
         rep = verify_schutz_gens(s, args.element, inputs="cli")
     elif con == "quotient":
         if not args.pairs:
-            print("quotient needs --pairs", file=sys.stderr)
-            return 1
+            raise _UsageError("quotient needs --pairs")
         rho2 = rc_generate(s, parse_pairs(args.pairs, s), two_sided=True)
         t = quotient_semigroup(s, rho2)
         rho_t = _congruence_arg(t, args.target_pairs, universal_congruence)
         rep = verify_quotient_gens(s, t, rho2.class_of, rho_t, inputs="cli")
     elif con == "ideal":
         if not args.ideal:
-            print("ideal needs --ideal LIST", file=sys.stderr)
-            return 1
+            raise _UsageError("ideal needs --ideal LIST")
         ideal = sorted(int(v) for v in args.ideal.split(","))
         isub, members = ideal_subsemigroup(s, ideal)
         e = _internal_identity(s, members)
         if e is None:
-            print("ideal has no internal identity", file=sys.stderr)
-            return 1
+            raise _UsageError("ideal has no internal identity")
         rho_i = _congruence_arg(isub, args.target_pairs, universal_congruence)
         rep = verify_ideal_gens(s, ideal, e, rho_i, inputs="cli")
-    elif con == "extend":
+    else:  # extend; argparse choices admit nothing else
         rho = _congruence_arg(s, args.pairs, identity_congruence)
         sigma = _congruence_arg(s, args.sigma_pairs, universal_congruence)
         rep = verify_extend_gens(s, rho, sigma, inputs="cli")
-    else:
-        print(f"unknown construction {con!r}", file=sys.stderr)
-        return 1
     if args.json:
         print(json.dumps(_report_json(rep)))
     else:
@@ -565,11 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """Exit codes: 0 success, 1 usage/parse/precondition error, 2 a failed
     verification, 3 an internal check failed (a bug)."""
-    try:
-        args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     handlers = {
         "info": _cmd_info,
         "green": _cmd_green,
@@ -584,10 +571,8 @@ def run(argv=None) -> int:
         "theta": _cmd_theta,
         "verify": _verify_dispatch,
     }
-    if args.verb == "verify" and not args.sweep and not args.construction:
-        print("verify needs --construction or --sweep", file=sys.stderr)
-        return 1
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.verb](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -221,6 +221,21 @@ def _sequence_edges(s: FiniteSemigroup, x: PairSet):
     return adj
 
 
+def _distances(adj, src: int) -> list[int]:
+    """Breadth-first step counts from src over _sequence_edges adjacency,
+    -1 where unreachable; the one BFS behind sequences and the diameter."""
+    dist = [-1] * len(adj)
+    dist[src] = 0
+    frontier = deque([src])
+    while frontier:
+        u = frontier.popleft()
+        for _, v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                frontier.append(v)
+    return dist
+
+
 def find_x_sequence(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]],
                     a: int, b: int) -> XSequence | None:
     """Shortest connecting sequence from a to b, or None when none exists.
@@ -242,15 +257,7 @@ def find_x_sequence(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]],
         return XSequence(parent=s, a=a, b=b, steps=())
     adj = _sequence_edges(s, x)
     n = s.size
-    dist = [-1] * n
-    dist[b] = 0
-    frontier = deque([b])
-    while frontier:
-        u = frontier.popleft()
-        for _, v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                frontier.append(v)
+    dist = _distances(adj, b)
     if dist[a] < 0:
         return None
     steps = []
@@ -288,18 +295,9 @@ def rc_diameter(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]]) -> i
     if rho.index != 1:
         return Disconnected(index=rho.index)
     adj = _sequence_edges(s, x)
-    n = s.size
     best = 0
-    for src in range(n):
-        dist = [-1] * n
-        dist[src] = 0
-        frontier = deque([src])
-        while frontier:
-            u = frontier.popleft()
-            for _, v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    frontier.append(v)
+    for src in range(s.size):
+        dist = _distances(adj, src)
         if min(dist) < 0:
             raise AssertionError("universal congruence but sequence graph disconnected")
         best = max(best, max(dist))

@@ -4,10 +4,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .core import (FiniteSemigroup, InternalAssertFailure, RangeError, classify,
-                   from_cayley, sub_semigroup)
-from .congruence import (NotTwoSided, RightCongruence, _incompatible,
-                         quotient_semigroup, right_congruence)
+from .core import (FiniteSemigroup, InternalAssertFailure, RangeError, _index,
+                   classify, from_cayley, sub_semigroup)
+from .congruence import (RightCongruence, _incompatible, quotient_semigroup,
+                         right_congruence)
 from .green import _principal_masks, green_data
 
 
@@ -63,23 +63,27 @@ class ReesStructure:
 
 def rees_structure(group: FiniteSemigroup, i_size: int, j_size: int,
                    p_matrix, with_zero: bool) -> ReesStructure:
+    """Validated structure: every entry is ZERO or an int group element
+    (numpy integers too, stored as ints), never a bool or a float."""
     if not classify(group).group:
         raise InvalidGroup("structure group must be a group")
     if i_size <= 0 or j_size <= 0:
         raise RaggedMatrix("index sets must be nonempty")
     if len(p_matrix) != j_size:
         raise RaggedMatrix(f"expected {j_size} rows, got {len(p_matrix)}")
+
+    def entry(v):
+        if v is not ZERO:
+            return _index(v, "matrix entry", group.size)
+        if not with_zero:
+            raise RangeError("zero entry in a structure without zero")
+        return ZERO
+
     rows = []
     for row in p_matrix:
         if len(row) != i_size:
             raise RaggedMatrix(f"expected {i_size} entries, got {len(row)}")
-        for v in row:
-            if v is ZERO:
-                if not with_zero:
-                    raise RangeError("zero entry in a structure without zero")
-            elif not 0 <= v < group.size:
-                raise RangeError(f"matrix entry {v} not a group element index")
-        rows.append(tuple(row))
+        rows.append(tuple(map(entry, row)))
     return ReesStructure(group=group, i_size=i_size, j_size=j_size,
                          p_matrix=tuple(rows), with_zero=with_zero)
 
@@ -156,13 +160,8 @@ def theta_congruence(s: FiniteSemigroup, r: ReesStructure) -> tuple[ThetaPattern
         raise MismatchedInput("semigroup was not constructed from this structure")
     vectors = tuple(tuple(1 if v is not ZERO else 0 for v in row)
                     for row in r.p_matrix)
-    ng = r.group.size
-    keys: list = []
-    for i in range(r.i_size):
-        for g in range(ng):
-            for j in range(r.j_size):
-                keys.append(vectors[j])
-    keys.append("zero")
+    # element (i, g, j) has index (i*|G| + g)*|J| + j
+    keys = [vectors[x % r.j_size] for x in range(r.triple_count())] + ["zero"]
     rho = right_congruence(s, keys)
     if rho.index != len(set(vectors)) + 1:
         raise InternalAssertFailure("pattern count does not match congruence index")
@@ -280,11 +279,31 @@ class Decomposition:
         return out
 
 
-def _component_semigroup(s: FiniteSemigroup, members: list[int]) -> FiniteSemigroup:
+def _decomposition(s: FiniteSemigroup, component_of, kind: str, parts: str,
+                   quotient: str, check) -> Decomposition:
+    """The tail both decompositions share.  component_of is checked to be a
+    two-sided congruence whose quotient is a semilattice, and every component
+    to be a closed subsemigroup with check(members, sub) true; `parts` and
+    `quotient` name the classes and the quotient in the failure messages."""
     try:
-        return sub_semigroup(s, members)
+        rho = right_congruence(s, component_of)
+        quot = quotient_semigroup(s, rho)
     except ValueError as exc:
-        raise InternalAssertFailure(f"component is not closed: {exc}")
+        raise InternalAssertFailure(f"{parts} are not a congruence: {exc}")
+    if not classify(quot).semilattice:
+        raise InternalAssertFailure(f"{quotient} is not a semilattice")
+    comps = rho.classes()
+    tables = []
+    for members in comps:
+        try:
+            sub = sub_semigroup(s, members)
+        except ValueError as exc:
+            raise InternalAssertFailure(f"component is not closed: {exc}")
+        if not check(members, sub):
+            raise InternalAssertFailure(f"component is not {kind.replace('_', ' ')}")
+        tables.append(sub)
+    return Decomposition(parent=s, component_of=rho.class_of, semilattice=quot,
+                         kind=(kind,) * len(comps), component_tables=tuple(tables))
 
 
 def cr_decomposition(s: FiniteSemigroup) -> Decomposition:
@@ -295,24 +314,9 @@ def cr_decomposition(s: FiniteSemigroup) -> Decomposition:
     """
     if not classify(s).completely_regular:
         raise NotCompletelyRegular("input is not a union of groups")
-    gd = green_data(s)
-    try:
-        rho = right_congruence(s, gd.j_class)
-        quot = quotient_semigroup(s, rho)
-    except (ValueError, NotTwoSided) as exc:
-        raise InternalAssertFailure(f"J-classes are not a congruence: {exc}")
-    if not classify(quot).semilattice:
-        raise InternalAssertFailure("quotient by J-classes is not a semilattice")
-    comps = rho.classes()
-    tables = []
-    for members in comps:
-        sub = _component_semigroup(s, members)
-        if not classify(sub).completely_simple:
-            raise InternalAssertFailure("component is not completely simple")
-        tables.append(sub)
-    return Decomposition(parent=s, component_of=rho.class_of, semilattice=quot,
-                         kind=("completely_simple",) * len(comps),
-                         component_tables=tuple(tables))
+    return _decomposition(s, green_data(s).j_class, "completely_simple", "J-classes",
+                          "quotient by J-classes",
+                          lambda members, sub: classify(sub).completely_simple)
 
 
 def h_congruence_check(s: FiniteSemigroup) -> tuple[bool, tuple[int, int, int] | None]:
@@ -361,25 +365,9 @@ def archimedean_decomposition(s: FiniteSemigroup) -> Decomposition:
         else:
             comp[a] = count
             count += 1
-    try:
-        rho = right_congruence(s, comp)
-        quot = quotient_semigroup(s, rho)
-    except (ValueError, NotTwoSided) as exc:
-        raise InternalAssertFailure(f"components are not a congruence: {exc}")
-    if not classify(quot).semilattice:
-        raise InternalAssertFailure("divisibility quotient is not a semilattice")
-    comps = rho.classes()
-    tables = []
-    for members in comps:
-        sub = _component_semigroup(s, members)
-        for a in members:
-            for b in members:
-                if not divides(a, b):
-                    raise InternalAssertFailure("component is not archimedean")
-        tables.append(sub)
-    return Decomposition(parent=s, component_of=rho.class_of, semilattice=quot,
-                         kind=("archimedean",) * len(comps),
-                         component_tables=tuple(tables))
+    return _decomposition(s, comp, "archimedean", "components", "divisibility quotient",
+                          lambda members, sub: all(divides(a, b) for a in members
+                                                   for b in members))
 
 
 def completeness_check(s: FiniteSemigroup) -> tuple[bool, tuple[tuple[int, ...], ...]]:

@@ -179,6 +179,36 @@ def brute_diameter(s, pairs):
     return worst
 
 
+def brute_j_classes(s):
+    """Class map of Green's J: a J b iff S^1aS^1 = S^1bS^1, the ideals built as sets."""
+    n = s.size
+
+    def ideal(a):
+        left = {a} | {s.table[x][a] for x in range(n)}
+        return frozenset(left | {s.table[y][x] for y in left for x in range(n)})
+
+    return canonical(ideal(a) for a in range(n))
+
+
+def brute_archimedean(s):
+    """Class map of mutual divisibility by powers: a ~ b iff some power of a
+    lies in bS^1 and some power of b lies in aS^1."""
+    n = s.size
+
+    def powers(a):
+        out, p = set(), a
+        for _ in range(n):
+            out.add(p)
+            p = s.table[p][a]
+        return out
+
+    def divides(a, b):
+        return bool(powers(a) & ({b} | {s.table[b][x] for x in range(n)}))
+
+    return canonical(frozenset(b for b in range(n) if divides(a, b) and divides(b, a))
+                     for a in range(n))
+
+
 def subgroup_count(g):
     """Number of nonempty multiplicatively closed subsets of a finite group.
 

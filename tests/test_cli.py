@@ -186,7 +186,41 @@ def test_quotient_without_pairs_is_one_line_with_exit_1(files, capsys):
     code = run(["verify", "-i", files["z3"], "--construction", "quotient"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err == "quotient needs --pairs\n"
+    assert captured.err == "error: quotient needs --pairs\n"
+
+
+BAD_INPUTS = {
+    "empty": "",
+    "ragged": "cayley 2\n0 1\n1\n",
+    "float": "cayley 2\n0 1\n1 0.0\n",
+    "nonassoc": "cayley 2\n1 0\n0 0\n",
+    "unknown": "sudoku 2\n0 1\n1 0\n",
+    "rees_float": "rees 2 1 1 0\n0 1\n1 0\n1.0\n",
+    "rees_word": "rees 2 1 1 0\n0 1\n1 0\nx\n",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "-i", "{z3}"],
+    ["verify", "-i", "{z3}", "--construction", "dp"],
+    ["verify", "-i", "{z3}", "--construction", "quotient"],
+    ["verify", "-i", "{z3}", "--construction", "ideal"],
+    ["verify", "-i", "{lz2}", "--construction", "ideal", "--ideal", "0,1"],
+    ["rees", "--construct", "-i", "{z3}"],
+    ["theta", "-i", "{z3}"],
+    ["congruences", "-i", "{z3}", "--max", "0"],
+    *[["info", "-i", "{%s}" % name] for name in BAD_INPUTS],
+    ["rees", "--construct", "-i", "{rees_float}"],
+])
+def test_every_exit_1_path_is_one_error_line(files, tmp_path, capsys, argv):
+    paths = dict(files)
+    for name, text in [("lz2", "cayley 2\n0 0\n1 1\n"), *BAD_INPUTS.items()]:
+        paths[name] = str(tmp_path / f"{name}.sg")
+        (tmp_path / f"{name}.sg").write_text(text)
+    code = run([a.format(**paths) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_decompose(files, capsys):

@@ -384,15 +384,47 @@ _PROPERTY = settings(max_examples=100, deadline=None,
                      suppress_health_check=[HealthCheck.filter_too_much])
 
 
+#: Generator lists of random transformation semigroups on 2 or 3 points.
+_TRANSFORMATION_GENS = st.integers(2, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(0, d - 1)] * d), min_size=1, max_size=3))
+
+
+def _transformation_semigroup(gens):
+    return from_transformations(len(gens[0]), [Transformation(len(g), g) for g in gens])
+
+
 @_PROPERTY
-@given(st.integers(2, 3).flatmap(lambda d: st.lists(
-    st.tuples(*[st.integers(0, d - 1)] * d), min_size=1, max_size=3)))
+@given(_TRANSFORMATION_GENS)
 # the two constants and the identity: left translation by the last element matters
 @example(gens=[(0, 0), (0, 1), (1, 1)])
 def test_lattice_matches_brute_on_transformation_semigroups(gens):
-    s = from_transformations(len(gens[0]), [Transformation(len(g), g) for g in gens])
+    s = _transformation_semigroup(gens)
     assume(s.size <= 7)
     _check_against_brute(s)
+
+
+@_PROPERTY
+@given(_TRANSFORMATION_GENS, st.data())
+def test_sequences_and_diameter_match_brute_bfs(gens, data):
+    s = _transformation_semigroup(gens)
+    assume(s.size <= 7)
+    element = st.integers(0, s.size - 1)
+    pairs = data.draw(st.lists(st.tuples(element, element), max_size=3), label="pairs")
+    for a in range(s.size):
+        for b in range(s.size):
+            seq = find_x_sequence(s, pairs, a, b)
+            distance = oracles.brute_sequence_distance(s, pairs, a, b)
+            assert (seq is None) == (distance is None)
+            if seq is not None:
+                assert len(seq) == distance and seq.check()
+    # the star {(0, x)} generates the universal congruence on every table
+    star = [(0, x) for x in range(1, s.size)]
+    for x in (pairs, star):
+        rho = rc_generate(s, x)
+        if rho.index == 1:
+            assert rc_diameter(s, x) == oracles.brute_diameter(s, x)
+        else:
+            assert rc_diameter(s, x) == Disconnected(index=rho.index)
 
 
 @_PROPERTY

@@ -1,11 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sgt.core import classify, direct_product, from_cayley
+from sgt.core import RangeError, classify, direct_product, from_cayley
 from sgt.green import green_data
 from sgt.library import library
 from sgt.library import chain, cyclic, left_zero, nilpotent_n3, rectangular_band, right_zero, t2, trivial
@@ -57,6 +58,19 @@ def test_rees_structure_validation():
         rees_structure(trivial(), 2, 2, [[0, 0]], with_zero=False)
     with pytest.raises(ValueError):
         rees_structure(trivial(), 1, 1, [[None]], with_zero=False)
+
+
+@pytest.mark.parametrize("entry", [0.0, 1.0, True, "0", -1, 2])
+def test_rees_structure_rejects_bad_sandwich_entries(entry):
+    with pytest.raises(RangeError):
+        rees_structure(cyclic(2), 1, 1, [[entry]], with_zero=False)
+
+
+def test_rees_structure_stores_numpy_entries_as_ints():
+    r = rees_structure(cyclic(2), 2, 1, [[np.int64(1), np.int32(0)]], with_zero=False)
+    assert r.p_matrix == ((1, 0),)
+    assert all(type(v) is int for v in r.p_matrix[0])
+    assert rees_construct(r).size == 4
 
 
 def test_theta_diagonal_pattern():
@@ -215,14 +229,17 @@ _TABLES = list(library().values()) + [
     if 1 < a.size and 1 < b.size and a.size * b.size <= 12]
 
 
+def _relabel(s, perm):
+    inv = sorted(range(s.size), key=perm.__getitem__)
+    return from_cayley(s.size, [[perm[s.table[inv[a]][inv[b]]] for b in range(s.size)]
+                                for a in range(s.size)])
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(_TABLES).flatmap(
     lambda s: st.tuples(st.just(s), st.permutations(range(s.size)))))
 def test_h_congruence_check_and_cryptogroup_on_relabelled_tables(case):
-    s, perm = case
-    inv = sorted(range(s.size), key=perm.__getitem__)
-    s = from_cayley(s.size, [[perm[s.table[inv[a]][inv[b]]] for b in range(s.size)]
-                             for a in range(s.size)])
+    s = _relabel(*case)
     h = green_data(s).h_class
     ok, witness = h_congruence_check(s)
     assert ok == (oracles.is_right_compatible(s, h) and oracles.is_left_compatible(s, h))
@@ -232,6 +249,40 @@ def test_h_congruence_check_and_cryptogroup_on_relabelled_tables(case):
         assert h[s.table[a][t]] != h[s.table[b][t]] or h[s.table[t][a]] != h[s.table[t][b]]
     flags = classify(s)
     assert flags.cryptogroup == (flags.completely_regular and ok)
+
+
+_DECOMPOSABLE = [s for s in _TABLES
+                 if classify(s).completely_regular or classify(s).commutative]
+
+
+def _is_semilattice(s):
+    return all(s.table[a][a] == a and s.table[a][b] == s.table[b][a]
+               for a in range(s.size) for b in range(s.size))
+
+
+def _check_decompositions(s):
+    flags = classify(s)
+    assert flags.completely_regular or flags.commutative
+    if flags.completely_regular:
+        dec = cr_decomposition(s)
+        assert dec.component_of == oracles.brute_j_classes(s)
+        assert _is_semilattice(dec.semilattice)
+    if flags.commutative:
+        dec = archimedean_decomposition(s)
+        assert dec.component_of == oracles.brute_archimedean(s)
+        assert _is_semilattice(dec.semilattice)
+
+
+def test_decompositions_match_brute_classes():
+    for s in _DECOMPOSABLE:
+        _check_decompositions(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_DECOMPOSABLE).flatmap(
+    lambda s: st.tuples(st.just(s), st.permutations(range(s.size)))))
+def test_decompositions_match_brute_classes_on_relabelled_tables(case):
+    _check_decompositions(_relabel(*case))
 
 
 def test_cryptogroup_cross_module_consistency(lib):

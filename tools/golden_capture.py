@@ -1,0 +1,158 @@
+"""Golden capture of the sgt CLI: one JSON line per invocation.
+
+    python tools/golden_capture.py OUT.jsonl [--src DIR]
+
+Runs ``sgt.cli.run`` in-process on every verb, in text and ``--json``, over
+the built-in library, T3, Rees-format inputs and malformed files, with valid
+and invalid arguments, plus ``verify --sweep`` in text and JSON.  Each line
+holds the argv, the exit code, stdout and stderr.  The input files are
+written to a temporary directory and named relatively, so two captures of
+the same code are byte-identical.  ``--src`` selects the ``sgt`` sources to
+import (default: this checkout's ``src``); capture two trees and ``diff``
+the outputs to check that a refactor keeps the CLI's behaviour.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+T3_TEXT = "transformation 3 3\n1 2 0\n1 0 2\n0 0 2\n"
+
+REES_FILES = {
+    "m0.rs": "rees 1 2 2 1\n0\n0 -\n- 0\n",
+    "rz2.rs": "rees 2 2 3 0\n0 1\n1 0\n0 0\n0 1\n1 1\n",
+    "m0z3.rs": "rees 3 3 2 1\n0 1 2\n1 2 0\n2 0 1\n0 - 2\n- 1 0\n",
+}
+
+MALFORMED_FILES = {
+    "empty.sg": "",
+    "ragged.sg": "cayley 2\n0 1\n1\n",
+    "float.sg": "cayley 2\n0 1\n1 0.0\n",
+    "nonassoc.sg": "cayley 2\n1 0\n0 0\n",
+    "unknown.sg": "sudoku 2\n0 1\n1 0\n",
+    "range.sg": "cayley 2\n0 1\n1 2\n",
+    "rees_float.rs": "rees 2 1 1 0\n0 1\n1 0\n1.0\n",
+    "rees_range.rs": "rees 2 1 1 0\n0 1\n1 0\n2\n",
+    "rees_zero.rs": "rees 1 1 1 0\n0\n-\n",
+    "rees_bad_group.rs": "rees 2 1 1 0\n0 0\n0 0\n0\n",
+}
+
+
+def _inputs(cayley_text, library) -> dict[str, str]:
+    """File name -> text for every input: library tables, T3, Rees, malformed."""
+    files = {f"{name}.sg": cayley_text(s) + "\n" for name, s in library.items()}
+    files["t3.sg"] = T3_TEXT
+    files.update(REES_FILES)
+    files.update(MALFORMED_FILES)
+    return files
+
+
+def _table_argvs(path: str, size: int) -> list[list[str]]:
+    """Every verb on one well-formed table, with valid and invalid arguments."""
+    last = size - 1
+    pairs = ["0 1", f"0 {last}; 1 {last}", f"0 {size}", "0", "a b", "0 -1"]
+    out = [["info"], ["green"], ["congruences"], ["congruences", "--max", "0"],
+           ["congruences", "--max", "3"], ["congruences", "--max", "-1"],
+           ["congruences", "--max", "2.5"],
+           ["decompose", "--mode", "cr"], ["decompose", "--mode", "arch"],
+           ["rees", "--construct"], ["rees", "--to-coordinates"], ["theta"]]
+    for p in pairs:
+        out += [["close", "--pairs", p], ["close", "--pairs", p, "--two-sided"],
+                ["minimize", "--pairs", p], ["minimize", "--pairs", p, "--exact-limit", "0"],
+                ["diameter", "--pairs", p]]
+    for p in pairs[:2]:
+        for a, b in [(0, last), (last, 0), (1 % size, 0), (0, size), (-1, 0)]:
+            out.append(["witness", "--pairs", p, "--from", str(a), "--to", str(b)])
+    for e in [*range(min(size, 3)), last, size, -1]:
+        out += [["schutz", "--element", str(e)],
+                ["verify", "--construction", "schutz", "--element", str(e)]]
+    out += [["verify"], ["verify", "--construction", "fg"],
+            ["verify", "--construction", "fg", "--gens", "0", "--pairs", "0 1"],
+            ["verify", "--construction", "lclass"],
+            ["verify", "--construction", "lclass", "--pairs", "0 1"],
+            ["verify", "--construction", "dp"],
+            ["verify", "--construction", "dp", "--second", "z2.sg"],
+            ["verify", "--construction", "dp", "--second", "missing.sg"],
+            ["verify", "--construction", "quotient"],
+            ["verify", "--construction", "quotient", "--pairs", "0 1"],
+            ["verify", "--construction", "quotient", "--pairs", "0 1",
+             "--target-pairs", "0 0"],
+            ["verify", "--construction", "ideal"],
+            ["verify", "--construction", "ideal", "--ideal", str(last)],
+            ["verify", "--construction", "ideal", "--ideal",
+             ",".join(map(str, range(size)))],
+            ["verify", "--construction", "ideal", "--ideal", str(size)],
+            ["verify", "--construction", "extend"],
+            ["verify", "--construction", "extend", "--pairs", "0 1",
+             "--sigma-pairs", "0 1"],
+            ["verify", "--construction", "diagonal"]]
+    return [[verb, "-i", path, *rest] for verb, *rest in out]
+
+
+def _argvs(sizes) -> list[list[str]]:
+    argvs = []
+    for path, size in sizes.items():
+        argvs += _table_argvs(path, size)
+    for path in [*MALFORMED_FILES, "missing.sg"]:
+        argvs += [["info", "-i", path], ["rees", "--construct", "-i", path],
+                  ["theta", "-i", path]]
+    argvs += [["info", "-i", "z3.sg", "--format", fmt]
+              for fmt in ("cayley", "rees", "transformation", "xml")]
+    argvs += [[], ["frobnicate"], ["--help"], ["info", "--help"],
+              ["info", "-i", "z3.sg", "--no-such-flag"], ["rees", "-i", "z3.sg"],
+              ["close", "-i", "z3.sg"], ["decompose", "-i", "z3.sg", "--mode", "x"]]
+    with_json = []
+    for argv in argvs:
+        with_json += [argv, argv + ["--json"]]
+    return with_json + [["verify", "--sweep"], ["verify", "--sweep", "--json"]]
+
+
+def _invoke(run, argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", help="JSON-lines file to write")
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                        help="directory holding the sgt package to capture")
+    args = parser.parse_args(argv)
+    out_path = Path(args.out).resolve()
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help output to the terminal
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from sgt.cli import _cayley_text, parse_input, run
+    from sgt.library import library
+
+    files = _inputs(_cayley_text, library())
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in files.items():
+                Path(name).write_text(text, encoding="utf-8")
+            sizes = {name: parse_input(text)[0].size for name, text in files.items()
+                     if name not in MALFORMED_FILES}
+            records = [_invoke(run, argv) for argv in _argvs(sizes)]
+        finally:
+            os.chdir(cwd)
+    with open(out_path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec) + "\n")
+    print(f"{len(records)} invocations -> {out_path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
