@@ -16,8 +16,8 @@ from .core import (FiniteSemigroup, InternalAssertFailure, Transformation,
 from .green import GreenData
 from .structure import (ReesStructure, archimedean_decomposition,
                         cr_decomposition, diagonal_cyclic_witness,
-                        rees_construct, rees_coordinates, rees_structure,
-                        theta_congruence)
+                        ZERO, rees_construct, rees_coordinates,
+                        rees_structure, theta_congruence)
 from .verify import (_internal_identity, _l_congruence, ideal_subsemigroup,
                      sweep, verify_dp_gens, verify_extend_gens, verify_fg_gens,
                      verify_ideal_gens, verify_lclass_gens,
@@ -52,11 +52,25 @@ def _content_lines(text: str):
     return out
 
 
-def _ints(tokens, num):
+def _ints(tokens, where, dash: bool = False) -> list:
+    """Every token as an int, and "-" as ZERO when dash.  The first bad token
+    is named with `where`: a file line number (ParseError) or an option."""
     try:
+        if dash:
+            return [ZERO if t == "-" else int(t) for t in tokens]
         return [int(t) for t in tokens]
     except ValueError:
-        raise ParseError(num, f"expected integers, got {' '.join(tokens)}")
+        pass
+    for t in tokens:
+        try:
+            int(t)
+        except ValueError:
+            if not (dash and t == "-"):
+                break
+    message = f"expected an integer, got {t!r}"
+    if isinstance(where, int):
+        raise ParseError(where, message)
+    raise _UsageError(f"{where}: {message}")
 
 
 def parse_input(text: str, fmt: str = "auto") -> tuple[FiniteSemigroup, ReesStructure | None]:
@@ -71,7 +85,7 @@ def parse_input(text: str, fmt: str = "auto") -> tuple[FiniteSemigroup, ReesStru
     if kind == "cayley":
         if len(head) != 2:
             raise ParseError(num, "usage: cayley <n>")
-        n = int(head[1])
+        n, = _ints(head[1:], num)
         if len(lines) != 1 + n:
             raise ParseError(num, f"expected {n} table rows")
         rows = [_ints(tokens, ln) for ln, tokens in lines[1:]]
@@ -79,7 +93,7 @@ def parse_input(text: str, fmt: str = "auto") -> tuple[FiniteSemigroup, ReesStru
     if kind == "transformation":
         if len(head) != 3:
             raise ParseError(num, "usage: transformation <degree> <count>")
-        degree, count = int(head[1]), int(head[2])
+        degree, count = _ints(head[1:], num)
         if len(lines) != 1 + count:
             raise ParseError(num, f"expected {count} generator rows")
         gens = []
@@ -92,7 +106,7 @@ def parse_input(text: str, fmt: str = "auto") -> tuple[FiniteSemigroup, ReesStru
     if kind == "rees":
         if len(head) != 5:
             raise ParseError(num, "usage: rees <|G|> <|I|> <|J|> <zero:0|1>")
-        ng, isz, jsz, wz = (int(v) for v in head[1:])
+        ng, isz, jsz, wz = _ints(head[1:], num)
         need = 1 + ng + jsz
         if len(lines) != need:
             raise ParseError(num, f"expected {need - 1} content rows after header")
@@ -100,9 +114,7 @@ def parse_input(text: str, fmt: str = "auto") -> tuple[FiniteSemigroup, ReesStru
         group = from_cayley(ng, gtable)
         p = []
         for ln, tokens in lines[1 + ng:]:
-            row = []
-            for t in tokens:
-                row.append(None if t == "-" else int(t))
+            row = _ints(tokens, ln, dash=True)
             if len(row) != isz:
                 raise ParseError(ln, f"expected {isz} matrix entries")
             p.append(row)
@@ -119,6 +131,11 @@ def _read(path: str) -> str:
 
 
 def parse_pairs(text: str, s: FiniteSemigroup):
+    return _pairs(text, s, "--pairs")
+
+
+def _pairs(text: str, s: FiniteSemigroup, option: str):
+    """The pair set written in an option as "a b; c d; ..."."""
     pairs = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -127,7 +144,7 @@ def parse_pairs(text: str, s: FiniteSemigroup):
         parts = chunk.split()
         if len(parts) != 2:
             raise ParseError(0, f"bad pair {chunk!r}; expected 'a b'")
-        pairs.append((int(parts[0]), int(parts[1])))
+        pairs.append(tuple(_ints(parts, option)))
     return pair_set(s, pairs)
 
 
@@ -156,7 +173,7 @@ def _d_classes(gd: GreenData) -> list[tuple[int, list[list[tuple[int, bool]]]]]:
     views.  The grid has a row per R-class and a column per L-class, by class
     id, and each cell, an H-class, gives its size and whether it is a group."""
     cells: dict[int, dict[tuple[int, int], list[int]]] = {}
-    for x in range(gd.parent.size):
+    for x in range(len(gd.h_class)):
         cells.setdefault(gd.d_class[x], {}).setdefault(
             (gd.r_class[x], gd.l_class[x]), []).append(x)
     out = []
@@ -187,11 +204,8 @@ def _egg_box_grid(d_classes) -> str:
 
 
 def _steps_json(seq):
-    steps = []
-    for st in seq.steps:
-        steps.append({"x": st.x, "y": st.y,
-                      "s": "1" if st.s is FORMAL_IDENTITY else st.s})
-    return steps
+    return [{"x": st.x, "y": st.y, "s": "1" if st.s is FORMAL_IDENTITY else st.s}
+            for st in seq.steps]
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -384,10 +398,10 @@ def _report_json(rep) -> dict:
     }
 
 
-def _congruence_arg(s: FiniteSemigroup, pairs: str | None, default):
+def _congruence_arg(s: FiniteSemigroup, pairs: str | None, option: str, default):
     """The right congruence generated by a pairs option, or default(s) when
     the option is not given."""
-    return rc_generate(s, parse_pairs(pairs, s)) if pairs else default(s)
+    return rc_generate(s, _pairs(pairs, s, option)) if pairs else default(s)
 
 
 def _verify_dispatch(args) -> int:
@@ -427,9 +441,9 @@ def _verify_dispatch(args) -> int:
         return 0 if passed else 2
 
     if con == "fg":
-        gens = ([int(v) for v in args.gens.split(",")] if args.gens
+        gens = (_ints(args.gens.split(","), "--gens") if args.gens
                 else list(range(s.size)))
-        rho = _congruence_arg(s, args.pairs, universal_congruence)
+        rho = _congruence_arg(s, args.pairs, "--pairs", universal_congruence)
         rep = verify_fg_gens(s, gens, rho, inputs="cli")
     elif con == "lclass":
         if args.pairs:
@@ -443,7 +457,7 @@ def _verify_dispatch(args) -> int:
         m = s
         n2, _ = parse_input(_read(args.second), "auto")
         p = direct_product(m, n2)
-        rho = _congruence_arg(p, args.pairs, universal_congruence)
+        rho = _congruence_arg(p, args.pairs, "--pairs", universal_congruence)
         rep = verify_dp_gens(m, n2, rho, inputs="cli")
     elif con == "schutz":
         rep = verify_schutz_gens(s, args.element, inputs="cli")
@@ -452,21 +466,23 @@ def _verify_dispatch(args) -> int:
             raise _UsageError("quotient needs --pairs")
         rho2 = rc_generate(s, parse_pairs(args.pairs, s), two_sided=True)
         t = quotient_semigroup(s, rho2)
-        rho_t = _congruence_arg(t, args.target_pairs, universal_congruence)
+        rho_t = _congruence_arg(t, args.target_pairs, "--target-pairs",
+                                universal_congruence)
         rep = verify_quotient_gens(s, t, rho2.class_of, rho_t, inputs="cli")
     elif con == "ideal":
         if not args.ideal:
             raise _UsageError("ideal needs --ideal LIST")
-        ideal = sorted(int(v) for v in args.ideal.split(","))
+        ideal = sorted(_ints(args.ideal.split(","), "--ideal"))
         isub, members = ideal_subsemigroup(s, ideal)
         e = _internal_identity(s, members)
         if e is None:
             raise _UsageError("ideal has no internal identity")
-        rho_i = _congruence_arg(isub, args.target_pairs, universal_congruence)
+        rho_i = _congruence_arg(isub, args.target_pairs, "--target-pairs",
+                                universal_congruence)
         rep = verify_ideal_gens(s, ideal, e, rho_i, inputs="cli")
     else:  # extend; argparse choices admit nothing else
-        rho = _congruence_arg(s, args.pairs, identity_congruence)
-        sigma = _congruence_arg(s, args.sigma_pairs, universal_congruence)
+        rho = _congruence_arg(s, args.pairs, "--pairs", identity_congruence)
+        sigma = _congruence_arg(s, args.sigma_pairs, "--sigma-pairs", universal_congruence)
         rep = verify_extend_gens(s, rho, sigma, inputs="cli")
     if args.json:
         print(json.dumps(_report_json(rep)))

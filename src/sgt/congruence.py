@@ -12,6 +12,15 @@ from .core import FiniteSemigroup, RangeError, _index, from_cayley
 FORMAL_IDENTITY = None
 
 
+def times(s: FiniteSemigroup, x: int | None, m: int | None) -> int | None:
+    """The product x*m in S^1, where either factor may be FORMAL_IDENTITY."""
+    if m is FORMAL_IDENTITY:
+        return x
+    if x is FORMAL_IDENTITY:
+        return m
+    return s.table[x][m]
+
+
 class CapExceeded(RuntimeError):
     def __init__(self, partial_count: int):
         super().__init__(f"congruence count exceeded cap (found {partial_count} so far)")
@@ -192,16 +201,13 @@ class XSequence:
 
     def check(self) -> bool:
         """Re-verify every step identity by direct multiplication."""
-        def times(x, m):
-            return x if m is FORMAL_IDENTITY else self.parent.table[x][m]
-
         if not self.steps:
             return self.a == self.b
         cur = self.a
         for st in self.steps:
-            if times(st.x, st.s) != cur:
+            if times(self.parent, st.x, st.s) != cur:
                 return False
-            cur = times(st.y, st.s)
+            cur = times(self.parent, st.y, st.s)
         return cur == self.b
 
 
@@ -394,8 +400,10 @@ def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
     Candidates are the within-class pairs.  When there are at most
     exact_limit candidates the minimum-cardinality subset is found by
     iterative deepening (optimal=True); otherwise a greedy cover is built
-    (optimal=False).
+    (optimal=False).  exact_limit must be a non-negative int (RangeError
+    otherwise).
     """
+    exact_limit = _index(exact_limit, "exact_limit")
     candidates = sorted(within_class_pairs(rho))
     if not candidates:
         return pair_set(s, []), True

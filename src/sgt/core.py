@@ -80,12 +80,11 @@ class Transformation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.images) != self.degree:
+        if len(self.images) != _index(self.degree, "degree"):
             raise DegreeMismatch(
                 f"expected {self.degree} images, got {len(self.images)}")
-        for v in self.images:
-            if not 0 <= v < self.degree:
-                raise RangeError(f"image {v} out of range for degree {self.degree}")
+        object.__setattr__(self, "images",  # ints in a tuple, so that it hashes
+                           tuple(_index(v, "image", self.degree) for v in self.images))
 
     def then(self, other: "Transformation") -> "Transformation":
         """self followed by other: x -> other(self(x))."""
@@ -238,28 +237,28 @@ def from_transformations(degree: int, gens: Sequence[Transformation]) -> FiniteS
         if g.degree != degree:
             raise DegreeMismatch(
                 f"generator of degree {g.degree}, expected {degree}")
-    elements: list[Transformation] = []
+    # elements are image tuples, composed directly: x then g is g[x[v]]
+    images = [g.images for g in gens]
+    elements: list[tuple[int, ...]] = []
     index: dict[tuple[int, ...], int] = {}
     words: list[str] = []
-    for gi, g in enumerate(gens):
-        if g.images not in index:
-            index[g.images] = len(elements)
+    for gi, g in enumerate(images):
+        if g not in index:
+            index[g] = len(elements)
             elements.append(g)
             words.append(f"g{gi}")
     pos = 0
     while pos < len(elements):
         x = elements[pos]
-        for gi, g in enumerate(gens):
-            y = x.then(g)
-            if y.images not in index:
-                index[y.images] = len(elements)
+        for gi, g in enumerate(images):
+            y = tuple([g[v] for v in x])
+            if y not in index:
+                index[y] = len(elements)
                 elements.append(y)
                 words.append(words[pos] + f"*g{gi}")
         pos += 1
-    n = len(elements)
-    table = [[index[elements[a].then(elements[b]).images] for b in range(n)]
-             for a in range(n)]
-    return from_cayley(n, table, labels=words)
+    table = [[index[tuple([b[v] for v in a])] for b in elements] for a in elements]
+    return from_cayley(len(elements), table, labels=words)
 
 
 def adjoin_identity(s: FiniteSemigroup, only_if_missing: bool = False) -> FiniteSemigroup:
@@ -301,6 +300,16 @@ def direct_product(m: FiniteSemigroup, n: FiniteSemigroup) -> FiniteSemigroup:
     labels = tuple(f"({m.label(a)},{n.label(b)})"
                    for a in range(m.size) for b in range(nn))
     return from_cayley(size, table, labels=labels)
+
+
+def _hom_failure(src_table, dst_table, phi) -> tuple[int, int] | None:
+    """First (a, b) in row-major order with phi(a*b) != phi(a)*phi(b), else None."""
+    for a, row in enumerate(src_table):
+        image = dst_table[phi[a]]
+        for b, ab in enumerate(row):
+            if phi[ab] != image[phi[b]]:
+                return a, b
+    return None
 
 
 def _ideal_members(s: FiniteSemigroup, ideal: Iterable[int]) -> list[int]:

@@ -4,14 +4,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .congruence import FORMAL_IDENTITY, _canonical_classes, _close
+from .congruence import FORMAL_IDENTITY, _canonical_classes, _close, times
 from .core import (FiniteSemigroup, InternalAssertFailure, _index, classify,
                    from_cayley, sub_semigroup)
 
 
 @dataclass(frozen=True)
 class GreenData:
-    parent: FiniteSemigroup
     r_class: tuple[int, ...]
     l_class: tuple[int, ...]
     h_class: tuple[int, ...]
@@ -20,7 +19,7 @@ class GreenData:
     group_h_classes: frozenset[int]
 
     def h_members(self, h: int) -> list[int]:
-        return [x for x in range(self.parent.size) if self.h_class[x] == h]
+        return [x for x, c in enumerate(self.h_class) if c == h]
 
 
 def _principal_masks(rows) -> list[int]:
@@ -62,7 +61,7 @@ def green_data(s: FiniteSemigroup) -> GreenData:
         raise InternalAssertFailure("D != J on a finite semigroup")
 
     groups = frozenset(h_class[x] for x in range(n) if table[x][x] == x)
-    return GreenData(parent=s, r_class=r_class, l_class=l_class, h_class=h_class,
+    return GreenData(r_class=r_class, l_class=l_class, h_class=h_class,
                      d_class=d_class, j_class=j_class, group_h_classes=groups)
 
 
@@ -73,10 +72,6 @@ class SchutzGroup:
     sigma_class_of: dict[int | None, int]
     group: FiniteSemigroup
     action_witness: dict[tuple[int, int], int]
-
-
-def _act(s: FiniteSemigroup, h: int, m: int | None) -> int:
-    return h if m is FORMAL_IDENTITY else s.table[h][m]
 
 
 def schutzenberger(s: FiniteSemigroup, element: int) -> SchutzGroup:
@@ -97,7 +92,7 @@ def schutzenberger(s: FiniteSemigroup, element: int) -> SchutzGroup:
     stab.append(FORMAL_IDENTITY)
 
     def key(m):
-        return tuple(_act(s, h, m) for h in members)
+        return tuple(times(s, h, m) for h in members)
 
     class_of: dict[int | None, int] = {}
     keys: dict[tuple[int, ...], int] = {}
@@ -109,16 +104,9 @@ def schutzenberger(s: FiniteSemigroup, element: int) -> SchutzGroup:
             reps.append(m)
         class_of[m] = keys[k]
 
-    def mul1(a, b):
-        if a is FORMAL_IDENTITY:
-            return b
-        if b is FORMAL_IDENTITY:
-            return a
-        return s.table[a][b]
-
     size = len(reps)
     # products of stabilizer elements stay in the stabilizer
-    table = [[class_of[mul1(reps[a], reps[b])] for b in range(size)]
+    table = [[class_of[times(s, reps[a], reps[b])] for b in range(size)]
              for a in range(size)]
     group = from_cayley(size, table)
     if not classify(group).group:
@@ -126,7 +114,7 @@ def schutzenberger(s: FiniteSemigroup, element: int) -> SchutzGroup:
     if size != len(members):
         raise InternalAssertFailure("stabilizer quotient size differs from |H|")
 
-    witness = {(h, c): _act(s, h, reps[c]) for h in members for c in range(size)}
+    witness = {(h, c): times(s, h, reps[c]) for h in members for c in range(size)}
     return SchutzGroup(h_class=members, stabilizer=tuple(stab),
                        sigma_class_of=class_of, group=group,
                        action_witness=witness)

@@ -4,8 +4,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .core import (FiniteSemigroup, InternalAssertFailure, RangeError, _index,
-                   classify, from_cayley, sub_semigroup)
+from .core import (FiniteSemigroup, InternalAssertFailure, RangeError,
+                   _hom_failure, _index, classify, from_cayley, sub_semigroup)
 from .congruence import (RightCongruence, _incompatible, quotient_semigroup,
                          right_congruence)
 from .green import _principal_masks, green_data
@@ -67,7 +67,8 @@ def rees_structure(group: FiniteSemigroup, i_size: int, j_size: int,
     (numpy integers too, stored as ints), never a bool or a float."""
     if not classify(group).group:
         raise InvalidGroup("structure group must be a group")
-    if i_size <= 0 or j_size <= 0:
+    i_size, j_size = _index(i_size, "i_size"), _index(j_size, "j_size")
+    if i_size == 0 or j_size == 0:
         raise RaggedMatrix("index sets must be nonempty")
     if len(p_matrix) != j_size:
         raise RaggedMatrix(f"expected {j_size} rows, got {len(p_matrix)}")
@@ -88,36 +89,20 @@ def rees_structure(group: FiniteSemigroup, i_size: int, j_size: int,
                          p_matrix=tuple(rows), with_zero=with_zero)
 
 
-def _rees_table(r: ReesStructure) -> tuple[list[list[int]], list[str]]:
-    ng = r.group.size
-    jsz = r.j_size
-    nt = r.triple_count()
-    size = nt + 1 if r.with_zero else nt
-    zero = nt
-    gt = r.group.table
-    pm = r.p_matrix
-    triples = [(i, g, j) for i in range(r.i_size) for g in range(ng)
-               for j in range(jsz)]
-    labels = [f"({i},{r.group.label(g)},{j})" for i, g, j in triples]
+def _rees_table(r: ReesStructure) -> list[list[int]]:
+    """The product table on the triples in lexicographic order, then the zero."""
+    ng, jsz, gt = r.group.size, r.j_size, r.group.table
+    nt = r.triple_count()  # also the index of the zero
+    triples = [(i, g, j) for i in range(r.i_size) for g in range(ng) for j in range(jsz)]
     table = []
     for (i1, g1, j1) in triples:
-        row = [0] * size
-        base = i1 * ng
-        prow = pm[j1]
-        grow = gt[g1]
-        for b, (i2, g2, j2) in enumerate(triples):
-            p = prow[i2]
-            if p is ZERO:
-                row[b] = zero
-            else:
-                row[b] = (base + gt[grow[p]][g2]) * jsz + j2
-        if r.with_zero:
-            row[zero] = zero
-        table.append(row)
+        base, prow, grow = i1 * ng, r.p_matrix[j1], gt[g1]
+        row = [nt if prow[i2] is ZERO else (base + gt[grow[prow[i2]]][g2]) * jsz + j2
+               for i2, g2, j2 in triples]
+        table.append(row + [nt] if r.with_zero else row)
     if r.with_zero:
-        labels.append("0")
-        table.append([zero] * size)
-    return table, labels
+        table.append([nt] * (nt + 1))
+    return table
 
 
 def rees_construct(r: ReesStructure) -> FiniteSemigroup:
@@ -127,7 +112,11 @@ def rees_construct(r: ReesStructure) -> FiniteSemigroup:
     When P is regular the result is checked to be completely (0-)simple;
     otherwise a warning is issued and the check is skipped.
     """
-    table, labels = _rees_table(r)
+    table = _rees_table(r)
+    labels = [f"({i},{r.group.label(g)},{j})" for i in range(r.i_size)
+              for g in range(r.group.size) for j in range(r.j_size)]
+    if r.with_zero:
+        labels.append("0")
     s = from_cayley(len(table), table, labels=labels)
     if r.is_regular():
         flags = classify(s)
@@ -155,7 +144,7 @@ def theta_congruence(s: FiniteSemigroup, r: ReesStructure) -> tuple[ThetaPattern
     """
     if not r.with_zero:
         raise MismatchedInput("theta congruence needs a structure with zero")
-    table, _ = _rees_table(r)
+    table = _rees_table(r)
     if s.size != len(table) or s.table != tuple(tuple(row) for row in table):
         raise MismatchedInput("semigroup was not constructed from this structure")
     vectors = tuple(tuple(1 if v is not ZERO else 0 for v in row)
@@ -166,14 +155,6 @@ def theta_congruence(s: FiniteSemigroup, r: ReesStructure) -> tuple[ThetaPattern
     if rho.index != len(set(vectors)) + 1:
         raise InternalAssertFailure("pattern count does not match congruence index")
     return ThetaPattern(vectors=vectors), rho
-
-
-def _group_inverse(g: FiniteSemigroup, x: int) -> int:
-    e = g.identity
-    for y in range(g.size):
-        if g.table[x][y] == e:
-            return y
-    raise InvalidGroup(f"element {x} has no inverse")
 
 
 def rees_coordinates(s: FiniteSemigroup) -> tuple[ReesStructure, tuple[int, ...]]:
@@ -189,77 +170,47 @@ def rees_coordinates(s: FiniteSemigroup) -> tuple[ReesStructure, tuple[int, ...]
         raise NotCompletelySimple("input must be completely simple or completely 0-simple")
     with_zero = flags.completely_zero_simple
     gd = green_data(s)
-    skip = {s.zero} if with_zero else set()
-
-    idem = [x for x in s.idempotents() if x not in skip]
-    e = min(idem)
+    table = s.table
+    nonzero = [x for x in range(s.size) if not (with_zero and x == s.zero)]
+    e = min(x for x in nonzero if table[x][x] == x)
     re_, le_ = gd.r_class[e], gd.l_class[e]
 
-    def ordered_classes(class_of, first):
-        ids = []
-        for x in range(s.size):
-            if x in skip:
-                continue
-            c = class_of[x]
-            if c not in ids:
-                ids.append(c)
-        ids.remove(first)
-        return [first] + ids
+    # One walk: the least member of each L-class inside R_e (the q_j), of
+    # each R-class inside L_e (the r_i), and H_e = R_e /\ L_e in order.
+    q_of, r_of, h = {}, {}, []
+    for x in nonzero:
+        if gd.r_class[x] == re_:
+            q_of.setdefault(gd.l_class[x], x)
+        if gd.l_class[x] == le_:
+            r_of.setdefault(gd.r_class[x], x)
+            if gd.r_class[x] == re_:
+                h.append(x)
+    # class ids number classes by first occurrence: e's class, then id order
+    q = [q_of.pop(le_)] + [q_of[c] for c in sorted(q_of)]
+    rr = [r_of.pop(re_)] + [r_of[c] for c in sorted(r_of)]
+    g_index = {x: k for k, x in enumerate(h)}
+    inverse = {x: y for x in h for y in h if table[x][y] == e}
+    if len(inverse) != len(h):
+        raise InternalAssertFailure("maximal subgroup element without an inverse")
 
-    r_ids = ordered_classes(gd.r_class, re_)
-    l_ids = ordered_classes(gd.l_class, le_)
-    i_size, j_size = len(r_ids), len(l_ids)
+    # rr[0] = min(H_e), so q_j*rr[0] and then q_0*r_i become e where nonzero
+    for j, qj in enumerate(q):
+        x = table[qj][rr[0]]
+        if x in inverse:
+            q[j] = table[inverse[x]][qj]
+    for i, ri in enumerate(rr):
+        x = table[q[0]][ri]
+        if x in inverse:
+            rr[i] = table[ri][inverse[x]]
+    p = [[g_index.get(table[qj][ri], ZERO) for ri in rr] for qj in q]
 
-    g_members = [x for x in range(s.size)
-                 if gd.r_class[x] == re_ and gd.l_class[x] == le_]
-    g_index = {x: k for k, x in enumerate(g_members)}
-    group = sub_semigroup(s, g_members)
-
-    # q_j in R_e /\ L_j, r_i in R_i /\ L_e, both smallest.
-    q = [min(x for x in range(s.size) if x not in skip
-             and gd.r_class[x] == re_ and gd.l_class[x] == lj) for lj in l_ids]
-    rr = [min(x for x in range(s.size) if x not in skip
-              and gd.r_class[x] == ri and gd.l_class[x] == le_) for ri in r_ids]
-
-    def sandwich(qq, rrr):
-        p = []
-        for j in range(j_size):
-            row = []
-            for i in range(i_size):
-                v = s.table[qq[j]][rrr[i]]
-                row.append(g_index[v] if v in g_index else ZERO)
-            p.append(row)
-        return p
-
-    p = sandwich(q, rr)
-    for j in range(j_size):
-        if p[j][0] is not ZERO:
-            z = g_members[_group_inverse(group, p[j][0])]
-            q[j] = s.table[z][q[j]]
-    p = sandwich(q, rr)
-    for i in range(i_size):
-        if p[0][i] is not ZERO:
-            w = g_members[_group_inverse(group, p[0][i])]
-            rr[i] = s.table[rr[i]][w]
-    p = sandwich(q, rr)
-
-    struct = rees_structure(group, i_size, j_size, p, with_zero)
-    mapping = []
-    for i in range(i_size):
-        for g in range(group.size):
-            for j in range(j_size):
-                mapping.append(s.table[s.table[rr[i]][g_members[g]]][q[j]])
-    if with_zero:
-        mapping.append(s.zero)
-    mapping = tuple(mapping)
-
-    table, _ = _rees_table(struct)
+    struct = rees_structure(sub_semigroup(s, h), len(rr), len(q), p, with_zero)
+    mapping = tuple([table[table[ri][g]][qj] for ri in rr for g in h for qj in q]
+                    + ([s.zero] if with_zero else []))
     if sorted(mapping) != list(range(s.size)):
         raise InternalAssertFailure("coordinate map is not a bijection")
-    for a in range(s.size):
-        for b in range(s.size):
-            if mapping[table[a][b]] != s.table[mapping[a]][mapping[b]]:
-                raise InternalAssertFailure("coordinate map is not a homomorphism")
+    if _hom_failure(_rees_table(struct), table, mapping) is not None:
+        raise InternalAssertFailure("coordinate map is not a homomorphism")
     return struct, mapping
 
 
@@ -325,21 +276,6 @@ def h_congruence_check(s: FiniteSemigroup) -> tuple[bool, tuple[int, int, int] |
     return witness is None, witness
 
 
-def _divisibility(s: FiniteSemigroup):
-    """Bitmask helpers: divides[a][b] iff a^n lies in b*S^1 for some n <= |S|."""
-    n = s.size
-    rmask = _principal_masks(s.table)
-    powmask = []
-    for a in range(n):
-        m = 0
-        p = a
-        for _ in range(n):
-            m |= 1 << p
-            p = s.table[p][a]
-        powmask.append(m)
-    return rmask, powmask
-
-
 def archimedean_decomposition(s: FiniteSemigroup) -> Decomposition:
     """Split a commutative semigroup along mutual divisibility.
 
@@ -350,7 +286,14 @@ def archimedean_decomposition(s: FiniteSemigroup) -> Decomposition:
     if not classify(s).commutative:
         raise NotCommutative("archimedean decomposition needs a commutative semigroup")
     n = s.size
-    rmask, powmask = _divisibility(s)
+    rmask = _principal_masks(s.table)
+    powmask = []  # the powers a, a^2, ..., a^n of each a, as a bitmask
+    for a in range(n):
+        m, p = 0, a
+        for _ in range(n):
+            m |= 1 << p
+            p = s.table[p][a]
+        powmask.append(m)
 
     def divides(a, b):
         return powmask[a] & rmask[b] != 0

@@ -10,13 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import (FiniteSemigroup, InternalAssertFailure, _ideal_members,
-                   adjoin_identity, direct_product, sub_semigroup,
-                   subsemigroup_closure)
-from .congruence import (FORMAL_IDENTITY, PairSet, RightCongruence,
-                         _principal_closure, enumerate_right_congruences,
-                         minimal_generating_pairs, pair_set, quotient_semigroup,
-                         rc_generate, right_congruence, within_class_pairs)
+from .core import (FiniteSemigroup, InternalAssertFailure, _hom_failure,
+                   _ideal_members, _index, adjoin_identity, direct_product,
+                   sub_semigroup, subsemigroup_closure)
+from .congruence import (PairSet, RightCongruence, _principal_closure,
+                         enumerate_right_congruences, minimal_generating_pairs,
+                         pair_set, quotient_semigroup, rc_generate,
+                         right_congruence, times, within_class_pairs)
 from .green import green_data, schutzenberger
 from .library import library
 
@@ -67,11 +67,9 @@ class VerificationReport:
 
 
 def _distinguish(expected: RightCongruence, computed: RightCongruence):
-    for a in range(expected.parent.size):
-        for b in range(a + 1, expected.parent.size):
-            if expected.related(a, b) != computed.related(a, b):
-                return (a, b)
-    return None
+    n = expected.parent.size
+    return next(((a, b) for a in range(n) for b in range(a + 1, n)
+                 if expected.related(a, b) != computed.related(a, b)), None)
 
 
 def _congruence_report(construction, inputs, built, expected, computed,
@@ -193,30 +191,27 @@ def verify_schutz_gens(s: FiniteSemigroup, element: int, full_pairs: bool = Fals
     stabilizer element realizing the translate is reduced to its class.
     """
     sg = schutzenberger(s, element)  # range-checks element
+    # for a in S, aS^1 is the same in S and in S^1, whose 1 is alone in its R-class
+    r_class = green_data(s).r_class
+    r_set = frozenset(v for v, c in enumerate(r_class) if c == r_class[element])
     t = adjoin_identity(s)
-    gdt = green_data(t)
-    h_members = [v for v in range(s.size)
-                 if gdt.h_class[v] == gdt.h_class[element]]
-    r_set = frozenset(v for v in range(t.size)
-                      if gdt.r_class[v] == gdt.r_class[element])
     keys = []
     for w in range(t.size):
-        f = frozenset(t.table[h][w] for h in h_members)
+        f = frozenset(t.table[h][w] for h in sg.h_class)
         keys.append(("in", tuple(sorted(f))) if f <= r_set else ("out",))
     rho = right_congruence(t, keys)
     x = _generating_pairs(rho, full_pairs)
 
-    h0 = h_members[0]
+    h0 = sg.h_class[0]
     a_classes = set()
     for (px, py) in sorted(x.symmetrized()):
-        f = frozenset(t.table[h][px] for h in h_members)
+        f = frozenset(t.table[h][px] for h in sg.h_class)
         if not f <= r_set:
             continue
         target = t.table[h0][px]
         chosen = None
         for alpha in sg.stabilizer:
-            ha = h0 if alpha is FORMAL_IDENTITY else s.table[h0][alpha]
-            if t.table[ha][py] == target:
+            if t.table[times(s, h0, alpha)][py] == target:
                 chosen = alpha
                 break
         if chosen is None:
@@ -243,10 +238,10 @@ def verify_quotient_gens(s: FiniteSemigroup, t: FiniteSemigroup,
     """Push a pullback's generating set through a surjective homomorphism."""
     if len(theta) != s.size:
         raise NotHomomorphism("map length must equal source size")
-    for a in range(s.size):
-        for b in range(s.size):
-            if theta[s.table[a][b]] != t.table[theta[a]][theta[b]]:
-                raise NotHomomorphism(f"theta({a}*{b}) != theta({a})*theta({b})")
+    bad = _hom_failure(s.table, t.table, theta)
+    if bad is not None:
+        a, b = bad
+        raise NotHomomorphism(f"theta({a}*{b}) != theta({a})*theta({b})")
     if set(theta) != set(range(t.size)):
         raise NotSurjective("map does not cover the target")
     pulled = right_congruence(s, [rho_on_t.class_of[theta[a]] for a in range(s.size)])
@@ -274,6 +269,7 @@ def verify_ideal_gens(s: FiniteSemigroup, ideal: Iterable[int], e: int,
                       inputs: str = "") -> VerificationReport:
     """Left-multiply a pullback's generating set into an ideal with identity e."""
     isub, members = ideal_subsemigroup(s, ideal)
+    e = _index(e, "e", s.size)
     if e not in members:
         raise NoInternalIdentity("e must belong to the ideal")
     if _internal_identity(s, members) != e:

@@ -236,3 +236,12 @@ def kernel(images):
 def compose(f, g):
     """Apply f first, then g."""
     return tuple(g[v] for v in f)
+
+
+def is_isomorphism(src, dst, phi):
+    """phi (a tuple, src index -> dst index) is a bijection with
+    phi(a*b) = phi(a)*phi(b) for every pair, checked cell by cell."""
+    n = src.size
+    return (dst.size == n and sorted(phi) == list(range(n))
+            and all(phi[src.table[a][b]] == dst.table[phi[a]][phi[b]]
+                    for a in range(n) for b in range(n)))

@@ -394,3 +394,45 @@ def test_internal_failure_is_one_error_line_with_exit_3(files, capsys, monkeypat
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err == "error: internal: H-class is not a group\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["info", "-i", "{bad_header}"], "line 1: expected an integer, got 'x'"),
+    (["info", "-i", "{bad_row}"], "line 3: expected an integer, got '0.0'"),
+    (["info", "-i", "{bad_degree}"], "line 1: expected an integer, got 'two'"),
+    (["info", "-i", "{bad_rees_header}"], "line 1: expected an integer, got 'y'"),
+    (["info", "-i", "{bad_sandwich}"], "line 4: expected an integer, got '1.0'"),
+    (["close", "-i", "{z3}", "--pairs", "0 1; a b"], "--pairs: expected an integer, got 'a'"),
+    (["verify", "-i", "{z3}", "--construction", "extend", "--sigma-pairs", "0 x"],
+     "--sigma-pairs: expected an integer, got 'x'"),
+    (["verify", "-i", "{z3}", "--construction", "quotient", "--pairs", "0 0",
+      "--target-pairs", "0 -"], "--target-pairs: expected an integer, got '-'"),
+    (["verify", "-i", "{z3}", "--construction", "fg", "--gens", "0,a"],
+     "--gens: expected an integer, got 'a'"),
+    (["verify", "-i", "{z3}", "--construction", "fg", "--gens", "0,,1"],
+     "--gens: expected an integer, got ''"),
+    (["verify", "-i", "{z3}", "--construction", "ideal", "--ideal", "0,1.5"],
+     "--ideal: expected an integer, got '1.5'"),
+])
+def test_bad_integer_token_is_named_with_its_line_or_option(files, tmp_path, capsys,
+                                                            argv, message):
+    paths = dict(files)
+    for name, text in [("bad_header", "cayley x\n0\n"),
+                       ("bad_row", "cayley 2\n0 1\n1 0.0\n"),
+                       ("bad_degree", "transformation two 1\n0 0\n"),
+                       ("bad_rees_header", "rees 1 y 1 0\n0\n0\n"),
+                       ("bad_sandwich", "rees 2 2 1 1\n0 1\n1 0\n- 1.0\n")]:
+        paths[name] = str(tmp_path / f"{name}.sg")
+        (tmp_path / f"{name}.sg").write_text(text)
+    code = run([a.format(**paths) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_sandwich_dash_is_zero_and_other_tokens_are_ints():
+    _, r = parse_input("rees 2 2 2 1\n0 1\n1 0\n- 1\n0 -\n")
+    assert r.p_matrix == ((None, 1), (0, None))
+    with pytest.raises(ParseError) as err:
+        parse_input("cayley 2\n0 1\n1 -\n")
+    assert err.value.line == 3

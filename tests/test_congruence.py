@@ -496,3 +496,10 @@ def test_quotient_rejects_exactly_maps_not_compatible_on_both_sides(case):
     assert canon[a] == canon[b]
     assert (canon[s.table[a][t]] != canon[s.table[b][t]]
             or canon[s.table[t][a]] != canon[s.table[t][b]])
+
+
+@pytest.mark.parametrize("limit", [2.5, -1, True, "3", None])
+def test_minimal_generating_pairs_rejects_bad_exact_limit(limit):
+    s = cyclic(3)
+    with pytest.raises(RangeError, match="exact_limit must be a non-negative int"):
+        minimal_generating_pairs(s, universal_congruence(s), exact_limit=limit)

@@ -462,3 +462,19 @@ def test_from_cayley_memory_is_bounded_when_every_element_generates():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("degree, images", [
+    (2, (0.0, 1)), (2, (True, 0)), (2, ("0", 1)), (2, (-1, 0)), (2, (2, 0)),
+    (True, (0,)), (1.0, (0,)), (-1, ()),
+])
+def test_transformation_rejects_non_int_and_out_of_range_input(degree, images):
+    with pytest.raises(RangeError):
+        Transformation(degree, images)
+
+
+@pytest.mark.parametrize("images", [(np.int64(1), np.int32(0)), [1, 0]])
+def test_transformation_stores_images_as_a_tuple_of_ints(images):
+    t = Transformation(2, images)
+    assert t.images == (1, 0) and all(type(v) is int for v in t.images)
+    assert from_transformations(2, [t]).table == ((1, 0), (0, 1))

@@ -1,10 +1,12 @@
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import oracles
-from sgt.core import RangeError, classify, from_cayley
+from sgt.congruence import FORMAL_IDENTITY, times
+from sgt.core import FiniteSemigroup, RangeError, classify, from_cayley
 from sgt.green import green_data, maximal_subgroups, schutzenberger
 from sgt.library import chain, cyclic, rectangular_band, right_zero, t2
 from sgt.verify import isomorphic
@@ -197,3 +199,22 @@ def test_green_relabel_invariance(lib):
             moved = [cls[x] for x in range(s.size)]
             relabeled = [cls2[perm[x]] for x in range(s.size)]
             assert oracles.canonical(moved) == oracles.canonical(relabeled)
+
+
+def test_green_data_carries_no_semigroup_of_another_labelling():
+    # the cache keys on the table only, so green_data(b) is green_data(a)
+    # for an equal table: it must hold nothing that names a's labels
+    a = from_cayley(2, [[0, 1], [1, 0]], labels=["e", "g"])
+    b = from_cayley(2, [[0, 1], [1, 0]], labels=["x", "y"])
+    gd_a, gd_b = green_data(a), green_data(b)
+    assert gd_b == gd_a
+    assert not any(isinstance(getattr(gd_b, f.name), FiniteSemigroup) for f in fields(gd_b))
+    assert gd_b.h_members(0) == [0, 1]
+
+
+def test_times_is_the_product_of_s1():
+    s = cyclic(3)
+    assert times(s, 1, 2) == 0
+    assert times(s, 1, FORMAL_IDENTITY) == 1
+    assert times(s, FORMAL_IDENTITY, 2) == 2
+    assert times(s, FORMAL_IDENTITY, FORMAL_IDENTITY) is FORMAL_IDENTITY

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sgt.core import RangeError, classify, direct_product, from_cayley
-from sgt.green import green_data
+from sgt.core import (RangeError, Transformation, classify, direct_product, from_cayley,
+                      from_transformations)
+from sgt.green import green_data, maximal_subgroups
 from sgt.library import library
 from sgt.library import chain, cyclic, left_zero, nilpotent_n3, rectangular_band, right_zero, t2, trivial
 from sgt.structure import (InvalidGroup, MismatchedInput, NotCommutative,
@@ -159,6 +160,92 @@ def test_rees_roundtrip_with_zero():
     for a in range(rebuilt.size):
         for b in range(rebuilt.size):
             assert mapping[rebuilt.table[a][b]] == s.table[mapping[a]][mapping[b]]
+
+
+def _s3():
+    """S3 as the group H-class of T3, relabelled so its identity is the last
+    element: in a matrix semigroup over it, min(H_e) is not e."""
+    t3 = from_transformations(3, [Transformation(3, (1, 0, 2)), Transformation(3, (1, 2, 0)),
+                                  Transformation(3, (0, 0, 2))])
+    (_, g), = [(m, g) for m, g in maximal_subgroups(t3) if g.size == 6]
+    perm = [x for x in range(6) if x != g.identity] + [g.identity]  # new -> old
+    inv = {old: new for new, old in enumerate(perm)}
+    return from_cayley(6, [[inv[g.table[a][b]] for b in perm] for a in perm],
+                       labels=[g.label(x) for x in perm])
+
+
+# Pinned coordinates: P, the map and the group labels; (0, g, 0) maps to
+# h0*g*h0^-1 for h0 = min(H_e), which S3 being non-abelian makes visible.
+S3_PINS = [
+    ([[1, 2, 5], [3, 4, 0]], False, ((3, 3, 3), (3, 0, 2)),
+     (1, 2, 9, 6, 5, 10, 7, 8, 11, 4, 3, 0, 21, 18, 13, 14, 23, 16, 15, 12, 17, 22, 19, 20,
+      29, 34, 27, 24, 31, 32, 25, 26, 33, 30, 35, 28),
+     ("(0,g0,1)", "(0,g1,1)", "(0,g0*g1,1)", "(0,g1*g0,1)", "(0,g1*g1,1)", "(0,g0*g0,1)")),
+    ([[1, None], [None, 2], [4, 3]], True, ((1, 1), (1, None), (None, 5)),
+     (2, 6, 1, 5, 12, 4, 11, 0, 10, 8, 9, 7, 17, 3, 16, 14, 15, 13, 32, 33, 31, 29, 18, 28,
+      23, 30, 22, 35, 21, 34, 26, 27, 25, 20, 24, 19, 36),
+     ("(0,g0,2)", "(0,g1,2)", "(0,g0*g1,2)", "(0,g1*g0,2)", "(0,g1*g1,2)", "(0,g0*g0,2)")),
+]
+
+
+@pytest.mark.parametrize("p, with_zero, p_out, mapping_out, labels_out", S3_PINS)
+def test_rees_coordinates_pinned_over_s3(p, with_zero, p_out, mapping_out, labels_out):
+    s3 = _s3()
+    assert not classify(s3).commutative and s3.identity == 5
+    s = rees_construct(rees_structure(s3, len(p[0]), len(p), p, with_zero))
+    struct, mapping = rees_coordinates(s)
+    assert (struct.i_size, struct.j_size, struct.with_zero) == (len(p[0]), len(p), with_zero)
+    assert struct.p_matrix == p_out and mapping == mapping_out
+    assert struct.group.labels == labels_out
+    assert struct.group.identity != 0  # e is not min(H_e)
+    assert oracles.is_isomorphism(rees_construct(struct), s, mapping)
+
+
+def test_rees_coordinates_orders_classes_by_first_occurrence_in_s():
+    # L-classes go in order of their least element in S, not in R_e; the
+    # two orders differ here and the map shows which one was taken
+    s = _relabel(rectangular_band(2, 3), (0, 2, 3, 4, 5, 1))
+    struct, mapping = rees_coordinates(s)
+    assert (struct.i_size, struct.j_size) == (2, 3)
+    assert mapping == (0, 3, 2, 4, 1, 5)
+
+
+@st.composite
+def _rees_inputs(draw):
+    """A regular Rees structure over a small group, and a relabelling of the
+    matrix semigroup it constructs."""
+    g = draw(st.sampled_from([trivial(), cyclic(2), cyclic(3), _s3()]))
+    i_size, j_size = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    with_zero = draw(st.booleans())
+    entries = st.sampled_from(list(range(g.size)) + [None] * with_zero)
+    p = draw(st.lists(st.lists(entries, min_size=i_size, max_size=i_size),
+                      min_size=j_size, max_size=j_size).filter(
+        lambda p: all(any(v is not None for v in row) for row in p)
+        and all(any(row[i] is not None for row in p) for i in range(i_size))))
+    s = rees_construct(rees_structure(g, i_size, j_size, p, with_zero))
+    return _relabel(s, draw(st.permutations(range(s.size))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rees_inputs())
+def test_rees_coordinates_of_relabelled_constructions_is_an_isomorphism(s):
+    struct, mapping = rees_coordinates(s)
+    assert oracles.is_isomorphism(rees_construct(struct), s, mapping)
+    first = set(struct.p_matrix[0]) | {row[0] for row in struct.p_matrix}
+    assert first <= {struct.group.identity, None}  # normalized where nonzero
+
+
+@pytest.mark.parametrize("size", [True, 1.0, -1, "1", None])
+@pytest.mark.parametrize("which", ["i", "j"])
+def test_rees_structure_rejects_bad_index_set_sizes(size, which):
+    sizes = (size, 1) if which == "i" else (1, size)
+    with pytest.raises(RangeError, match=f"{which}_size must be"):
+        rees_structure(cyclic(2), *sizes, [[0]], with_zero=False)
+
+
+def test_rees_structure_size_zero_is_ragged():
+    with pytest.raises(RaggedMatrix):
+        rees_structure(cyclic(2), 0, 1, [[]], with_zero=False)
 
 
 def test_cr_decomposition_band(lib):

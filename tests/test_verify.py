@@ -5,7 +5,7 @@ import pytest
 import oracles
 from sgt.congruence import (identity_congruence, minimal_generating_pairs,
                             pair_set, rc_generate, universal_congruence)
-from sgt.core import (adjoin_identity, adjoin_zero, direct_product, from_cayley,
+from sgt.core import (RangeError, adjoin_identity, adjoin_zero, direct_product, from_cayley,
                       sub_semigroup)
 from sgt.library import (chain, cyclic, left_zero, library, rectangular_band,
                          right_zero, t2, trivial)
@@ -114,6 +114,9 @@ def test_schutz_cyclic_group():
 def test_schutz_right_zero():
     rep = verify_schutz_gens(right_zero(2), 0)
     assert rep.passed
+    # pairs of S^1 = S + {3} for the in-R-class translates: x's R-class is {x}
+    for x in range(3):
+        assert list(verify_schutz_gens(right_zero(3), x).built_pairs) == [(x, 3)]
 
 
 def test_schutz_rectangular_band():
@@ -324,3 +327,11 @@ def test_constructions_on_six_element_monoid():
         assert verify_fg_gens(z6, [1], rho).passed
         assert verify_extend_gens(z6, rho, universal_congruence(z6)).passed
         assert verify_quotient_gens(z6, z6, tuple(range(6)), rho).passed
+
+
+@pytest.mark.parametrize("e", [True, 1.0, "1", -1, 3])
+def test_verify_ideal_gens_rejects_bad_identity_argument(e):
+    s = chain(3)
+    isub = sub_semigroup(s, [0, 1])
+    with pytest.raises(RangeError, match="e must be an int in"):
+        verify_ideal_gens(s, [0, 1], e, universal_congruence(isub))

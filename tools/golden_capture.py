@@ -4,7 +4,9 @@
 
 Runs ``sgt.cli.run`` in-process on every verb, in text and ``--json``, over
 the built-in library, T3, Rees-format inputs and malformed files, with valid
-and invalid arguments, plus ``verify --sweep`` in text and JSON.  Each line
+and invalid arguments (bad integer tokens included), plus ``verify --sweep``
+in text and JSON.  Two Rees inputs over S3, whose tables have 36 and 37
+elements, get the verbs that stay fast there.  Each line
 holds the argv, the exit code, stdout and stderr.  The input files are
 written to a temporary directory and named relatively, so two captures of
 the same code are byte-identical.  ``--src`` selects the ``sgt`` sources to
@@ -30,6 +32,16 @@ REES_FILES = {
     "m0z3.rs": "rees 3 3 2 1\n0 1 2\n1 2 0\n2 0 1\n0 - 2\n- 1 0\n",
 }
 
+# S3 (the group H-class of T3, relabelled so that its identity is 5) as the
+# group of a matrix semigroup without and with zero; too large for every verb
+S3_TABLE = "5 2 1 4 3 0\n3 4 0 2 5 1\n4 3 5 1 0 2\n1 0 4 5 2 3\n2 5 3 0 1 4\n0 1 2 3 4 5\n"
+S3_FILES = {
+    "s3.rs": "rees 6 3 2 0\n" + S3_TABLE + "1 2 5\n3 4 0\n",
+    "s3z.rs": "rees 6 2 3 1\n" + S3_TABLE + "1 -\n- 2\n4 3\n",
+}
+S3_ARGVS = [["info"], ["green"], ["rees", "--construct"], ["rees", "--to-coordinates"],
+            ["theta"], ["schutz", "--element", "0"]]
+
 MALFORMED_FILES = {
     "empty.sg": "",
     "ragged.sg": "cayley 2\n0 1\n1\n",
@@ -41,6 +53,10 @@ MALFORMED_FILES = {
     "rees_range.rs": "rees 2 1 1 0\n0 1\n1 0\n2\n",
     "rees_zero.rs": "rees 1 1 1 0\n0\n-\n",
     "rees_bad_group.rs": "rees 2 1 1 0\n0 0\n0 0\n0\n",
+    "bad_header.sg": "cayley x\n0\n",
+    "bad_degree.sg": "transformation two 1\n0 0\n",
+    "bad_image.sg": "transformation 2 1\n2 0\n",
+    "rees_bad_header.rs": "rees 1 y 1 0\n0\n0\n",
 }
 
 
@@ -49,6 +65,7 @@ def _inputs(cayley_text, library) -> dict[str, str]:
     files = {f"{name}.sg": cayley_text(s) + "\n" for name, s in library.items()}
     files["t3.sg"] = T3_TEXT
     files.update(REES_FILES)
+    files.update(S3_FILES)
     files.update(MALFORMED_FILES)
     return files
 
@@ -65,6 +82,7 @@ def _table_argvs(path: str, size: int) -> list[list[str]]:
     for p in pairs:
         out += [["close", "--pairs", p], ["close", "--pairs", p, "--two-sided"],
                 ["minimize", "--pairs", p], ["minimize", "--pairs", p, "--exact-limit", "0"],
+                ["minimize", "--pairs", p, "--exact-limit", "-1"],
                 ["diameter", "--pairs", p]]
     for p in pairs[:2]:
         for a, b in [(0, last), (last, 0), (1 % size, 0), (0, size), (-1, 0)]:
@@ -74,6 +92,8 @@ def _table_argvs(path: str, size: int) -> list[list[str]]:
                 ["verify", "--construction", "schutz", "--element", str(e)]]
     out += [["verify"], ["verify", "--construction", "fg"],
             ["verify", "--construction", "fg", "--gens", "0", "--pairs", "0 1"],
+            ["verify", "--construction", "fg", "--gens", "0,a"],
+            ["verify", "--construction", "fg", "--gens", "0,,1"],
             ["verify", "--construction", "lclass"],
             ["verify", "--construction", "lclass", "--pairs", "0 1"],
             ["verify", "--construction", "dp"],
@@ -88,9 +108,11 @@ def _table_argvs(path: str, size: int) -> list[list[str]]:
             ["verify", "--construction", "ideal", "--ideal",
              ",".join(map(str, range(size)))],
             ["verify", "--construction", "ideal", "--ideal", str(size)],
+            ["verify", "--construction", "ideal", "--ideal", "0,x"],
             ["verify", "--construction", "extend"],
             ["verify", "--construction", "extend", "--pairs", "0 1",
              "--sigma-pairs", "0 1"],
+            ["verify", "--construction", "extend", "--sigma-pairs", "0 z"],
             ["verify", "--construction", "diagonal"]]
     return [[verb, "-i", path, *rest] for verb, *rest in out]
 
@@ -98,7 +120,10 @@ def _table_argvs(path: str, size: int) -> list[list[str]]:
 def _argvs(sizes) -> list[list[str]]:
     argvs = []
     for path, size in sizes.items():
-        argvs += _table_argvs(path, size)
+        if path in S3_FILES:
+            argvs += [[verb, "-i", path, *rest] for verb, *rest in S3_ARGVS]
+        else:
+            argvs += _table_argvs(path, size)
     for path in [*MALFORMED_FILES, "missing.sg"]:
         argvs += [["info", "-i", path], ["rees", "--construct", "-i", path],
                   ["theta", "-i", path]]
