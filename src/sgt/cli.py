@@ -58,7 +58,7 @@ def _ints(tokens, where, dash: bool = False) -> list:
     try:
         if dash:
             return [ZERO if t == "-" else int(t) for t in tokens]
-        return [int(t) for t in tokens]
+        return list(map(int, tokens))
     except ValueError:
         pass
     for t in tokens:
@@ -143,7 +143,7 @@ def _pairs(text: str, s: FiniteSemigroup, option: str):
             continue
         parts = chunk.split()
         if len(parts) != 2:
-            raise ParseError(0, f"bad pair {chunk!r}; expected 'a b'")
+            raise _UsageError(f"{option}: bad pair {chunk!r}; expected 'a b'")
         pairs.append(tuple(_ints(parts, option)))
     return pair_set(s, pairs)
 

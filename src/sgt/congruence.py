@@ -62,14 +62,8 @@ class RightCongruence:
     class_of: tuple[int, ...]
     index: int
 
-    def members(self, c: int) -> list[int]:
-        return [x for x in range(self.parent.size) if self.class_of[x] == c]
-
     def classes(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.index)]
-        for x, c in enumerate(self.class_of):
-            out[c].append(x)
-        return out
+        return _class_lists(self.class_of, self.index)
 
     def related(self, a: int, b: int) -> bool:
         return self.class_of[a] == self.class_of[b]
@@ -79,6 +73,14 @@ def _canonical_classes(keys) -> tuple[int, ...]:
     """Class labels numbered by first occurrence."""
     seen: dict = {}
     return tuple([seen.setdefault(k, len(seen)) for k in keys])
+
+
+def _class_lists(class_of, count: int) -> list[list[int]]:
+    """The members of each of the count classes of a canonical class map."""
+    out: list[list[int]] = [[] for _ in range(count)]
+    for x, c in enumerate(class_of):
+        out[c].append(x)
+    return out
 
 
 def _incompatible(s: FiniteSemigroup, class_of,

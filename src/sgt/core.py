@@ -57,12 +57,6 @@ class FiniteSemigroup:
     identity: int | None = field(default=None, compare=False)
     zero: int | None = field(default=None, compare=False)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def elements(self) -> range:
-        return range(self.size)
-
     def idempotents(self) -> list[int]:
         return [x for x in range(self.size) if self.table[x][x] == x]
 
@@ -97,7 +91,6 @@ class Transformation:
 class SubsetClosure:
     parent: FiniteSemigroup
     members: tuple[int, ...]
-    closed: bool
 
 
 # Cells per temporary array in the associativity checks, so that memory
@@ -261,17 +254,20 @@ def from_transformations(degree: int, gens: Sequence[Transformation]) -> FiniteS
     return from_cayley(len(elements), table, labels=words)
 
 
+def _adjoin(s: FiniteSemigroup, column: Sequence[int], row: list[int],
+            label: str) -> FiniteSemigroup:
+    """s with one new element at index size: x*new = column[x], and row
+    holds new*y for every y, the new element last."""
+    table = [[*r, c] for r, c in zip(s.table, column)] + [row]
+    labels = None if s.labels is None else [*s.labels, label]
+    return from_cayley(s.size + 1, table, labels=labels)
+
+
 def adjoin_identity(s: FiniteSemigroup, only_if_missing: bool = False) -> FiniteSemigroup:
     """Adjoin a two-sided identity as a new element at index size."""
     if only_if_missing and s.identity is not None:
         return s
-    n = s.size
-    table = [list(row) + [i] for i, row in enumerate(s.table)]
-    table.append(list(range(n + 1)))
-    labels = None
-    if s.labels is not None:
-        labels = list(s.labels) + ["1"]
-    return from_cayley(n + 1, table, labels=labels)
+    return _adjoin(s, range(s.size), list(range(s.size + 1)), "1")
 
 
 def adjoin_zero(s: FiniteSemigroup, only_if_missing: bool = False) -> FiniteSemigroup:
@@ -279,27 +275,17 @@ def adjoin_zero(s: FiniteSemigroup, only_if_missing: bool = False) -> FiniteSemi
     if only_if_missing and s.zero is not None:
         return s
     n = s.size
-    table = [list(row) + [n] for row in s.table]
-    table.append([n] * (n + 1))
-    labels = None
-    if s.labels is not None:
-        labels = list(s.labels) + ["0"]
-    return from_cayley(n + 1, table, labels=labels)
+    return _adjoin(s, [n] * n, [n] * (n + 1), "0")
 
 
 def direct_product(m: FiniteSemigroup, n: FiniteSemigroup) -> FiniteSemigroup:
     """Componentwise product; (i, j) sits at index i*|N| + j."""
     nn = n.size
-    size = m.size * nn
-    table = [[0] * size for _ in range(size)]
-    for a in range(m.size):
-        for b in range(nn):
-            for c in range(m.size):
-                for d in range(nn):
-                    table[a * nn + b][c * nn + d] = m.table[a][c] * nn + n.table[b][d]
+    table = [[x * nn + y for x in mrow for y in nrow]
+             for mrow in m.table for nrow in n.table]
     labels = tuple(f"({m.label(a)},{n.label(b)})"
                    for a in range(m.size) for b in range(nn))
-    return from_cayley(size, table, labels=labels)
+    return from_cayley(m.size * nn, table, labels=labels)
 
 
 def _hom_failure(src_table, dst_table, phi) -> tuple[int, int] | None:
@@ -368,7 +354,7 @@ def subsemigroup_closure(s: FiniteSemigroup, seed: Iterable[int]) -> SubsetClosu
             if row[g] not in members:
                 members.add(row[g])
                 queue.append(row[g])
-    return SubsetClosure(parent=s, members=tuple(sorted(members)), closed=True)
+    return SubsetClosure(parent=s, members=tuple(sorted(members)))
 
 
 @dataclass(frozen=True)
@@ -393,20 +379,17 @@ class Classification:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def _is_nilpotent(s: FiniteSemigroup) -> bool:
-    if s.zero is None:
-        return False
-    power = set(range(s.size))
-    for _ in range(s.size):
-        power = {s.table[a][b] for a in power for b in range(s.size)}
-        if power == {s.zero}:
-            return True
-    return False
-
-
 @lru_cache(maxsize=512)
 def classify(s: FiniteSemigroup) -> Classification:
-    """Compute the standard property flags by direct definition checks."""
+    """Compute the standard property flags.
+
+    The structural flags are read from Green's relations, by theorems on
+    finite semigroups: S is a group iff it is one H-class (an H-class that
+    holds an idempotent is a group); nilpotent iff the zero is its only
+    idempotent (finite nil is nilpotent); 0-simple iff it has a zero, two
+    J-classes and a nonzero product (the zero's J-class is {0}); and simple
+    or 0-simple implies completely so.
+    """
     from . import green  # deferred: green builds FiniteSemigroup values
     from .congruence import _incompatible  # deferred: congruence imports core
 
@@ -415,32 +398,23 @@ def classify(s: FiniteSemigroup) -> Classification:
     idem = s.idempotents()
     band = len(idem) == n
     commutative = all(table[a][b] == table[b][a] for a in range(n) for b in range(a))
-    full = set(range(n))
-    latin = all(set(row) == full for row in table) and \
-        all({table[a][b] for a in range(n)} == full for b in range(n))
-    group = latin and len(idem) == 1
 
     gd = green.green_data(s)
     completely_regular = all(gd.h_class[x] == gd.h_class[table[x][x]] for x in range(n))
     num_l = len(set(gd.l_class))
     num_r = len(set(gd.r_class))
     num_j = len(set(gd.j_class))
-
-    zero_simple = False
-    if s.zero is not None and num_j == 2:
-        z = s.zero
-        z_alone = sum(1 for x in range(n) if gd.j_class[x] == gd.j_class[z]) == 1
-        square_nonzero = any(table[a][b] != z for a in range(n) for b in range(n))
-        zero_simple = z_alone and square_nonzero
+    zero_simple = (s.zero is not None and num_j == 2
+                   and any(v != s.zero for row in table for v in row))
 
     return Classification(
         band=band,
         semilattice=band and commutative,
         commutative=commutative,
-        group=group,
+        group=len(set(gd.h_class)) == 1,
         monoid=s.identity is not None,
         has_zero=s.zero is not None,
-        nilpotent=_is_nilpotent(s),
+        nilpotent=idem == [s.zero],
         completely_regular=completely_regular,
         cryptogroup=(completely_regular
                      and _incompatible(s, gd.h_class, two_sided=True) is None),
@@ -448,6 +422,6 @@ def classify(s: FiniteSemigroup) -> Classification:
         right_simple=num_r == 1,
         simple=num_j == 1,
         zero_simple=zero_simple,
-        completely_simple=num_j == 1 and completely_regular,
+        completely_simple=num_j == 1,
         completely_zero_simple=zero_simple,
     )

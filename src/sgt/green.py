@@ -91,20 +91,11 @@ def schutzenberger(s: FiniteSemigroup, element: int) -> SchutzGroup:
             stab.append(m)
     stab.append(FORMAL_IDENTITY)
 
-    def key(m):
-        return tuple(times(s, h, m) for h in members)
-
-    class_of: dict[int | None, int] = {}
-    keys: dict[tuple[int, ...], int] = {}
-    reps: list[int | None] = []
-    for m in stab:
-        k = key(m)
-        if k not in keys:
-            keys[k] = len(keys)
-            reps.append(m)
-        class_of[m] = keys[k]
-
-    size = len(reps)
+    # m ~ m' iff they act alike on H; each class is represented by its first m
+    labels = _canonical_classes(tuple(times(s, h, m) for h in members) for m in stab)
+    class_of = dict(zip(stab, labels))
+    size = max(labels) + 1
+    reps = [stab[labels.index(c)] for c in range(size)]
     # products of stabilizer elements stay in the stabilizer
     table = [[class_of[times(s, reps[a], reps[b])] for b in range(size)]
              for a in range(size)]

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 from .core import (FiniteSemigroup, InternalAssertFailure, RangeError,
                    _hom_failure, _index, classify, from_cayley, sub_semigroup)
-from .congruence import (RightCongruence, _incompatible, quotient_semigroup,
-                         right_congruence)
+from .congruence import (RightCongruence, _class_lists, _incompatible,
+                         quotient_semigroup, right_congruence)
 from .green import _principal_masks, green_data
 
 
@@ -46,9 +46,6 @@ class ReesStructure:
     j_size: int
     p_matrix: tuple[tuple[int | None, ...], ...]  # j_size rows of i_size entries
     with_zero: bool
-
-    def element_index(self, i: int, g: int, j: int) -> int:
-        return (i * self.group.size + g) * self.j_size + j
 
     def triple_count(self) -> int:
         return self.i_size * self.group.size * self.j_size
@@ -223,11 +220,7 @@ class Decomposition:
     component_tables: tuple[FiniteSemigroup, ...]
 
     def components(self) -> list[list[int]]:
-        k = len(self.kind)
-        out: list[list[int]] = [[] for _ in range(k)]
-        for x, c in enumerate(self.component_of):
-            out[c].append(x)
-        return out
+        return _class_lists(self.component_of, len(self.kind))
 
 
 def _decomposition(s: FiniteSemigroup, component_of, kind: str, parts: str,
@@ -298,16 +291,8 @@ def archimedean_decomposition(s: FiniteSemigroup) -> Decomposition:
     def divides(a, b):
         return powmask[a] & rmask[b] != 0
 
-    comp = [-1] * n
-    count = 0
-    for a in range(n):
-        for b in range(a):
-            if divides(a, b) and divides(b, a):
-                comp[a] = comp[b]
-                break
-        else:
-            comp[a] = count
-            count += 1
+    # a's key: the least b with a | b and b | a, an equivalence on commutative S
+    comp = [next(b for b in range(n) if divides(a, b) and divides(b, a)) for a in range(n)]
     return _decomposition(s, comp, "archimedean", "components", "divisibility quotient",
                           lambda members, sub: all(divides(a, b) for a in members
                                                    for b in members))

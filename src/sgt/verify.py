@@ -235,9 +235,11 @@ def verify_quotient_gens(s: FiniteSemigroup, t: FiniteSemigroup,
                          theta: Sequence[int], rho_on_t: RightCongruence,
                          full_pairs: bool = False,
                          inputs: str = "") -> VerificationReport:
-    """Push a pullback's generating set through a surjective homomorphism."""
+    """Push a pullback's generating set through a surjective homomorphism;
+    every entry of theta must be an int in [0, |T|), else RangeError."""
     if len(theta) != s.size:
         raise NotHomomorphism("map length must equal source size")
+    theta = [_index(v, "theta entry", t.size) for v in theta]
     bad = _hom_failure(s.table, t.table, theta)
     if bad is not None:
         a, b = bad

@@ -190,6 +190,63 @@ def brute_j_classes(s):
     return canonical(ideal(a) for a in range(n))
 
 
+def brute_classify(s):
+    """Classification flags (as Classification.as_dict) by scans of the table:
+    a Latin square with one idempotent, the powers S, S^2, ..., S^n, the
+    zero's J-class counted, and completely simple as simple and completely
+    regular; Green's R, L and J from principal ideals built as sets."""
+    n = s.size
+    t = s.table
+    full = set(range(n))
+    idem = [x for x in range(n) if t[x][x] == x]
+    band = len(idem) == n
+    commutative = all(t[a][b] == t[b][a] for a in range(n) for b in range(n))
+    latin = (all(set(row) == full for row in t)
+             and all({t[a][b] for a in range(n)} == full for b in range(n)))
+    identity = [e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))]
+    zero = [z for z in range(n) if all(t[z][x] == z == t[x][z] for x in range(n))]
+
+    nilpotent = False
+    if zero:
+        power = full
+        for _ in range(n):
+            power = {t[a][b] for a in power for b in range(n)}
+            nilpotent = nilpotent or power == set(zero)
+
+    right = [frozenset({a} | set(t[a])) for a in range(n)]
+    left = [frozenset({a} | {t[x][a] for x in range(n)}) for a in range(n)]
+    r_class, l_class = canonical(right), canonical(left)
+    h_class = canonical(zip(r_class, l_class))
+    j_class = brute_j_classes(s)
+    completely_regular = all(h_class[x] == h_class[t[x][x]] for x in range(n))
+    simple = len(set(j_class)) == 1
+
+    zero_simple = False
+    if zero and len(set(j_class)) == 2:
+        z = zero[0]
+        zero_alone = sum(1 for x in range(n) if j_class[x] == j_class[z]) == 1
+        zero_simple = zero_alone and any(t[a][b] != z for a in range(n) for b in range(n))
+
+    return {
+        "band": band,
+        "semilattice": band and commutative,
+        "commutative": commutative,
+        "group": latin and len(idem) == 1,
+        "monoid": bool(identity),
+        "has_zero": bool(zero),
+        "nilpotent": nilpotent,
+        "completely_regular": completely_regular,
+        "cryptogroup": (completely_regular and is_right_compatible(s, h_class)
+                        and is_left_compatible(s, h_class)),
+        "left_simple": len(set(l_class)) == 1,
+        "right_simple": len(set(r_class)) == 1,
+        "simple": simple,
+        "zero_simple": zero_simple,
+        "completely_simple": simple and completely_regular,
+        "completely_zero_simple": zero_simple,
+    }
+
+
 def brute_archimedean(s):
     """Class map of mutual divisibility by powers: a ~ b iff some power of a
     lies in bS^1 and some power of b lies in aS^1."""

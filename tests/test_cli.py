@@ -430,6 +430,22 @@ def test_bad_integer_token_is_named_with_its_line_or_option(files, tmp_path, cap
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["close", "-i", "{z3}", "--pairs", "0"], "--pairs: bad pair '0'; expected 'a b'"),
+    (["minimize", "-i", "{z3}", "--pairs", "0 1; 0 1 2"],
+     "--pairs: bad pair '0 1 2'; expected 'a b'"),
+    (["verify", "-i", "{z3}", "--construction", "extend", "--sigma-pairs", "1"],
+     "--sigma-pairs: bad pair '1'; expected 'a b'"),
+    (["verify", "-i", "{z3}", "--construction", "quotient", "--pairs", "0 0",
+      "--target-pairs", "0 1 2"], "--target-pairs: bad pair '0 1 2'; expected 'a b'"),
+])
+def test_bad_pair_is_named_with_its_option(files, capsys, argv, message):
+    code = run([a.format(**files) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_sandwich_dash_is_zero_and_other_tokens_are_ints():
     _, r = parse_input("rees 2 2 2 1\n0 1\n1 0\n- 1\n0 -\n")
     assert r.p_matrix == ((None, 1), (0, None))

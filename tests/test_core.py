@@ -129,6 +129,10 @@ def test_adjoin_identity_only_if_missing():
     z2 = cyclic(2)
     assert adjoin_identity(z2, only_if_missing=True) is z2
     assert adjoin_identity(z2).size == 3
+    # the new element is labelled "1" (and an adjoined zero "0") when s has labels
+    assert adjoin_identity(z2).labels == ("e", "g", "1")
+    assert adjoin_zero(z2).labels == ("e", "g", "0")
+    assert adjoin_identity(from_cayley(1, [[0]])).labels is None
 
 
 def test_adjoin_zero_right_zero():
@@ -298,6 +302,39 @@ def test_classify_relabel_invariance(lib):
         perm = list(range(s.size))
         rng.shuffle(perm)
         assert classify(_permuted(s, perm)) == classify(s)
+
+
+def test_classify_zero_simple_and_nilpotent_pins():
+    null2 = from_cayley(2, [[0, 0], [0, 0]])
+    z2zero = adjoin_zero(cyclic(2))
+    flags = classify(null2)
+    # two J-classes and a zero, but S^2 = {0}
+    assert flags.nilpotent and not flags.zero_simple and not flags.completely_zero_simple
+    flags = classify(z2zero)
+    assert flags.zero_simple and flags.completely_zero_simple and not flags.nilpotent
+    flags = classify(from_cayley(1, [[0]]))
+    assert flags.group and flags.nilpotent and flags.simple and not flags.zero_simple
+
+
+_VARIANTS = {"plain": lambda s: s, "zero": adjoin_zero, "identity": adjoin_identity}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda d: st.lists(
+           st.tuples(*[st.integers(0, d - 1)] * d), min_size=1, max_size=3)),
+       st.sampled_from(sorted(_VARIANTS)), st.integers(0, 2 ** 16))
+# the 2-element null semigroup {a, 0}: a*a = 0, so S^2 = {0} decides
+@example(gens=[(1, 2, 2)], variant="plain", seed=0)
+@example(gens=[(1, 0)], variant="zero", seed=0)  # Z2 with a zero: 0-simple
+@example(gens=[(0, 0)], variant="plain", seed=0)  # the trivial semigroup
+def test_classify_matches_brute_on_transformation_semigroups(gens, variant, seed):
+    s = _VARIANTS[variant](from_transformations(
+        len(gens[0]), [Transformation(len(g), g) for g in gens]))
+    flags = classify(s)
+    assert flags.as_dict() == oracles.brute_classify(s)
+    perm = list(range(s.size))
+    random.Random(seed).shuffle(perm)
+    assert classify(_permuted(s, perm)) == flags
 
 
 def test_every_library_table_associative(lib):

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sgt.congruence import (identity_congruence, minimal_generating_pairs,
                             pair_set, rc_generate, universal_congruence)
-from sgt.core import (RangeError, adjoin_identity, adjoin_zero, direct_product, from_cayley,
-                      sub_semigroup)
+from sgt.core import (RangeError, Transformation, adjoin_identity, adjoin_zero,
+                      direct_product, from_cayley, from_transformations, sub_semigroup)
 from sgt.library import (chain, cyclic, left_zero, library, rectangular_band,
                          right_zero, t2, trivial)
 from sgt.verify import (NoInternalIdentity, NotGenerating, NotHomomorphism,
@@ -155,6 +157,14 @@ def test_quotient_validation():
         verify_quotient_gens(s, cyclic(2), (0, 0, 1, 1), universal_congruence(cyclic(2)))
     with pytest.raises(NotSurjective):
         verify_quotient_gens(s, cyclic(2), (0, 0, 0, 0), universal_congruence(cyclic(2)))
+
+
+@pytest.mark.parametrize("theta", [(0, 1, 5), (0, 1, -1), (0.0, 1, 2), (True, 1, 2),
+                                   ("0", 1, 2), (None, 1, 2)])
+def test_quotient_map_entries_are_range_checked(theta):
+    s = cyclic(3)
+    with pytest.raises(RangeError, match="theta entry"):
+        verify_quotient_gens(s, s, theta, universal_congruence(s))
 
 
 def test_ideal_zero_adjoined_group():
@@ -307,6 +317,21 @@ def test_fg_built_set_respects_size_bound(lib):
             rep = verify_fg_gens(s, gens, rho)
             assert rep.passed
             assert len(rep.built_pairs) <= len(gens) * (1 + rho.index)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(0, d - 1)] * d), min_size=1, max_size=3)), st.data())
+def test_fg_replay_bound_on_transformation_semigroups(gens, data):
+    s = from_transformations(len(gens[0]), [Transformation(len(g), g) for g in gens])
+    # the generators come first, duplicates dropped
+    a = range(len(set(gens)))
+    element = st.integers(0, s.size - 1)
+    pairs = data.draw(st.lists(st.tuples(element, element), max_size=3), label="pairs")
+    rho = rc_generate(s, pairs)
+    rep = verify_fg_gens(s, a, rho)
+    assert rep.passed
+    assert len(rep.built_pairs) <= len(a) * (rho.index + 1)
 
 
 def test_extend_built_set_respects_size_bound():

@@ -3,11 +3,12 @@
     python tools/golden_capture.py OUT.jsonl [--src DIR]
 
 Runs ``sgt.cli.run`` in-process on every verb, in text and ``--json``, over
-the built-in library, T3, Rees-format inputs and malformed files, with valid
-and invalid arguments (bad integer tokens included), plus ``verify --sweep``
-in text and JSON.  Two Rees inputs over S3, whose tables have 36 and 37
-elements, get the verbs that stay fast there.  Each line
-holds the argv, the exit code, stdout and stderr.  The input files are
+the built-in library, T3, the 2-element null semigroup, Z2 with a zero,
+Rees-format inputs and malformed files, with valid and invalid arguments
+(bad integer tokens included), plus ``verify --sweep`` in text and JSON.
+Two Rees inputs over S3, whose tables have 36 and 37 elements, get the
+verbs that stay fast there.  Each line holds the argv, the exit code,
+stdout and stderr.  The input files are
 written to a temporary directory and named relatively, so two captures of
 the same code are byte-identical.  ``--src`` selects the ``sgt`` sources to
 import (default: this checkout's ``src``); capture two trees and ``diff``
@@ -30,6 +31,13 @@ REES_FILES = {
     "m0.rs": "rees 1 2 2 1\n0\n0 -\n- 0\n",
     "rz2.rs": "rees 2 2 3 0\n0 1\n1 0\n0 0\n0 1\n1 1\n",
     "m0z3.rs": "rees 3 3 2 1\n0 1 2\n1 2 0\n2 0 1\n0 - 2\n- 1 0\n",
+}
+
+# A zero and two J-classes, with S^2 = {0} and with a nonzero product: the
+# two outcomes of the 0-simple test (the null semigroup and Z2 with a zero)
+ZERO_FILES = {
+    "null2.sg": "cayley 2\n0 0\n0 0\n",
+    "z2zero.sg": "cayley 3\n0 1 2\n1 0 2\n2 2 2\n",
 }
 
 # S3 (the group H-class of T3, relabelled so that its identity is 5) as the
@@ -61,9 +69,10 @@ MALFORMED_FILES = {
 
 
 def _inputs(cayley_text, library) -> dict[str, str]:
-    """File name -> text for every input: library tables, T3, Rees, malformed."""
+    """File name -> text for every input: library tables, T3, zero, Rees, malformed."""
     files = {f"{name}.sg": cayley_text(s) + "\n" for name, s in library.items()}
     files["t3.sg"] = T3_TEXT
+    files.update(ZERO_FILES)
     files.update(REES_FILES)
     files.update(S3_FILES)
     files.update(MALFORMED_FILES)
