@@ -36,8 +36,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 class ParseError(ValueError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: int | None, message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -77,7 +77,7 @@ def parse_input(text: str, fmt: str = "auto") -> tuple[FiniteSemigroup, ReesStru
     """Parse one of the table formats; returns the structure too for rees input."""
     lines = _content_lines(text)
     if not lines:
-        raise ParseError(0, "empty input")
+        raise ParseError(None, "empty input")
     num, head = lines[0]
     kind = head[0].lower()
     if fmt != "auto" and kind != fmt:
@@ -130,11 +130,7 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def parse_pairs(text: str, s: FiniteSemigroup):
-    return _pairs(text, s, "--pairs")
-
-
-def _pairs(text: str, s: FiniteSemigroup, option: str):
+def parse_pairs(text: str, s: FiniteSemigroup, option: str = "--pairs"):
     """The pair set written in an option as "a b; c d; ..."."""
     pairs = []
     for chunk in text.split(";"):
@@ -401,7 +397,7 @@ def _report_json(rep) -> dict:
 def _congruence_arg(s: FiniteSemigroup, pairs: str | None, option: str, default):
     """The right congruence generated by a pairs option, or default(s) when
     the option is not given."""
-    return rc_generate(s, _pairs(pairs, s, option)) if pairs else default(s)
+    return rc_generate(s, parse_pairs(pairs, s, option)) if pairs else default(s)
 
 
 def _verify_dispatch(args) -> int:
@@ -498,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sgt", description="finite semigroup toolkit")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
+    def common(p, handler):
+        p.set_defaults(handler=handler)
         p.add_argument("-i", "--input", default="-",
                        help="input file, or - for stdin")
         p.add_argument("--format", default="auto",
@@ -507,54 +504,54 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit machine-readable JSON")
 
     p = sub.add_parser("info", help="classification flags")
-    common(p)
+    common(p, _cmd_info)
 
     p = sub.add_parser("green", help="egg-box structure and maximal subgroups")
-    common(p)
+    common(p, _cmd_green)
 
     p = sub.add_parser("congruences", help="enumerate all right congruences")
-    common(p)
+    common(p, _cmd_congruences)
     p.add_argument("--max", type=int, default=None, help="abort above this count")
 
     p = sub.add_parser("close", help="right congruence generated by pairs")
-    common(p)
+    common(p, _cmd_close)
     p.add_argument("--pairs", required=True, help='"a b; c d; ..."')
     p.add_argument("--two-sided", action="store_true", dest="two_sided")
 
     p = sub.add_parser("witness", help="shortest connecting sequence")
-    common(p)
+    common(p, _cmd_witness)
     p.add_argument("--pairs", required=True)
     p.add_argument("--from", type=int, required=True, dest="from_el")
     p.add_argument("--to", type=int, required=True, dest="to_el")
 
     p = sub.add_parser("minimize", help="minimal generating pairs of a congruence")
-    common(p)
+    common(p, _cmd_minimize)
     p.add_argument("--pairs", required=True)
     p.add_argument("--exact-limit", type=int, default=12, dest="exact_limit")
 
     p = sub.add_parser("diameter", help="worst-case connecting length")
-    common(p)
+    common(p, _cmd_diameter)
     p.add_argument("--pairs", required=True)
 
     p = sub.add_parser("schutz", help="stabilizer quotient of an H-class")
-    common(p)
+    common(p, _cmd_schutz)
     p.add_argument("--element", type=int, required=True)
 
     p = sub.add_parser("decompose", help="semilattice decomposition")
-    common(p)
+    common(p, _cmd_decompose)
     p.add_argument("--mode", required=True, choices=["cr", "arch"])
 
     p = sub.add_parser("rees", help="matrix semigroup construction/coordinates")
-    common(p)
+    common(p, _cmd_rees)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--construct", action="store_true")
     g.add_argument("--to-coordinates", action="store_true", dest="to_coordinates")
 
     p = sub.add_parser("theta", help="column-pattern congruence of a matrix semigroup")
-    common(p)
+    common(p, _cmd_theta)
 
     p = sub.add_parser("verify", help="replay a constructive argument")
-    common(p)
+    common(p, _verify_dispatch)
     p.add_argument("--construction",
                    choices=["fg", "lclass", "dp", "schutz", "quotient",
                             "ideal", "extend", "diagonal"])
@@ -573,23 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """Exit codes: 0 success, 1 usage/parse/precondition error, 2 a failed
     verification, 3 an internal check failed (a bug)."""
-    handlers = {
-        "info": _cmd_info,
-        "green": _cmd_green,
-        "congruences": _cmd_congruences,
-        "close": _cmd_close,
-        "witness": _cmd_witness,
-        "minimize": _cmd_minimize,
-        "diameter": _cmd_diameter,
-        "schutz": _cmd_schutz,
-        "decompose": _cmd_decompose,
-        "rees": _cmd_rees,
-        "theta": _cmd_theta,
-        "verify": _verify_dispatch,
-    }
     try:
         args = build_parser().parse_args(argv)
-        return handlers[args.verb](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -49,8 +49,11 @@ class PairSet:
         return len(self.pairs)
 
 
-def pair_set(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]]) -> PairSet:
-    """Validated pairs: entries are ints (numpy integers too) in range, never bools."""
+def pair_set(s: FiniteSemigroup, pairs: PairSet | Iterable[tuple[int, int]]) -> PairSet:
+    """Validated pairs: ints (numpy integers too) in range, never bools.  A
+    PairSet of s comes back as it is; anything else is checked against s."""
+    if isinstance(pairs, PairSet) and pairs.parent == s:
+        return pairs
     return PairSet(parent=s, pairs=frozenset(
         (_index(a, "pair entry", s.size), _index(b, "pair entry", s.size))
         for a, b in pairs))
@@ -179,9 +182,7 @@ def rc_generate(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]],
                 two_sided: bool = False) -> RightCongruence:
     """Smallest right (or two-sided) congruence containing the pairs, by
     union-find saturation from the identity partition."""
-    if not isinstance(x, PairSet):
-        x = pair_set(s, x)
-    return _close(s, x.pairs, two_sided=two_sided)
+    return _close(s, pair_set(s, x).pairs, two_sided=two_sided)
 
 
 @dataclass(frozen=True)
@@ -258,8 +259,7 @@ def find_x_sequence(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]],
     records (x, y, s) is returned, with the formal identity ordered after
     all real multipliers.
     """
-    if not isinstance(x, PairSet):
-        x = pair_set(s, x)
+    x = pair_set(s, x)
     a, b = _index(a, "endpoint", s.size), _index(b, "endpoint", s.size)
     if a == b:
         return XSequence(parent=s, a=a, b=b, steps=())
@@ -297,8 +297,7 @@ def rc_diameter(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]]) -> i
     Defined only when the generated right congruence is universal; otherwise
     returns Disconnected carrying the actual index.
     """
-    if not isinstance(x, PairSet):
-        x = pair_set(s, x)
+    x = pair_set(s, x)
     rho = rc_generate(s, x)
     if rho.index != 1:
         return Disconnected(index=rho.index)
@@ -423,8 +422,8 @@ def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
             if current.related(*c):
                 continue
             trial = _close(s, [c], closed=(current.class_of,))
-            gain = sum(1 for (a, b) in candidates
-                       if trial.related(a, b) and not current.related(a, b))
+            # trial refines rho, so every pair it relates is a candidate
+            gain = sum(len(m) * (len(m) - 1) for m in trial.classes())
             if best is None or gain > best[0]:
                 best = (gain, c, trial)
         chosen.append(best[1])

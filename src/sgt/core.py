@@ -80,12 +80,6 @@ class Transformation:
         object.__setattr__(self, "images",  # ints in a tuple, so that it hashes
                            tuple(_index(v, "image", self.degree) for v in self.images))
 
-    def then(self, other: "Transformation") -> "Transformation":
-        """self followed by other: x -> other(self(x))."""
-        if other.degree != self.degree:
-            raise DegreeMismatch("cannot compose transformations of different degree")
-        return Transformation(self.degree, tuple(other.images[v] for v in self.images))
-
 
 @dataclass(frozen=True)
 class SubsetClosure:

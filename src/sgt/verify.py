@@ -17,7 +17,7 @@ from .congruence import (PairSet, RightCongruence, _principal_closure,
                          enumerate_right_congruences, minimal_generating_pairs,
                          pair_set, quotient_semigroup, rc_generate,
                          right_congruence, times, within_class_pairs)
-from .green import green_data, schutzenberger
+from .green import _principal_masks, green_data, schutzenberger
 from .library import library
 
 
@@ -72,15 +72,17 @@ def _distinguish(expected: RightCongruence, computed: RightCongruence):
                  if expected.related(a, b) != computed.related(a, b)), None)
 
 
-def _congruence_report(construction, inputs, built, expected, computed,
-                       elements=None, note="") -> VerificationReport:
+def _congruence_report(construction, inputs, t, built, expected) -> VerificationReport:
+    """The one check of a congruence replay: validate the built pairs on t,
+    generate them and compare the result with expected."""
+    built = pair_set(t, built)
+    computed = rc_generate(t, built)
     passed = expected.class_of == computed.class_of
     return VerificationReport(
         construction=construction, inputs=inputs, built_pairs=built,
-        built_elements=elements, expected=expected, computed=computed,
+        built_elements=None, expected=expected, computed=computed,
         passed=passed,
-        distinguishing_pair=None if passed else _distinguish(expected, computed),
-        note=note)
+        distinguishing_pair=None if passed else _distinguish(expected, computed))
 
 
 def _generating_pairs(rho: RightCongruence, full_pairs: bool) -> PairSet:
@@ -103,8 +105,7 @@ def verify_fg_gens(s: FiniteSemigroup, gens: Iterable[int], rho: RightCongruence
         for x in gens:
             ax = s.table[alpha[i]][x]
             built.add((ax, alpha[rho.class_of[ax]]))
-    computed = rc_generate(s, built)
-    return _congruence_report("fg", inputs, pair_set(s, built), rho, computed)
+    return _congruence_report("fg", inputs, s, built, rho)
 
 
 def _l_congruence(s: FiniteSemigroup) -> RightCongruence:
@@ -177,9 +178,7 @@ def verify_dp_gens(m: FiniteSemigroup, n: FiniteSemigroup, rho: RightCongruence,
         xj = _generating_pairs(rho_j, full_pairs)
         for (a, b) in xj:
             built.add((idx(a, dj), idx(b, dj)))
-    computed = rc_generate(p, built)
-    expected = right_congruence(p, rho.class_of)
-    return _congruence_report("dp", inputs, pair_set(p, built), expected, computed)
+    return _congruence_report("dp", inputs, p, built, right_congruence(p, rho.class_of))
 
 
 def verify_schutz_gens(s: FiniteSemigroup, element: int, full_pairs: bool = False,
@@ -205,8 +204,7 @@ def verify_schutz_gens(s: FiniteSemigroup, element: int, full_pairs: bool = Fals
     h0 = sg.h_class[0]
     a_classes = set()
     for (px, py) in sorted(x.symmetrized()):
-        f = frozenset(t.table[h][px] for h in sg.h_class)
-        if not f <= r_set:
+        if keys[px] == ("out",):
             continue
         target = t.table[h0][px]
         chosen = None
@@ -231,6 +229,14 @@ def verify_schutz_gens(s: FiniteSemigroup, element: int, full_pairs: bool = Fals
         f"generated {len(generated)} of {gamma.size} classes")
 
 
+def _push_forward(s: FiniteSemigroup, phi: Sequence[int], rho: RightCongruence,
+                  full_pairs: bool) -> set[tuple[int, int]]:
+    """A generating set of the pullback of rho along phi: S -> T, mapped
+    forward by phi."""
+    pulled = right_congruence(s, [rho.class_of[v] for v in phi])
+    return {(phi[a], phi[b]) for (a, b) in _generating_pairs(pulled, full_pairs)}
+
+
 def verify_quotient_gens(s: FiniteSemigroup, t: FiniteSemigroup,
                          theta: Sequence[int], rho_on_t: RightCongruence,
                          full_pairs: bool = False,
@@ -246,12 +252,8 @@ def verify_quotient_gens(s: FiniteSemigroup, t: FiniteSemigroup,
         raise NotHomomorphism(f"theta({a}*{b}) != theta({a})*theta({b})")
     if set(theta) != set(range(t.size)):
         raise NotSurjective("map does not cover the target")
-    pulled = right_congruence(s, [rho_on_t.class_of[theta[a]] for a in range(s.size)])
-    x = _generating_pairs(pulled, full_pairs)
-    built = {(theta[a], theta[b]) for (a, b) in x}
-    computed = rc_generate(t, built)
-    return _congruence_report("quotient", inputs, pair_set(t, built),
-                              rho_on_t, computed)
+    return _congruence_report("quotient", inputs, t,
+                              _push_forward(s, theta, rho_on_t, full_pairs), rho_on_t)
 
 
 def ideal_subsemigroup(s: FiniteSemigroup, ideal: Iterable[int]) -> tuple[FiniteSemigroup, tuple[int, ...]]:
@@ -279,14 +281,11 @@ def verify_ideal_gens(s: FiniteSemigroup, ideal: Iterable[int], e: int,
     sub_index = {v: k for k, v in enumerate(members)}
     if rho_on_i.parent.table != isub.table:
         raise ValueError("congruence does not live on the ideal subsemigroup")
-    pulled = right_congruence(
-        s, [rho_on_i.class_of[sub_index[s.table[e][a]]] for a in range(s.size)])
-    x = _generating_pairs(pulled, full_pairs)
-    built = {(sub_index[s.table[e][a]], sub_index[s.table[e][b]]) for (a, b) in x}
-    computed = rc_generate(isub, built)
-    expected = right_congruence(isub, rho_on_i.class_of)
-    return _congruence_report("ideal", inputs, pair_set(isub, built),
-                              expected, computed)
+    # a -> e*a maps S onto the ideal with identity e
+    phi = [sub_index[v] for v in s.table[e]]
+    return _congruence_report("ideal", inputs, isub,
+                              _push_forward(s, phi, rho_on_i, full_pairs),
+                              right_congruence(isub, rho_on_i.class_of))
 
 
 def _refines(rho: RightCongruence, sigma: RightCongruence) -> bool:
@@ -308,8 +307,7 @@ def verify_extend_gens(s: FiniteSemigroup, rho: RightCongruence,
         for j, aj in enumerate(alpha):
             if i != j and sigma.related(ai, aj):
                 built.add((ai, aj))
-    computed = rc_generate(s, built)
-    return _congruence_report("extend", inputs, pair_set(s, built), sigma, computed)
+    return _congruence_report("extend", inputs, s, built, sigma)
 
 
 def _power_profile(s: FiniteSemigroup, x: int) -> tuple[int, int]:
@@ -324,10 +322,12 @@ def _power_profile(s: FiniteSemigroup, x: int) -> tuple[int, int]:
         seen[p] = k
 
 
-def _element_profile(s: FiniteSemigroup, x: int):
-    right = {s.table[x][v] for v in range(s.size)} | {x}
-    left = {s.table[v][x] for v in range(s.size)} | {x}
-    return (s.table[x][x] == x, len(right), len(left), _power_profile(s, x))
+def _element_profiles(s: FiniteSemigroup) -> list:
+    """Per element: idempotent or not, |xS^1|, |S^1x| and the power profile."""
+    right = _principal_masks(s.table)
+    left = _principal_masks(list(zip(*s.table)))
+    return [(s.table[x][x] == x, right[x].bit_count(), left[x].bit_count(),
+             _power_profile(s, x)) for x in range(s.size)]
 
 
 def isomorphic(s: FiniteSemigroup, t: FiniteSemigroup,
@@ -338,8 +338,7 @@ def isomorphic(s: FiniteSemigroup, t: FiniteSemigroup,
     if s.size > size_limit:
         raise SizeLimitExceeded(f"size {s.size} exceeds limit {size_limit}")
     n = s.size
-    prof_s = [_element_profile(s, x) for x in range(n)]
-    prof_t = [_element_profile(t, x) for x in range(n)]
+    prof_s, prof_t = _element_profiles(s), _element_profiles(t)
     candidates = [[y for y in range(n) if prof_t[y] == prof_s[x]] for x in range(n)]
     mapping = [-1] * n
     used = [False] * n

@@ -134,6 +134,35 @@ def brute_generated(s, pairs):
     return meet(fitting)
 
 
+def greedy_generating_pairs(s, class_of):
+    """The greedy cover of minimal_generating_pairs with its first gain: each
+    round adds the first candidate (a within-class pair a < b) whose trial
+    congruence relates the most candidates not yet related."""
+    congruences = brute_right_congruences(s)
+
+    def generated(pairs):
+        return meet([p for p in congruences if contains_pairs(p, pairs)])
+
+    n = s.size
+    candidates = [(a, b) for a in range(n) for b in range(a + 1, n)
+                  if class_of[a] == class_of[b]]
+    chosen = []
+    current = generated(chosen)
+    while current != canonical(class_of):
+        best = None
+        for c in candidates:
+            if current[c[0]] == current[c[1]]:
+                continue
+            trial = generated(chosen + [c])
+            gain = sum(1 for a, b in candidates
+                       if trial[a] == trial[b] and current[a] != current[b])
+            if best is None or gain > best[0]:
+                best = (gain, c, trial)
+        chosen.append(best[1])
+        current = best[2]
+    return chosen
+
+
 def brute_sequence_distance(s, pairs, a, b):
     """BFS over connecting sequences with edges rebuilt by triple scan.
 

@@ -48,6 +48,20 @@ def test_parse_errors_carry_line_numbers():
         parse_input("sudoku 2\n")
 
 
+@pytest.mark.parametrize("text", ["", "# only comments\n\n   \n# and blank lines\n"],
+                         ids=["empty", "comments"])
+def test_empty_input_names_no_line(tmp_path, capsys, text):
+    with pytest.raises(ParseError) as err:
+        parse_input(text)
+    assert err.value.line is None
+    path = tmp_path / "in.sg"
+    path.write_text(text)
+    code = run(["info", "-i", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: empty input\n"
+
+
 def test_parse_comments_and_format_override():
     s, _ = parse_input(RZ3, fmt="cayley")
     assert s.size == 3

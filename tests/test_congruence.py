@@ -365,6 +365,23 @@ def test_pair_set_accepts_numpy_integers():
     assert all(type(v) is int for pair in x.pairs for v in pair)
 
 
+def test_pair_set_of_its_semigroup_comes_back_as_it_is():
+    s = cyclic(6)
+    x = pair_set(s, [(0, 5)])
+    assert pair_set(s, x) is x
+    # a PairSet of another semigroup is validated against the one it is used on
+    y = pair_set(cyclic(2), pair_set(s, [(0, 1)]))
+    assert y.parent == cyclic(2) and y.pairs == frozenset({(0, 1)})
+
+
+@pytest.mark.parametrize("call", [rc_generate, rc_diameter,
+                                  lambda s, x: find_x_sequence(s, x, 0, 1)],
+                         ids=["rc_generate", "rc_diameter", "find_x_sequence"])
+def test_pair_set_of_another_semigroup_is_range_checked(call):
+    with pytest.raises(RangeError):
+        call(cyclic(2), pair_set(cyclic(6), [(0, 5)]))
+
+
 def _relabel(s, perm):
     """Isomorphic copy of s with element x renamed perm[x]."""
     inv = sorted(range(s.size), key=perm.__getitem__)
@@ -401,6 +418,17 @@ def test_lattice_matches_brute_on_transformation_semigroups(gens):
     s = _transformation_semigroup(gens)
     assume(s.size <= 7)
     _check_against_brute(s)
+
+
+@_PROPERTY
+@given(_TRANSFORMATION_GENS, st.data())
+def test_greedy_pairs_match_the_candidate_rescan_gain(gens, data):
+    s = _transformation_semigroup(gens)
+    assume(s.size <= 7)
+    rho = data.draw(st.sampled_from(enumerate_right_congruences(s).congruences),
+                    label="rho")
+    x, _ = minimal_generating_pairs(s, rho, exact_limit=0)
+    assert sorted(x.pairs) == sorted(oracles.greedy_generating_pairs(s, rho.class_of))
 
 
 @_PROPERTY

@@ -19,6 +19,17 @@ from sgt.verify import (NoInternalIdentity, NotGenerating, NotHomomorphism,
                         verify_extend_gens, verify_fg_gens, verify_ideal_gens,
                         verify_lclass_gens, verify_quotient_gens,
                         verify_schutz_gens)
+from sgt.verify import _congruence_report
+
+
+def test_congruence_report_generates_the_built_pairs():
+    s = right_zero(3)
+    rep = _congruence_report("extend", "", s, [(0, 1)], universal_congruence(s))
+    assert rep.built_pairs == pair_set(s, [(0, 1)])
+    assert rep.computed.class_of == (0, 0, 1)
+    assert not rep.passed and rep.distinguishing_pair == (0, 2)
+    with pytest.raises(RangeError):
+        _congruence_report("extend", "", s, [(0, 3)], universal_congruence(s))
 
 
 def test_fg_universal_on_z2():

@@ -52,6 +52,7 @@ S3_ARGVS = [["info"], ["green"], ["rees", "--construct"], ["rees", "--to-coordin
 
 MALFORMED_FILES = {
     "empty.sg": "",
+    "comments.sg": "# only comments\n\n   \n# and blank lines\n",
     "ragged.sg": "cayley 2\n0 1\n1\n",
     "float.sg": "cayley 2\n0 1\n1 0.0\n",
     "nonassoc.sg": "cayley 2\n1 0\n0 0\n",
