@@ -59,6 +59,16 @@ def pair_set(s: FiniteSemigroup, pairs: PairSet | Iterable[tuple[int, int]]) -> 
         for a, b in pairs))
 
 
+def _congruence_on(s: FiniteSemigroup, rho: RightCongruence,
+                   what: str = "rho") -> RightCongruence:
+    """The one intake of congruence arguments: rho itself when it is a
+    congruence of s, else RangeError."""
+    # identity first: every join of the lattice enumeration passes s itself
+    if rho.parent is not s and rho.parent != s:
+        raise RangeError(f"{what} is a congruence of another semigroup")
+    return rho
+
+
 @dataclass(frozen=True)
 class RightCongruence:
     parent: FiniteSemigroup
@@ -69,7 +79,8 @@ class RightCongruence:
         return _class_lists(self.class_of, self.index)
 
     def related(self, a: int, b: int) -> bool:
-        return self.class_of[a] == self.class_of[b]
+        n = len(self.class_of)
+        return self.class_of[_index(a, "element", n)] == self.class_of[_index(b, "element", n)]
 
 
 def _canonical_classes(keys) -> tuple[int, ...]:
@@ -215,9 +226,10 @@ class XSequence:
 
 
 def _sequence_edges(s: FiniteSemigroup, x: PairSet):
-    """Adjacency u -> sorted [(label, v)] with label = (x, y, s-key); s-key n is the formal identity."""
+    """Adjacency u -> [(label, v)] with label = (x, y, s-key); s-key n is the formal
+    identity.  Labels are made in increasing order, so each list is sorted as built."""
     n = s.size
-    adj: dict[int, list[tuple[tuple[int, int, int], int]]] = {u: [] for u in range(n)}
+    adj: list[list[tuple[tuple[int, int, int], int]]] = [[] for _ in range(n)]
     for (px, py) in sorted(x.symmetrized()):
         for m in range(n + 1):
             if m < n:
@@ -225,8 +237,6 @@ def _sequence_edges(s: FiniteSemigroup, x: PairSet):
             else:
                 u, v = px, py
             adj[u].append(((px, py, m), v))
-    for u in range(n):
-        adj[u].sort()
     return adj
 
 
@@ -334,6 +344,7 @@ def join(rho: RightCongruence, sigma: RightCongruence) -> RightCongruence:
     union needs translating: the join costs one union-find pass over S.
     Joins of two-sided congruences are therefore two-sided.
     """
+    sigma = _congruence_on(rho.parent, sigma, "sigma")
     return _close(rho.parent, closed=(rho.class_of, sigma.class_of))
 
 
@@ -355,7 +366,7 @@ def _principal_closure(s: FiniteSemigroup, two_sided: bool = False,
     principal = []
     for a in range(s.size):
         for b in range(a + 1, s.size):
-            rho = rc_generate(s, [(a, b)], two_sided=two_sided)
+            rho = _close(s, [(a, b)], two_sided=two_sided)
             if add(rho):
                 principal.append((a, b, rho))
     fresh = [rho for _, _, rho in principal]
@@ -404,6 +415,7 @@ def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
     (optimal=False).  exact_limit must be a non-negative int (RangeError
     otherwise).
     """
+    rho = _congruence_on(s, rho)
     exact_limit = _index(exact_limit, "exact_limit")
     candidates = sorted(within_class_pairs(rho))
     if not candidates:
@@ -411,11 +423,11 @@ def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
     if len(candidates) <= exact_limit:
         for k in range(len(candidates) + 1):
             for combo in itertools.combinations(candidates, k):
-                if rc_generate(s, combo).class_of == rho.class_of:
+                if _close(s, combo).class_of == rho.class_of:
                     return pair_set(s, combo), True
         raise AssertionError("within-class pairs must generate their congruence")
     chosen: list[tuple[int, int]] = []
-    current = rc_generate(s, chosen)
+    current = identity_congruence(s)
     while current.class_of != rho.class_of:
         best = None
         for c in candidates:
@@ -433,7 +445,7 @@ def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
 
 def quotient_semigroup(s: FiniteSemigroup, rho: RightCongruence) -> FiniteSemigroup:
     """Quotient by a two-sided congruence; classes keep their canonical order."""
-    cls = rho.class_of
+    cls = _congruence_on(s, rho).class_of
     bad = _incompatible(s, cls, two_sided=True)
     if bad is not None:
         raise NotTwoSided(bad)

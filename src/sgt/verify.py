@@ -13,10 +13,10 @@ from typing import Iterable, Sequence
 from .core import (FiniteSemigroup, InternalAssertFailure, _hom_failure,
                    _ideal_members, _index, adjoin_identity, direct_product,
                    sub_semigroup, subsemigroup_closure)
-from .congruence import (PairSet, RightCongruence, _principal_closure,
-                         enumerate_right_congruences, minimal_generating_pairs,
-                         pair_set, quotient_semigroup, rc_generate,
-                         right_congruence, times, within_class_pairs)
+from .congruence import (PairSet, RightCongruence, _congruence_on,
+                         _principal_closure, enumerate_right_congruences,
+                         minimal_generating_pairs, pair_set, quotient_semigroup,
+                         rc_generate, right_congruence, times, within_class_pairs)
 from .green import _principal_masks, green_data, schutzenberger
 from .library import library
 
@@ -85,15 +85,22 @@ def _congruence_report(construction, inputs, t, built, expected) -> Verification
         distinguishing_pair=None if passed else _distinguish(expected, computed))
 
 
-def _generating_pairs(rho: RightCongruence, full_pairs: bool) -> PairSet:
-    if full_pairs:
-        return pair_set(rho.parent, within_class_pairs(rho))
-    return minimal_generating_pairs(rho.parent, rho)[0]
+def _elements_report(construction, inputs, x, t, built, note) -> VerificationReport:
+    """The one check of an element replay: the built elements (none stands
+    for the identity) generate t; note(generated) explains a failure."""
+    generated = subsemigroup_closure(t, built).members or (t.identity,)
+    passed = generated == tuple(range(t.size))
+    return VerificationReport(
+        construction=construction, inputs=inputs, built_pairs=x,
+        built_elements=tuple(sorted(built)), expected=None, computed=None,
+        passed=passed, distinguishing_pair=None,
+        note="" if passed else note(generated))
 
 
 def verify_fg_gens(s: FiniteSemigroup, gens: Iterable[int], rho: RightCongruence,
                    inputs: str = "") -> VerificationReport:
     """Generator-indexed pair set for a finite-index congruence on <gens> = S."""
+    rho = _congruence_on(s, rho)
     gens = sorted(set(gens))
     if subsemigroup_closure(s, gens).members != tuple(range(s.size)):
         raise NotGenerating("given set does not generate the semigroup")
@@ -112,7 +119,7 @@ def _l_congruence(s: FiniteSemigroup) -> RightCongruence:
     return right_congruence(s, green_data(s).l_class)
 
 
-def verify_lclass_gens(s: FiniteSemigroup, x: PairSet,
+def verify_lclass_gens(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]],
                        inputs: str = "") -> VerificationReport:
     """Element set built from a pair set generating the L-relation.
 
@@ -120,6 +127,7 @@ def verify_lclass_gens(s: FiniteSemigroup, x: PairSet,
     a = alpha*b joins the class representatives; the formal identity is
     allowed as alpha and contributes nothing.
     """
+    x = pair_set(s, x)
     lrel = _l_congruence(s)
     if rc_generate(s, x).class_of != lrel.class_of:
         raise PreconditionFailed("pair set does not generate the L-relation")
@@ -133,24 +141,17 @@ def verify_lclass_gens(s: FiniteSemigroup, x: PairSet,
         built.add(alpha)
     for members in lrel.classes():
         built.add(members[0])
-    closure = subsemigroup_closure(s, built)
-    passed = closure.members == tuple(range(s.size))
-    missing = sorted(set(range(s.size)) - set(closure.members))
-    return VerificationReport(
-        construction="lclass", inputs=inputs, built_pairs=x,
-        built_elements=tuple(sorted(built)), expected=None, computed=None,
-        passed=passed, distinguishing_pair=None,
-        note="" if passed else f"unreached elements: {missing}")
+    return _elements_report("lclass", inputs, x, s, built, lambda gen:
+                            f"unreached elements: {sorted(set(range(s.size)) - set(gen))}")
 
 
 def verify_dp_gens(m: FiniteSemigroup, n: FiniteSemigroup, rho: RightCongruence,
-                   full_pairs: bool = False, inputs: str = "") -> VerificationReport:
+                   inputs: str = "") -> VerificationReport:
     """Product generating set assembled from the two coordinate restrictions."""
     if m.identity is None or n.identity is None:
         raise NotMonoids("both factors must be monoids")
     p = direct_product(m, n)
-    if rho.parent.table != p.table:
-        raise ValueError("congruence does not live on the direct product")
+    rho = _congruence_on(p, rho)
 
     def idx(a, b):
         return a * n.size + b
@@ -170,18 +171,16 @@ def verify_dp_gens(m: FiniteSemigroup, n: FiniteSemigroup, rho: RightCongruence,
         for (i2, k), aik in alpha.items():
             if i == i2 and j != k:
                 built.add((idx(aij, d_reps[j]), idx(aik, d_reps[k])))
-    x = _generating_pairs(rho_n, full_pairs)
-    for (a, b) in x:
+    for (a, b) in minimal_generating_pairs(n, rho_n)[0]:
         built.add((idx(one_m, a), idx(one_m, b)))
     for j, dj in enumerate(d_reps):
         rho_j = right_congruence(m, [rho.class_of[idx(a, dj)] for a in range(m.size)])
-        xj = _generating_pairs(rho_j, full_pairs)
-        for (a, b) in xj:
+        for (a, b) in minimal_generating_pairs(m, rho_j)[0]:
             built.add((idx(a, dj), idx(b, dj)))
-    return _congruence_report("dp", inputs, p, built, right_congruence(p, rho.class_of))
+    return _congruence_report("dp", inputs, p, built, rho)
 
 
-def verify_schutz_gens(s: FiniteSemigroup, element: int, full_pairs: bool = False,
+def verify_schutz_gens(s: FiniteSemigroup, element: int,
                        inputs: str = "") -> VerificationReport:
     """Stabilizer-class generators for the group assigned to an H-class.
 
@@ -198,8 +197,7 @@ def verify_schutz_gens(s: FiniteSemigroup, element: int, full_pairs: bool = Fals
     for w in range(t.size):
         f = frozenset(t.table[h][w] for h in sg.h_class)
         keys.append(("in", tuple(sorted(f))) if f <= r_set else ("out",))
-    rho = right_congruence(t, keys)
-    x = _generating_pairs(rho, full_pairs)
+    x, _ = minimal_generating_pairs(t, right_congruence(t, keys))
 
     h0 = sg.h_class[0]
     a_classes = set()
@@ -215,34 +213,24 @@ def verify_schutz_gens(s: FiniteSemigroup, element: int, full_pairs: bool = Fals
         if chosen is None:
             raise InternalAssertFailure("no stabilizer element realizes the translate")
         a_classes.add(sg.sigma_class_of[chosen])
-    gamma = sg.group
-    if a_classes:
-        generated = subsemigroup_closure(gamma, sorted(a_classes)).members
-    else:
-        generated = (gamma.identity,)
-    passed = generated == tuple(range(gamma.size))
-    return VerificationReport(
-        construction="schutz", inputs=inputs, built_pairs=x,
-        built_elements=tuple(sorted(a_classes)), expected=None, computed=None,
-        passed=passed, distinguishing_pair=None,
-        note="" if passed else
-        f"generated {len(generated)} of {gamma.size} classes")
+    return _elements_report("schutz", inputs, x, sg.group, a_classes,
+                            lambda gen: f"generated {len(gen)} of {sg.group.size} classes")
 
 
-def _push_forward(s: FiniteSemigroup, phi: Sequence[int], rho: RightCongruence,
-                  full_pairs: bool) -> set[tuple[int, int]]:
+def _push_forward(s: FiniteSemigroup, phi: Sequence[int],
+                  rho: RightCongruence) -> set[tuple[int, int]]:
     """A generating set of the pullback of rho along phi: S -> T, mapped
     forward by phi."""
     pulled = right_congruence(s, [rho.class_of[v] for v in phi])
-    return {(phi[a], phi[b]) for (a, b) in _generating_pairs(pulled, full_pairs)}
+    return {(phi[a], phi[b]) for (a, b) in minimal_generating_pairs(s, pulled)[0]}
 
 
 def verify_quotient_gens(s: FiniteSemigroup, t: FiniteSemigroup,
                          theta: Sequence[int], rho_on_t: RightCongruence,
-                         full_pairs: bool = False,
                          inputs: str = "") -> VerificationReport:
     """Push a pullback's generating set through a surjective homomorphism;
     every entry of theta must be an int in [0, |T|), else RangeError."""
+    rho_on_t = _congruence_on(t, rho_on_t, "rho_on_t")
     if len(theta) != s.size:
         raise NotHomomorphism("map length must equal source size")
     theta = [_index(v, "theta entry", t.size) for v in theta]
@@ -253,7 +241,7 @@ def verify_quotient_gens(s: FiniteSemigroup, t: FiniteSemigroup,
     if set(theta) != set(range(t.size)):
         raise NotSurjective("map does not cover the target")
     return _congruence_report("quotient", inputs, t,
-                              _push_forward(s, theta, rho_on_t, full_pairs), rho_on_t)
+                              _push_forward(s, theta, rho_on_t), rho_on_t)
 
 
 def ideal_subsemigroup(s: FiniteSemigroup, ideal: Iterable[int]) -> tuple[FiniteSemigroup, tuple[int, ...]]:
@@ -269,23 +257,21 @@ def _internal_identity(s: FiniteSemigroup, members: Sequence[int]) -> int | None
 
 
 def verify_ideal_gens(s: FiniteSemigroup, ideal: Iterable[int], e: int,
-                      rho_on_i: RightCongruence, full_pairs: bool = False,
+                      rho_on_i: RightCongruence,
                       inputs: str = "") -> VerificationReport:
     """Left-multiply a pullback's generating set into an ideal with identity e."""
     isub, members = ideal_subsemigroup(s, ideal)
+    rho_on_i = _congruence_on(isub, rho_on_i, "rho_on_i")
     e = _index(e, "e", s.size)
     if e not in members:
         raise NoInternalIdentity("e must belong to the ideal")
     if _internal_identity(s, members) != e:
         raise NoInternalIdentity(f"{e} is not an identity inside the ideal")
     sub_index = {v: k for k, v in enumerate(members)}
-    if rho_on_i.parent.table != isub.table:
-        raise ValueError("congruence does not live on the ideal subsemigroup")
     # a -> e*a maps S onto the ideal with identity e
     phi = [sub_index[v] for v in s.table[e]]
     return _congruence_report("ideal", inputs, isub,
-                              _push_forward(s, phi, rho_on_i, full_pairs),
-                              right_congruence(isub, rho_on_i.class_of))
+                              _push_forward(s, phi, rho_on_i), rho_on_i)
 
 
 def _refines(rho: RightCongruence, sigma: RightCongruence) -> bool:
@@ -295,14 +281,14 @@ def _refines(rho: RightCongruence, sigma: RightCongruence) -> bool:
 
 
 def verify_extend_gens(s: FiniteSemigroup, rho: RightCongruence,
-                       sigma: RightCongruence, full_pairs: bool = False,
+                       sigma: RightCongruence,
                        inputs: str = "") -> VerificationReport:
     """Extend a refinement's generating set by representative cross pairs."""
+    rho, sigma = _congruence_on(s, rho), _congruence_on(s, sigma, "sigma")
     if not _refines(rho, sigma):
         raise NotRefinement("rho does not refine sigma")
-    x = _generating_pairs(rho, full_pairs)
     alpha = [members[0] for members in rho.classes()]
-    built = set(x.pairs)
+    built = set(minimal_generating_pairs(s, rho)[0].pairs)
     for i, ai in enumerate(alpha):
         for j, aj in enumerate(alpha):
             if i != j and sigma.related(ai, aj):

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgt.cli import ParseError, parse_input, run
 from sgt.congruence import right_congruence
@@ -466,3 +471,37 @@ def test_sandwich_dash_is_zero_and_other_tokens_are_ints():
     with pytest.raises(ParseError) as err:
         parse_input("cayley 2\n0 1\n1 -\n")
     assert err.value.line == 3
+
+
+FUZZ_TOKENS = ["-1", "0.5", "x", "99", "-", "12345678901234567890", ""]
+FUZZ_VERBS = [["info"], ["green"], ["congruences"], ["theta"], ["rees", "--construct"],
+              ["decompose", "--mode", "cr"], ["close", "--pairs", "0 1"],
+              ["diameter", "--pairs", "0 1"]]
+
+
+@st.composite
+def _one_token_mutation(draw):
+    """A small valid input with one token replaced, or one line dropped."""
+    lines = draw(st.sampled_from([Z3, T2, REES])).splitlines()
+    k = draw(st.integers(0, len(lines) - 1))
+    token = draw(st.sampled_from([*FUZZ_TOKENS, None]))
+    if token is None:
+        del lines[k]
+    else:
+        tokens = lines[k].split()
+        tokens[draw(st.integers(0, len(tokens) - 1))] = token
+        lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_token_mutation(), st.sampled_from(FUZZ_VERBS))
+def test_mutated_input_is_an_exit_code_never_a_traceback(text, verb):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([verb[0], "-i", "-", *verb[1:]])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1

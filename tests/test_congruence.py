@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sgt.congruence import _congruence_on
 from sgt.congruence import (CapExceeded, Disconnected, NotTwoSided,
                             RightCongruence, enumerate_right_congruences, find_x_sequence,
                             identity_congruence, minimal_generating_pairs,
@@ -372,6 +373,23 @@ def test_pair_set_of_its_semigroup_comes_back_as_it_is():
     # a PairSet of another semigroup is validated against the one it is used on
     y = pair_set(cyclic(2), pair_set(s, [(0, 1)]))
     assert y.parent == cyclic(2) and y.pairs == frozenset({(0, 1)})
+
+
+def test_congruence_of_its_semigroup_comes_back_as_it_is():
+    s = cyclic(6)
+    rho = rc_generate(s, [(0, 2)])
+    assert _congruence_on(s, rho) is rho
+    # equal tables suffice: labels and caches are not compared
+    assert _congruence_on(from_cayley(6, s.table), rho) is rho
+
+
+@pytest.mark.parametrize("a, b", [(-1, 0), (0, 3), (0, 1.0), (True, 0), ("0", 1)])
+def test_related_is_range_checked(a, b):
+    rho = universal_congruence(cyclic(3))
+    with pytest.raises(RangeError):
+        rho.related(a, b)
+    with pytest.raises(RangeError):
+        rho.related(b, a)
 
 
 @pytest.mark.parametrize("call", [rc_generate, rc_diameter,

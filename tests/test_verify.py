@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sgt.congruence import (identity_congruence, minimal_generating_pairs,
-                            pair_set, rc_generate, universal_congruence)
+from sgt.congruence import (identity_congruence, join, minimal_generating_pairs,
+                            pair_set, quotient_semigroup, rc_generate,
+                            universal_congruence)
 from sgt.core import (RangeError, Transformation, adjoin_identity, adjoin_zero,
                       direct_product, from_cayley, from_transformations, sub_semigroup)
 from sgt.library import (chain, cyclic, left_zero, library, rectangular_band,
@@ -30,6 +31,39 @@ def test_congruence_report_generates_the_built_pairs():
     assert not rep.passed and rep.distinguishing_pair == (0, 2)
     with pytest.raises(RangeError):
         _congruence_report("extend", "", s, [(0, 3)], universal_congruence(s))
+
+
+Z2, Z6 = cyclic(2), cyclic(6)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: minimal_generating_pairs(Z2, universal_congruence(Z6)),
+    lambda: quotient_semigroup(Z2, universal_congruence(Z6)),
+    lambda: join(universal_congruence(Z2), universal_congruence(Z6)),
+    lambda: verify_fg_gens(Z2, [1], universal_congruence(Z6)),
+    # same size as Z2 x Z2, another table
+    lambda: verify_dp_gens(Z2, Z2, universal_congruence(cyclic(4))),
+    lambda: verify_quotient_gens(Z6, Z2, [v % 2 for v in range(6)],
+                                 universal_congruence(cyclic(3))),
+    lambda: verify_ideal_gens(Z2, [0, 1], 0, universal_congruence(cyclic(3))),
+    lambda: verify_extend_gens(Z6, identity_congruence(Z6), universal_congruence(Z2)),
+    lambda: verify_extend_gens(Z2, identity_congruence(Z6), universal_congruence(Z2)),
+], ids=["minimal_generating_pairs", "quotient_semigroup", "join", "fg", "dp",
+        "quotient", "ideal", "extend_sigma", "extend_rho"])
+def test_congruence_of_another_semigroup_is_range_checked(call):
+    with pytest.raises(RangeError, match="congruence of another semigroup"):
+        call()
+
+
+def test_lclass_takes_a_list_of_pairs():
+    s = left_zero(2)
+    rep = verify_lclass_gens(s, [(0, 1)])
+    assert rep.passed and rep.built_pairs == pair_set(s, [(0, 1)])
+    # a PairSet of another semigroup is checked against s, not carried over
+    rep = verify_lclass_gens(s, pair_set(left_zero(3), [(0, 1)]))
+    assert rep.built_pairs.parent == s
+    with pytest.raises(RangeError):
+        verify_lclass_gens(s, pair_set(left_zero(3), [(0, 2)]))
 
 
 def test_fg_universal_on_z2():
@@ -130,6 +164,14 @@ def test_schutz_right_zero():
     # pairs of S^1 = S + {3} for the in-R-class translates: x's R-class is {x}
     for x in range(3):
         assert list(verify_schutz_gens(right_zero(3), x).built_pairs) == [(x, 3)]
+
+
+def test_schutz_without_built_elements_is_the_trivial_group(lib):
+    # a and a^2 of {a, a^2, 0} lie in trivial H-classes, and no generating
+    # pair inside their R-classes yields a stabilizer class
+    for x in (0, 1):
+        rep = verify_schutz_gens(lib["n3"], x)
+        assert rep.built_elements == () and rep.passed
 
 
 def test_schutz_rectangular_band():
@@ -261,13 +303,6 @@ def test_extend_rejects_non_refinement():
     sigma = identity_congruence(s)
     with pytest.raises(NotRefinement):
         verify_extend_gens(s, rho, sigma)
-
-
-def test_full_pairs_flag_also_passes(lib):
-    s = lib["rz3"]
-    rho = rc_generate(s, [(0, 1)])
-    assert verify_extend_gens(s, rho, universal_congruence(s), full_pairs=True).passed
-    assert verify_schutz_gens(lib["z4"], 1, full_pairs=True).passed
 
 
 def test_reports_reproducible():

@@ -8,7 +8,9 @@ Rees-format inputs and malformed files, with valid and invalid arguments
 (bad integer tokens included), plus ``verify --sweep`` in text and JSON.
 Two Rees inputs over S3, whose tables have 36 and 37 elements, get the
 verbs that stay fast there.  Each line holds the argv, the exit code,
-stdout and stderr.  The input files are
+stdout and stderr.  A last line holds the number of ``sweep()`` reports and
+the sha256 of their JSON (``cli._report_json``) in sweep order, so that the
+report order is checked too.  The input files are
 written to a temporary directory and named relatively, so two captures of
 the same code are byte-identical.  ``--src`` selects the ``sgt`` sources to
 import (default: this checkout's ``src``); capture two trees and ``diff``
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -167,8 +170,9 @@ def main(argv=None) -> int:
     out_path = Path(args.out).resolve()
     os.environ["COLUMNS"] = "80"  # argparse wraps --help output to the terminal
     sys.path.insert(0, str(Path(args.src).resolve()))
-    from sgt.cli import _cayley_text, parse_input, run
+    from sgt.cli import _cayley_text, _report_json, parse_input, run
     from sgt.library import library
+    from sgt.verify import sweep
 
     files = _inputs(_cayley_text, library())
     cwd = os.getcwd()
@@ -182,10 +186,13 @@ def main(argv=None) -> int:
             records = [_invoke(run, argv) for argv in _argvs(sizes)]
         finally:
             os.chdir(cwd)
+    reports = [_report_json(rep) for rep in sweep()]
+    records.append({"sweep_reports": len(reports), "sweep_sha256": hashlib.sha256(
+        json.dumps(reports).encode("utf-8")).hexdigest()})
     with open(out_path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
-    print(f"{len(records)} invocations -> {out_path}")
+    print(f"{len(records) - 1} invocations and the sweep digest -> {out_path}")
     return 0
 
 
