@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import (classify, enumerate_right_congruences, find_x_sequence,
                green_data, maximal_subgroups, minimal_generating_pairs,
@@ -569,16 +570,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Exit codes: 0 success, 1 usage/parse/precondition error, 2 a failed
-    verification, 3 an internal check failed (a bug)."""
-    try:
-        args = build_parser().parse_args(argv)
-        return args.handler(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InternalAssertFailure as exc:
-        print(f"error: internal: {exc}", file=sys.stderr)
-        return 3
+    verification, 3 an internal check failed (a bug).  Warnings print as
+    "warning:" lines after the output, and not at all after an error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.handler(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except InternalAssertFailure as exc:
+            print(f"error: internal: {exc}", file=sys.stderr)
+            return 3
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return code
 
 
 def console_main() -> None:

@@ -5,9 +5,8 @@ import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Sequence
-
-import numpy as np
 
 
 class RangeError(ValueError):
@@ -87,27 +86,18 @@ class SubsetClosure:
     members: tuple[int, ...]
 
 
-# Cells per temporary array in the associativity checks, so that memory
-# stays bounded as n grows (a block holds at least one n-by-n slice).
-_CHUNK_CELLS = 1 << 21
-
-
-def _first_nonassociative_triple(t: np.ndarray) -> tuple[int, int, int] | None:
+def _first_nonassociative_triple(rows) -> tuple[int, int, int] | None:
     """First (i, j, k) in lexicographic order with (i*j)*k != i*(j*k), by full scan."""
-    n = t.shape[0]
-    # t[t[i]] is row-indexed: (t[t[i]])[j,k] = t[t[i,j], k]; t[i, t] gives t[i, t[j,k]].
-    block = max(1, _CHUNK_CELLS // (n * n))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        left = t[t[lo:hi]]
-        right = t[lo:hi][:, t]
-        if not np.array_equal(left, right):
-            i, j, k = np.argwhere(left != right)[0]
-            return (int(i) + lo, int(j), int(k))
+    gets = [itemgetter(*row) for row in rows]
+    for i, row in enumerate(rows):
+        for j, ij in enumerate(row):
+            left, right = rows[ij], gets[j](row)  # (i*j)*k and i*(j*k) over k
+            if left != right:
+                return i, j, next(k for k, (u, v) in enumerate(zip(left, right)) if u != v)
     return None
 
 
-def _greedy_generators(rows: list[list[int]]) -> list[int]:
+def _greedy_generators(rows) -> list[int]:
     """A generating set: each generator is the least element not yet reached.
 
     Reached elements are the generators and their left-bracketed products,
@@ -141,23 +131,18 @@ def _greedy_generators(rows: list[list[int]]) -> list[int]:
     return gens
 
 
-def _light_associative(t: np.ndarray, gens: list[int]) -> bool:
+def _light_associative(rows, gens: list[int]) -> bool:
     """Light's test: (x*a)*y == x*(a*y) for all x, y and every generator a.
 
     Exact: the b with (x*b)*y == x*(b*y) for all x, y are closed under
-    products, so holding on a generating set it holds on all of S.
+    products, so holding on a generating set it holds on all of S.  Rows
+    are tuples, so each side is compared as one tuple of rows.
     """
-    n = t.shape[0]
-    step = max(1, _CHUNK_CELLS // (n * n))
-    gens = np.array(gens)
-    for lo in range(0, len(gens), step):
-        g = gens[lo:lo + step]
-        # Both have shape (n, len(g), n): [x, a, y] is (x*a)*y, resp. x*(a*y).
-        left = t.take(t.take(g, axis=1), axis=0)
-        right = t.take(t.take(g, axis=0), axis=1)
-        if not (left == right).all():
-            return False
-    return True
+    if len(rows) == 1:  # [[0]]; a one-argument itemgetter returns a scalar
+        return True
+    return all(itemgetter(*map(itemgetter(a), rows))(rows)  # rows of x*a
+               == tuple(map(itemgetter(*rows[a]), rows))  # rows of x*(a*y)
+               for a in gens)
 
 
 def from_cayley(n: int, rows: Sequence[Sequence[int]],
@@ -167,7 +152,7 @@ def from_cayley(n: int, rows: Sequence[Sequence[int]],
     Entries must be ints (numpy integers included) in [0, n); bools,
     floats and strings raise RangeError, as do out-of-range entries.
     Associativity is decided by Light's test over a greedy generating set
-    of size k, in O(n^2 * k) array work; a non-associative table raises
+    of size k, in O(n^2 * k) C-level gathers; a non-associative table raises
     AssociativityViolation carrying the lexicographically first failing
     triple.  The identity and zero, when present, are detected and cached.
     """
@@ -178,36 +163,27 @@ def from_cayley(n: int, rows: Sequence[Sequence[int]],
     for row in rows:
         if len(row) != n:
             raise RangeError(f"expected {n} columns, got {len(row)}")
-    # np.asarray casts bools mixed with ints to ints, so the cell types are checked too.
-    try:
-        t = np.asarray(rows)
-        valid = (t.shape == (n, n) and t.dtype.kind in "iu"
-                 and (isinstance(rows, np.ndarray)
-                      or all(tp is int or issubclass(tp, np.integer)
-                             for tp in set(map(type, chain.from_iterable(rows)))))
-                 and t.min() >= 0 and t.max() < n)
-    except (ValueError, TypeError):
-        valid = False
-    if not valid:
+    rows = list(map(tuple, rows))
+    if not (set(map(type, chain.from_iterable(rows))) == {int}
+            and frozenset(range(n)).issuperset(chain.from_iterable(rows))):
         # one check per cell, to name the first bad entry
-        t = np.array([[_index(v, "entry", n) for v in row] for row in rows])
-    rows = t.tolist()
-    if not _light_associative(t, _greedy_generators(rows)):
-        raise AssociativityViolation(_first_nonassociative_triple(t))
+        rows = [tuple([_index(v, "entry", n) for v in row]) for row in rows]
+    if not _light_associative(rows, _greedy_generators(rows)):
+        raise AssociativityViolation(_first_nonassociative_triple(rows))
     if labels is not None:
         if len(labels) != n:
             raise RangeError("labels length must equal size")
         labels = tuple(str(x) for x in labels)
     # An identity is the only left identity, and a zero is the product of
     # all elements, so each has one candidate to check.
-    ar = list(range(n))
+    ar = tuple(range(n))
     e = next((x for x in ar if rows[x] == ar), None)
     identity = e if e is not None and all(row[e] == x for x, row in enumerate(rows)) else None
     z = 0
     for x in ar:
         z = rows[z][x]
     zero = z if rows[z].count(z) == n and all(row[z] == z for row in rows) else None
-    return FiniteSemigroup(size=n, table=tuple(map(tuple, rows)), labels=labels,
+    return FiniteSemigroup(size=n, table=tuple(rows), labels=labels,
                            identity=identity, zero=zero)
 
 
@@ -272,14 +248,18 @@ def adjoin_zero(s: FiniteSemigroup, only_if_missing: bool = False) -> FiniteSemi
     return _adjoin(s, [n] * n, [n] * (n + 1), "0")
 
 
+def _product_table(m: FiniteSemigroup, n: FiniteSemigroup) -> tuple[tuple[int, ...], ...]:
+    """The componentwise product's table; (i, j) sits at index i*|N| + j."""
+    nn = n.size
+    return tuple(tuple([x * nn + y for x in mrow for y in nrow])
+                 for mrow in m.table for nrow in n.table)
+
+
 def direct_product(m: FiniteSemigroup, n: FiniteSemigroup) -> FiniteSemigroup:
     """Componentwise product; (i, j) sits at index i*|N| + j."""
-    nn = n.size
-    table = [[x * nn + y for x in mrow for y in nrow]
-             for mrow in m.table for nrow in n.table]
     labels = tuple(f"({m.label(a)},{n.label(b)})"
-                   for a in range(m.size) for b in range(nn))
-    return from_cayley(m.size * nn, table, labels=labels)
+                   for a in range(m.size) for b in range(n.size))
+    return from_cayley(m.size * n.size, _product_table(m, n), labels=labels)
 
 
 def _hom_failure(src_table, dst_table, phi) -> tuple[int, int] | None:
@@ -324,16 +304,21 @@ def rees_quotient(s: FiniteSemigroup, ideal: Iterable[int]) -> FiniteSemigroup:
     return from_cayley(n, table, labels=labels)
 
 
-def sub_semigroup(s: FiniteSemigroup, members: Sequence[int]) -> FiniteSemigroup:
-    """Restrict the table to a multiplicatively closed subset (given order)."""
+def _restricted_table(s: FiniteSemigroup, members: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The table of s on members, renumbered in the given order; ValueError
+    names the first product that leaves them."""
     index = {x: i for i, x in enumerate(members)}
     for a in members:
         for b in members:
             if s.table[a][b] not in index:
                 raise ValueError(f"subset not closed: {a}*{b} = {s.table[a][b]}")
-    table = [[index[s.table[a][b]] for b in members] for a in members]
+    return tuple(tuple([index[s.table[a][b]] for b in members]) for a in members)
+
+
+def sub_semigroup(s: FiniteSemigroup, members: Sequence[int]) -> FiniteSemigroup:
+    """Restrict the table to a multiplicatively closed subset (given order)."""
     labels = tuple(s.label(x) for x in members)
-    return from_cayley(len(members), table, labels=labels)
+    return from_cayley(len(members), _restricted_table(s, members), labels=labels)
 
 
 def subsemigroup_closure(s: FiniteSemigroup, seed: Iterable[int]) -> SubsetClosure:

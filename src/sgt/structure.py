@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 from .core import (FiniteSemigroup, InternalAssertFailure, RangeError,
                    _hom_failure, _index, classify, from_cayley, sub_semigroup)
@@ -86,19 +87,23 @@ def rees_structure(group: FiniteSemigroup, i_size: int, j_size: int,
                          p_matrix=tuple(rows), with_zero=with_zero)
 
 
-def _rees_table(r: ReesStructure) -> list[list[int]]:
-    """The product table on the triples in lexicographic order, then the zero."""
+def _rees_table(r: ReesStructure) -> list[tuple[int, ...]]:
+    """The product table on the triples in lexicographic order, then the zero.
+
+    (i1, g1, j1)*(i2, g2, j2) = (i1, c*g2, j2) with c = g1*p[j1][i2], so the
+    part of a row over one i2 is a block fixed by (i1, c), or zeros."""
     ng, jsz, gt = r.group.size, r.j_size, r.group.table
     nt = r.triple_count()  # also the index of the zero
-    triples = [(i, g, j) for i in range(r.i_size) for g in range(ng) for j in range(jsz)]
-    table = []
-    for (i1, g1, j1) in triples:
-        base, prow, grow = i1 * ng, r.p_matrix[j1], gt[g1]
-        row = [nt if prow[i2] is ZERO else (base + gt[grow[prow[i2]]][g2]) * jsz + j2
-               for i2, g2, j2 in triples]
-        table.append(row + [nt] if r.with_zero else row)
+    # blocks[i][c]: the products (i, c*g2, j2) over (g2, j2) in order
+    blocks = [[[(i * ng + cg) * jsz + j for cg in gt[c] for j in range(jsz)]
+               for c in range(ng)] for i in range(r.i_size)]
+    zeros = [nt] * (ng * jsz)
+    tail = [[nt]] if r.with_zero else []
+    table = [tuple(chain.from_iterable(
+                [zeros if p is ZERO else ib[grow[p]] for p in r.p_matrix[j]] + tail))
+             for ib in blocks for grow in gt for j in range(jsz)]
     if r.with_zero:
-        table.append([nt] * (nt + 1))
+        table.append((nt,) * (nt + 1))
     return table
 
 
@@ -141,8 +146,7 @@ def theta_congruence(s: FiniteSemigroup, r: ReesStructure) -> tuple[ThetaPattern
     """
     if not r.with_zero:
         raise MismatchedInput("theta congruence needs a structure with zero")
-    table = _rees_table(r)
-    if s.size != len(table) or s.table != tuple(tuple(row) for row in table):
+    if s.table != tuple(_rees_table(r)):
         raise MismatchedInput("semigroup was not constructed from this structure")
     vectors = tuple(tuple(1 if v is not ZERO else 0 for v in row)
                     for row in r.p_matrix)

@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import (FiniteSemigroup, InternalAssertFailure, _hom_failure,
-                   _ideal_members, _index, adjoin_identity, direct_product,
+from .core import (FiniteSemigroup, InternalAssertFailure, RangeError,
+                   _hom_failure, _ideal_members, _index, _product_table,
+                   _restricted_table, adjoin_identity, direct_product,
                    sub_semigroup, subsemigroup_closure)
 from .congruence import (PairSet, RightCongruence, _congruence_on,
                          _principal_closure, enumerate_right_congruences,
@@ -150,8 +151,8 @@ def verify_dp_gens(m: FiniteSemigroup, n: FiniteSemigroup, rho: RightCongruence,
     """Product generating set assembled from the two coordinate restrictions."""
     if m.identity is None or n.identity is None:
         raise NotMonoids("both factors must be monoids")
-    p = direct_product(m, n)
-    rho = _congruence_on(p, rho)
+    if rho.parent.table != _product_table(m, n):  # compared, not rebuilt
+        raise RangeError("rho is a congruence of another semigroup")
 
     def idx(a, b):
         return a * n.size + b
@@ -177,7 +178,7 @@ def verify_dp_gens(m: FiniteSemigroup, n: FiniteSemigroup, rho: RightCongruence,
         rho_j = right_congruence(m, [rho.class_of[idx(a, dj)] for a in range(m.size)])
         for (a, b) in minimal_generating_pairs(m, rho_j)[0]:
             built.add((idx(a, dj), idx(b, dj)))
-    return _congruence_report("dp", inputs, p, built, rho)
+    return _congruence_report("dp", inputs, rho.parent, built, rho)
 
 
 def verify_schutz_gens(s: FiniteSemigroup, element: int,
@@ -260,8 +261,9 @@ def verify_ideal_gens(s: FiniteSemigroup, ideal: Iterable[int], e: int,
                       rho_on_i: RightCongruence,
                       inputs: str = "") -> VerificationReport:
     """Left-multiply a pullback's generating set into an ideal with identity e."""
-    isub, members = ideal_subsemigroup(s, ideal)
-    rho_on_i = _congruence_on(isub, rho_on_i, "rho_on_i")
+    members = _ideal_members(s, ideal)
+    if rho_on_i.parent.table != _restricted_table(s, members):
+        raise RangeError("rho_on_i is a congruence of another semigroup")
     e = _index(e, "e", s.size)
     if e not in members:
         raise NoInternalIdentity("e must belong to the ideal")
@@ -270,7 +272,7 @@ def verify_ideal_gens(s: FiniteSemigroup, ideal: Iterable[int], e: int,
     sub_index = {v: k for k, v in enumerate(members)}
     # a -> e*a maps S onto the ideal with identity e
     phi = [sub_index[v] for v in s.table[e]]
-    return _congruence_report("ideal", inputs, isub,
+    return _congruence_report("ideal", inputs, rho_on_i.parent,
                               _push_forward(s, phi, rho_on_i), rho_on_i)
 
 

@@ -95,6 +95,25 @@ def brute_first_nonassociative(rows):
     return None
 
 
+def brute_rees_table(group_table, i_size, j_size, p, with_zero):
+    """The matrix semigroup's table, one triple product per cell:
+    (i1, g1, j1)(i2, g2, j2) = (i1, g1 p[j1][i2] g2, j2), or the zero when
+    p[j1][i2] is None; triples in lexicographic order, the zero last."""
+    g = group_table
+    triples = list(itertools.product(range(i_size), range(len(g)), range(j_size)))
+    index = {t: k for k, t in enumerate(triples)}
+    zero = len(triples)
+
+    def mul(x, y):
+        (i1, g1, j1), (i2, g2, j2) = x, y
+        if p[j1][i2] is None:
+            return zero
+        return index[(i1, g[g[g1][p[j1][i2]]][g2], j2)]
+
+    rows = [[mul(x, y) for y in triples] + [zero] * with_zero for x in triples]
+    return rows + [[zero] * (zero + 1)] * with_zero
+
+
 def brute_closure(s, seed):
     """Smallest superset of seed closed under products, by squaring until stable."""
     members = set(seed)

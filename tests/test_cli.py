@@ -1,12 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgt
 from sgt.cli import ParseError, parse_input, run
 from sgt.congruence import right_congruence
 from sgt.library import cyclic
@@ -505,3 +510,29 @@ def test_mutated_input_is_an_exit_code_never_a_traceback(text, verb):
     if code == 1:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+def _python(*args, cwd=None):
+    """A fresh interpreter that imports this sgt; warnings reach its stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(sgt.__file__).resolve().parent.parent)}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    out = _python("-c", "import sys, sgt.cli; print('numpy' in sys.modules)")
+    assert (out.returncode, out.stdout, out.stderr) == (0, "False\n", "")
+
+
+IRREGULAR_REES = "rees 1 2 2 1\n0\n- -\n- 0\n"
+
+
+def test_a_library_warning_is_one_line_and_an_error_drops_it(tmp_path):
+    (tmp_path / "w.rs").write_text(IRREGULAR_REES)
+    out = _python("-m", "sgt.cli", "decompose", "--mode", "cr", "-i", "w.rs", cwd=tmp_path)
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == "error: input is not a union of groups\n"
+    out = _python("-m", "sgt.cli", "rees", "--construct", "-i", "w.rs", cwd=tmp_path)
+    assert out.returncode == 0 and out.stdout.startswith("cayley 5\n")
+    assert out.stderr == ("warning: sandwich matrix is not regular; "
+                          "classification not checked\n")

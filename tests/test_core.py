@@ -466,10 +466,9 @@ def test_greedy_generators_sizes():
 
 
 @pytest.mark.parametrize("s", _MANY_GENERATORS)
-def test_from_cayley_chunked_light_test_is_exact(monkeypatch, s):
-    # one generator per chunk, so a defect seen only by a late generator
-    # must be found in a later chunk
-    monkeypatch.setattr(core, "_CHUNK_CELLS", 1)
+def test_from_cayley_chunked_light_test_is_exact(s):
+    # many generators, so a defect seen only by a late generator must be
+    # found by its own gather
     n = s.size
     rows = [list(r) for r in s.table]
     _check_against_brute(rows)
@@ -478,6 +477,27 @@ def test_from_cayley_chunked_light_test_is_exact(monkeypatch, s):
         bent = [list(r) for r in rows]
         bent[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
         _check_against_brute(bent)
+
+
+@pytest.mark.parametrize("rows", [[[0]], ((0,),), [[np.int8(0)]], np.array([[0]])])
+def test_from_cayley_one_by_one(rows):
+    s = from_cayley(1, rows)
+    assert s.table == ((0,),) and s.identity == s.zero == 0
+    assert type(s.table[0][0]) is int
+
+
+@pytest.mark.parametrize("rows", [[[1]], [[-1]], [[True]], [[0.0]], np.array([[1]])])
+def test_from_cayley_one_by_one_rejects_a_bad_entry(rows):
+    with pytest.raises(RangeError, match=r"entry must be an int in \[0, 1\), got "):
+        from_cayley(1, rows)
+
+
+@pytest.mark.parametrize("cell", [(1, 2), (250, 499), (499, 499), (0, 7)])
+def test_from_cayley_names_the_first_triple_of_a_bent_cyclic_500(cell):
+    rows = [list(r) for r in cyclic(500).table]
+    a, b = cell
+    rows[a][b] = (rows[a][b] + 1) % 500
+    _check_against_brute(rows)
 
 
 def test_from_cayley_cpu_time_is_bounded():
@@ -489,8 +509,8 @@ def test_from_cayley_cpu_time_is_bounded():
 
 
 def test_from_cayley_memory_is_bounded_when_every_element_generates():
-    # an unchunked (n, k, n) gather over left_zero(300)'s 300 generators
-    # would take 216 MB
+    # left_zero(300) has 300 generators; holding every generator's n-by-n
+    # gather at once would take 216 MB
     rows = [[a] * 300 for a in range(300)]
     tracemalloc.start()
     try:

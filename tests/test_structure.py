@@ -16,8 +16,8 @@ from sgt.structure import (InvalidGroup, MismatchedInput, NotCommutative,
                            RaggedMatrix, archimedean_decomposition,
                            completeness_check, cr_decomposition,
                            diagonal_cyclic_witness, h_congruence_check,
-                           rees_construct, rees_coordinates, rees_structure,
-                           theta_congruence)
+                           _rees_table, rees_construct, rees_coordinates,
+                           rees_structure, theta_congruence)
 from sgt.verify import isomorphic
 
 
@@ -50,6 +50,35 @@ def test_rees_construct_irregular_warns():
     r = rees_structure(trivial(), 2, 2, [[0, 0], [None, None]], with_zero=True)
     with pytest.warns(UserWarning):
         rees_construct(r)
+
+
+_GROUPS = [trivial(), cyclic(2), cyclic(3), cyclic(4),
+           direct_product(cyclic(2), cyclic(2)),
+           from_transformations(3, [Transformation(3, (1, 0, 2)),
+                                    Transformation(3, (1, 2, 0))])]
+
+
+@st.composite
+def _rees_inputs(draw):
+    g = draw(st.sampled_from(_GROUPS))
+    perm = draw(st.permutations(range(g.size)))  # relabel: x -> perm[x]
+    inv = sorted(range(g.size), key=perm.__getitem__)
+    gt = [[perm[g.table[inv[a]][inv[b]]] for b in range(g.size)] for a in range(g.size)]
+    i_size, j_size = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    with_zero = draw(st.booleans())
+    entry = st.integers(0, g.size - 1)
+    if with_zero:
+        entry = st.none() | entry
+    p = [[draw(entry) for _ in range(i_size)] for _ in range(j_size)]
+    return gt, i_size, j_size, p, with_zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rees_inputs())
+def test_rees_table_matches_the_triple_product(case):
+    gt, i_size, j_size, p, with_zero = case
+    r = rees_structure(from_cayley(len(gt), gt), i_size, j_size, p, with_zero)
+    assert list(map(list, _rees_table(r))) == oracles.brute_rees_table(*case)
 
 
 def test_rees_structure_validation():
