@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .core import FiniteSemigroup, RangeError, _index, from_cayley
@@ -82,6 +83,16 @@ class RightCongruence:
         n = len(self.class_of)
         return self.class_of[_index(a, "element", n)] == self.class_of[_index(b, "element", n)]
 
+    @cached_property
+    def _links(self) -> tuple[tuple[int, int], ...]:
+        return _member_links(self.class_of)
+
+
+def _member_links(class_of) -> tuple[tuple[int, int], ...]:
+    """(first member, member) for every member but the first of each class."""
+    first: dict = {}
+    return tuple((f, x) for x, c in enumerate(class_of) if (f := first.setdefault(c, x)) != x)
+
 
 def _canonical_classes(keys) -> tuple[int, ...]:
     """Class labels numbered by first occurrence."""
@@ -101,18 +112,29 @@ def _incompatible(s: FiniteSemigroup, class_of,
                   two_sided: bool = False) -> tuple[int, int, int] | None:
     """First (a, b, t) with a ~ b but a*t !~ b*t (or, when two_sided,
     t*a !~ t*b), else None.  Classes go in order of first occurrence, then
-    consecutive members (a, b), which suffice by transitivity, then t."""
+    consecutive members (a, b), which suffice by transitivity, then t.
+
+    Only t in the generating set is tried first: the translations that keep
+    the partition are closed under products, so if every generator keeps
+    it, all of S does.  The full scan runs only when a generator fails, to
+    report the first witness.
+    """
     table = s.table
     groups: dict = {}
     for x, c in enumerate(class_of):
         groups.setdefault(c, []).append(x)
-    for members in groups.values():
-        for a, b in zip(members, members[1:]):
-            row_a, row_b = table[a], table[b]
-            for t in range(s.size):
-                if class_of[row_a[t]] != class_of[row_b[t]] or (
-                        two_sided and class_of[table[t][a]] != class_of[table[t][b]]):
-                    return a, b, t
+    links = [(a, b) for members in groups.values() for a, b in zip(members, members[1:])]
+    gens = s.generators
+    if all(class_of[table[a][g]] == class_of[table[b][g]] for a, b in links for g in gens) and (
+            not two_sided or all(class_of[table[g][a]] == class_of[table[g][b]]
+                                 for a, b in links for g in gens)):
+        return None
+    for a, b in links:
+        row_a, row_b = table[a], table[b]
+        for t in range(s.size):
+            if class_of[row_a[t]] != class_of[row_b[t]] or (
+                    two_sided and class_of[table[t][a]] != class_of[table[t][b]]):
+                return a, b, t
     return None
 
 
@@ -137,6 +159,14 @@ def universal_congruence(s: FiniteSemigroup) -> RightCongruence:
     return RightCongruence(parent=s, class_of=(0,) * s.size, index=1)
 
 
+def _find(parent: list[int], a: int) -> int:
+    """The root of a in a union-find forest, halving the path on the way."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
 def _close(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]] = (),
            closed: Iterable[tuple[int, ...]] = (),
            two_sided: bool = False) -> RightCongruence:
@@ -147,45 +177,40 @@ def _close(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]] = (),
     a congruence of the kind built (the transitive closure of compatible
     equivalences is compatible); with no pairs, the result is their plain
     join as equivalences.  Every union that a pair adds is queued and
-    translated on the right by all elements (and on the left when
-    two_sided) until the queue empties.
+    translated on the right by each generator of s (and on the left too
+    when two_sided) until the queue empties.  That is enough: every union
+    then relates its translates by each generator, so by transitivity every
+    pair of the result does, and by induction on word length so do its
+    translates by every element of S.
     """
     n = s.size
     table = s.table
     parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for class_of in closed:
-        first: dict[int, int] = {}
-        for x, c in enumerate(class_of):
-            f = first.setdefault(c, x)
-            if f != x:
-                rx, rf = find(x), find(f)
-                if rx != rf:
-                    parent[rx] = rf
+        for f, x in _member_links(class_of):
+            rx, rf = _find(parent, x), _find(parent, f)
+            if rx != rf:
+                parent[rx] = rf
     queue = []
 
     def union(a, b):
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[rb] = ra
             queue.append((a, b))
 
     for a, b in pairs:
         union(a, b)
+    gens = s.generators
+    left = [table[g] for g in gens] if two_sided else []
     while queue:
         a, b = queue.pop()
-        for u, v in zip(table[a], table[b]):
-            union(u, v)
-        if two_sided:
-            for row in table:
-                union(row[a], row[b])
-    canon = _canonical_classes(map(find, range(n)))
+        row_a, row_b = table[a], table[b]
+        for g in gens:
+            union(row_a[g], row_b[g])
+        for row in left:
+            union(row[a], row[b])
+    canon = _canonical_classes([_find(parent, x) for x in range(n)])
     return RightCongruence(parent=s, class_of=canon, index=max(canon) + 1)
 
 
@@ -341,11 +366,34 @@ def join(rho: RightCongruence, sigma: RightCongruence) -> RightCongruence:
     """Least congruence above both: sigma's classes merged into rho's partition.
 
     Both are closed already, so the merged partition is closed too and no
-    union needs translating: the join costs one union-find pass over S.
-    Joins of two-sided congruences are therefore two-sided.
+    union needs translating; joins of two-sided congruences are therefore
+    two-sided.  The merge is a union-find over rho's class labels, driven
+    by sigma's links (first member, member).  A merged group keeps its
+    least label, which is the one that occurs first in S, so numbering the
+    surviving labels in order gives the canonical class map.  When nothing
+    merges, the join is rho itself.
     """
     sigma = _congruence_on(rho.parent, sigma, "sigma")
-    return _close(rho.parent, closed=(rho.class_of, sigma.class_of))
+    cls = rho.class_of
+    parent = list(range(rho.index))
+    for f, x in sigma._links:
+        rf, rx = _find(parent, cls[f]), _find(parent, cls[x])
+        if rf < rx:
+            parent[rx] = rf
+        elif rx < rf:
+            parent[rf] = rx
+    relabel: list[int] = []
+    index = 0
+    for c, p in enumerate(parent):  # below a root, p < c is relabelled already
+        if p == c:
+            relabel.append(index)
+            index += 1
+        else:
+            relabel.append(relabel[p])
+    if index == rho.index:
+        return rho
+    return RightCongruence(parent=rho.parent, class_of=tuple(map(relabel.__getitem__, cls)),
+                           index=index)
 
 
 def _principal_closure(s: FiniteSemigroup, two_sided: bool = False,
@@ -369,11 +417,20 @@ def _principal_closure(s: FiniteSemigroup, two_sided: bool = False,
             rho = _close(s, [(a, b)], two_sided=two_sided)
             if add(rho):
                 principal.append((a, b, rho))
+    # The principals strictly below sigma are those of larger index whose
+    # pair sigma relates; sigma is join-irreducible unless they join to it.
+    irreducible = []
+    for a, b, sigma in principal:
+        cls = sigma.class_of
+        below = [tau.class_of for c, d, tau in principal
+                 if tau.index > sigma.index and cls[c] == cls[d]]
+        if not below or _close(s, closed=below).class_of != cls:
+            irreducible.append((a, b, sigma))
     fresh = [rho for _, _, rho in principal]
     while fresh:
         rho = fresh.pop()
         cls = rho.class_of
-        for a, b, sigma in principal:
+        for a, b, sigma in irreducible:
             if cls[a] != cls[b]:
                 j = join(rho, sigma)
                 if add(j):
@@ -383,17 +440,23 @@ def _principal_closure(s: FiniteSemigroup, two_sided: bool = False,
 
 def enumerate_right_congruences(s: FiniteSemigroup,
                                 cap: int | None = None) -> CongruenceLattice:
-    """All right congruences: the principal ones closed under join.
+    """All right congruences: the join-irreducible principal ones closed
+    under join.
 
     Every right congruence rho is the join of the principal right
     congruences <(a, b)> of its own pairs: it contains each of them, and
-    together they relate all of its pairs.  The closure starts from the
+    together they relate all of its pairs.  Each principal congruence is
+    closed by translating by the generating set of s only.  In a finite
+    lattice every element is a join of join-irreducible ones, and those
+    are principal here, so only the join-irreducible principals are kept
+    as join partners: a principal congruence is dropped when the principal
+    ones strictly below it join to it.  The closure starts from the
     identity and the distinct principal congruences, keeping one
     generating pair (a, b) for each, and joins every congruence found with
-    each principal one, skipping the join when it already relates (a, b)
-    (the join is then itself).  The set found is closed under joining with
-    principal congruences, so it holds every finite join of them, which is
-    every right congruence.  Each join merges two closed partitions and
+    each join-irreducible one, skipping the join when it already relates
+    (a, b) (the join is then itself).  The set found is closed under these
+    joins, so it holds every finite join of them, which is every right
+    congruence.  Each join merges classes of two closed partitions and
     re-saturates nothing.
 
     Congruences are ordered by decreasing index, then by class map.
@@ -410,10 +473,10 @@ def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
     """A pair set generating rho, with an optimality flag.
 
     Candidates are the within-class pairs.  When there are at most
-    exact_limit candidates the minimum-cardinality subset is found by
-    iterative deepening (optimal=True); otherwise a greedy cover is built
-    (optimal=False).  exact_limit must be a non-negative int (RangeError
-    otherwise).
+    exact_limit candidates the minimum-cardinality subset, first in
+    lexicographic order, is found by iterative deepening (optimal=True);
+    otherwise a greedy cover is built (optimal=False).  exact_limit must
+    be a non-negative int (RangeError otherwise).
     """
     rho = _congruence_on(s, rho)
     exact_limit = _index(exact_limit, "exact_limit")
@@ -421,10 +484,27 @@ def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
     if not candidates:
         return pair_set(s, []), True
     if len(candidates) <= exact_limit:
-        for k in range(len(candidates) + 1):
-            for combo in itertools.combinations(candidates, k):
-                if _close(s, combo).class_of == rho.class_of:
-                    return pair_set(s, combo), True
+        # The combinations of each size k, in lexicographic order, walked
+        # depth first: each level closes one more pair onto its prefix's
+        # congruence.  A pair that the prefix already relates is skipped with
+        # all its extensions: they close like a smaller combination, and
+        # every smaller one has failed.
+        def search(start, prefix, k):
+            if k == 0:
+                return [] if prefix.class_of == rho.class_of else None
+            cls = prefix.class_of
+            for i in range(start, len(candidates) - k + 1):
+                a, b = candidates[i]
+                if cls[a] != cls[b]:
+                    rest = search(i + 1, _close(s, [(a, b)], closed=(cls,)), k - 1)
+                    if rest is not None:
+                        return [(a, b), *rest]
+            return None
+
+        for k in range(1, len(candidates) + 1):
+            combo = search(0, identity_congruence(s), k)
+            if combo is not None:
+                return pair_set(s, combo), True
         raise AssertionError("within-class pairs must generate their congruence")
     chosen: list[tuple[int, int]] = []
     current = identity_congruence(s)

@@ -55,6 +55,13 @@ class FiniteSemigroup:
     labels: tuple[str, ...] | None = field(default=None, compare=False)
     identity: int | None = field(default=None, compare=False)
     zero: int | None = field(default=None, compare=False)
+    #: A generating set (from_cayley's greedy one): every element is a
+    #: product of these.
+    generators: tuple[int, ...] = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self):
+        if not self.generators:  # built directly, not by from_cayley
+            object.__setattr__(self, "generators", tuple(_greedy_generators(self.table)))
 
     def idempotents(self) -> list[int]:
         return [x for x in range(self.size) if self.table[x][x] == x]
@@ -154,7 +161,8 @@ def from_cayley(n: int, rows: Sequence[Sequence[int]],
     Associativity is decided by Light's test over a greedy generating set
     of size k, in O(n^2 * k) C-level gathers; a non-associative table raises
     AssociativityViolation carrying the lexicographically first failing
-    triple.  The identity and zero, when present, are detected and cached.
+    triple.  The identity and zero, when present, are detected and cached,
+    and so is the generating set, as `generators`.
     """
     if n <= 0:
         raise RangeError("size must be positive")
@@ -168,7 +176,8 @@ def from_cayley(n: int, rows: Sequence[Sequence[int]],
             and frozenset(range(n)).issuperset(chain.from_iterable(rows))):
         # one check per cell, to name the first bad entry
         rows = [tuple([_index(v, "entry", n) for v in row]) for row in rows]
-    if not _light_associative(rows, _greedy_generators(rows)):
+    gens = _greedy_generators(rows)
+    if not _light_associative(rows, gens):
         raise AssociativityViolation(_first_nonassociative_triple(rows))
     if labels is not None:
         if len(labels) != n:
@@ -184,7 +193,7 @@ def from_cayley(n: int, rows: Sequence[Sequence[int]],
         z = rows[z][x]
     zero = z if rows[z].count(z) == n and all(row[z] == z for row in rows) else None
     return FiniteSemigroup(size=n, table=tuple(rows), labels=labels,
-                           identity=identity, zero=zero)
+                           identity=identity, zero=zero, generators=tuple(gens))
 
 
 def from_transformations(degree: int, gens: Sequence[Transformation]) -> FiniteSemigroup:
@@ -376,7 +385,9 @@ def classify(s: FiniteSemigroup) -> Classification:
     table = s.table
     idem = s.idempotents()
     band = len(idem) == n
-    commutative = all(table[a][b] == table[b][a] for a in range(n) for b in range(a))
+    # generators that commute pairwise commute with every product of them
+    gens = s.generators
+    commutative = all(table[a][b] == table[b][a] for i, a in enumerate(gens) for b in gens[:i])
 
     gd = green.green_data(s)
     completely_regular = all(gd.h_class[x] == gd.h_class[table[x][x]] for x in range(n))

@@ -147,10 +147,29 @@ def brute_right_congruences(s):
     return [p for p in set_partitions(s.size) if is_right_compatible(s, p)]
 
 
-def brute_generated(s, pairs):
-    """Intersection of all right-compatible partitions containing the pairs."""
-    fitting = [p for p in brute_right_congruences(s) if contains_pairs(p, pairs)]
+def brute_generated(s, pairs, two_sided=False):
+    """Intersection of all right-compatible (and, when two_sided, also
+    left-compatible) partitions containing the pairs."""
+    fitting = [p for p in brute_right_congruences(s) if contains_pairs(p, pairs)
+               and (not two_sided or is_left_compatible(s, p))]
     return meet(fitting)
+
+
+def first_incompatible(s, class_of, two_sided=False):
+    """The full scan for a compatibility witness: the first (a, b, t), over
+    classes by first occurrence, consecutive members (a, b), then every t in
+    S, with a*t !~ b*t (or, when two_sided, t*a !~ t*b); else None."""
+    groups = {}
+    for x, c in enumerate(class_of):
+        groups.setdefault(c, []).append(x)
+    for members in groups.values():
+        for a, b in zip(members, members[1:]):
+            for t in range(s.size):
+                if class_of[s.table[a][t]] != class_of[s.table[b][t]]:
+                    return a, b, t
+                if two_sided and class_of[s.table[t][a]] != class_of[s.table[t][b]]:
+                    return a, b, t
+    return None
 
 
 def greedy_generating_pairs(s, class_of):

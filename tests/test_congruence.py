@@ -8,9 +8,10 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sgt.congruence import _congruence_on
+from sgt.congruence import _congruence_on, _incompatible
 from sgt.congruence import (CapExceeded, Disconnected, NotTwoSided,
                             RightCongruence, enumerate_right_congruences, find_x_sequence,
+                            join,
                             identity_congruence, minimal_generating_pairs,
                             pair_set, quotient_semigroup, rc_diameter,
                             rc_generate, right_congruence,
@@ -549,3 +550,73 @@ def test_minimal_generating_pairs_rejects_bad_exact_limit(limit):
     s = cyclic(3)
     with pytest.raises(RangeError, match="exact_limit must be a non-negative int"):
         minimal_generating_pairs(s, universal_congruence(s), exact_limit=limit)
+
+
+#: Random transformation semigroups of at most 7 elements, and relabelled
+#: library tables of at most 6.
+_SMALL_TABLES = st.one_of(
+    _TRANSFORMATION_GENS.map(_transformation_semigroup).filter(lambda s: s.size <= 7),
+    st.sampled_from(_SMALL_LIBRARY).flatmap(
+        lambda s: st.permutations(range(s.size)).map(lambda p: _relabel(s, p))))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_SMALL_TABLES, st.data())
+def test_generated_congruence_matches_brute_on_both_sides(s, data):
+    element = st.integers(0, s.size - 1)
+    pairs = data.draw(st.lists(st.tuples(element, element), max_size=3), label="pairs")
+    for two_sided in (False, True):
+        assert (rc_generate(s, pairs, two_sided=two_sided).class_of
+                == oracles.brute_generated(s, pairs, two_sided=two_sided))
+
+
+@_PROPERTY
+@given(st.sampled_from(_MAP_TABLES), st.data())
+def test_join_matches_partition_join_up_to_nine_elements(s, data):
+    element = st.integers(0, s.size - 1)
+    pairs = st.lists(st.tuples(element, element), max_size=3)
+    two_sided = data.draw(st.booleans(), label="two_sided")
+    rho, sigma = (rc_generate(s, data.draw(pairs, label=name), two_sided=two_sided)
+                  for name in ("rho", "sigma"))
+    joined = join(rho, sigma)
+    assert joined.class_of == oracles.partition_join(rho.class_of, sigma.class_of)
+    assert joined.index == len(set(joined.class_of))
+    assert oracles.is_right_compatible(s, joined.class_of)
+    if two_sided:
+        assert oracles.is_left_compatible(s, joined.class_of)
+
+
+@_PROPERTY
+@given(_class_maps(), st.booleans())
+def test_incompatible_reports_the_full_scan_witness(case, two_sided):
+    s, class_of = case
+    assert (_incompatible(s, class_of, two_sided=two_sided)
+            == oracles.first_incompatible(s, class_of, two_sided=two_sided))
+
+
+def _resaturating_search(s, rho, exact_limit):
+    """The exact branch as it was: every combination of within-class pairs,
+    smallest first and in lexicographic order, closed from the identity."""
+    candidates = sorted(within_class_pairs(rho))
+    if not candidates or len(candidates) > exact_limit:
+        return None
+    for k in range(len(candidates) + 1):
+        for combo in itertools.combinations(candidates, k):
+            if rc_generate(s, combo).class_of == rho.class_of:
+                return sorted(combo)
+    raise AssertionError("within-class pairs must generate their congruence")
+
+
+def test_exact_generating_pairs_match_the_resaturating_search():
+    rng = random.Random(14)
+    for s in _SMALL_LIBRARY:
+        perm = list(range(s.size))
+        rng.shuffle(perm)
+        for t in (s, _relabel(s, perm)):
+            for rho in enumerate_right_congruences(t).congruences:
+                want = _resaturating_search(t, rho, 15)
+                if want is None:
+                    continue
+                x, optimal = minimal_generating_pairs(t, rho, exact_limit=15)
+                assert optimal and sorted(x.pairs) == want

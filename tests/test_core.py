@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 from sgt import core
-from sgt.core import (AssociativityViolation, DegreeMismatch, NotAnIdeal,
-                      RangeError, Transformation, adjoin_identity, adjoin_zero,
+from sgt.core import (AssociativityViolation, DegreeMismatch, FiniteSemigroup,
+                      NotAnIdeal, RangeError, Transformation, adjoin_identity, adjoin_zero,
                       classify, direct_product, from_cayley,
                       from_transformations, rees_quotient, sub_semigroup,
                       subsemigroup_closure)
@@ -535,3 +535,32 @@ def test_transformation_stores_images_as_a_tuple_of_ints(images):
     t = Transformation(2, images)
     assert t.images == (1, 0) and all(type(v) is int for v in t.images)
     assert from_transformations(2, [t]).table == ((1, 0), (0, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.integers(2, 4).flatmap(lambda d: st.lists(
+        st.tuples(*[st.integers(0, d - 1)] * d), min_size=1, max_size=3)).map(
+        lambda gens: from_transformations(
+            len(gens[0]), [Transformation(len(g), g) for g in gens])),
+    st.sampled_from(list(library().values())).flatmap(
+        lambda s: st.permutations(range(s.size)).map(lambda p: _permuted(s, p)))))
+def test_generators_generate_the_whole_semigroup(s):
+    assert s.generators == tuple(core._greedy_generators(s.table))
+    assert subsemigroup_closure(s, s.generators).members == tuple(range(s.size))
+
+
+def test_generators_are_kept_out_of_equality_hash_and_repr():
+    s = cyclic(4)
+    bare = FiniteSemigroup(size=s.size, table=s.table)
+    assert bare.generators == s.generators == (0, 1)
+    other = FiniteSemigroup(size=s.size, table=s.table, generators=(1,))
+    assert other == s and hash(other) == hash(s)
+    assert "generators" not in repr(s)
+
+
+def test_commutative_matches_every_pair():
+    for s in _relabelled_library(14):
+        t = s.table
+        assert classify(s).commutative == all(
+            t[a][b] == t[b][a] for a in range(s.size) for b in range(s.size))
