@@ -55,13 +55,12 @@ class FiniteSemigroup:
     labels: tuple[str, ...] | None = field(default=None, compare=False)
     identity: int | None = field(default=None, compare=False)
     zero: int | None = field(default=None, compare=False)
-    #: A generating set (from_cayley's greedy one): every element is a
-    #: product of these.
-    generators: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    #: A generating set, the greedy one of the table: every element is a
+    #: product of these.  Derived from the table, never passed in.
+    generators: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.generators:  # built directly, not by from_cayley
-            object.__setattr__(self, "generators", tuple(_greedy_generators(self.table)))
+        object.__setattr__(self, "generators", tuple(_greedy_generators(self.table)))
 
     def idempotents(self) -> list[int]:
         return [x for x in range(self.size) if self.table[x][x] == x]
@@ -138,7 +137,7 @@ def _greedy_generators(rows) -> list[int]:
     return gens
 
 
-def _light_associative(rows, gens: list[int]) -> bool:
+def _light_associative(rows, gens: Sequence[int]) -> bool:
     """Light's test: (x*a)*y == x*(a*y) for all x, y and every generator a.
 
     Exact: the b with (x*b)*y == x*(b*y) for all x, y are closed under
@@ -161,8 +160,7 @@ def from_cayley(n: int, rows: Sequence[Sequence[int]],
     Associativity is decided by Light's test over a greedy generating set
     of size k, in O(n^2 * k) C-level gathers; a non-associative table raises
     AssociativityViolation carrying the lexicographically first failing
-    triple.  The identity and zero, when present, are detected and cached,
-    and so is the generating set, as `generators`.
+    triple.  The identity and zero, when present, are detected and cached.
     """
     if n <= 0:
         raise RangeError("size must be positive")
@@ -176,13 +174,6 @@ def from_cayley(n: int, rows: Sequence[Sequence[int]],
             and frozenset(range(n)).issuperset(chain.from_iterable(rows))):
         # one check per cell, to name the first bad entry
         rows = [tuple([_index(v, "entry", n) for v in row]) for row in rows]
-    gens = _greedy_generators(rows)
-    if not _light_associative(rows, gens):
-        raise AssociativityViolation(_first_nonassociative_triple(rows))
-    if labels is not None:
-        if len(labels) != n:
-            raise RangeError("labels length must equal size")
-        labels = tuple(str(x) for x in labels)
     # An identity is the only left identity, and a zero is the product of
     # all elements, so each has one candidate to check.
     ar = tuple(range(n))
@@ -192,8 +183,16 @@ def from_cayley(n: int, rows: Sequence[Sequence[int]],
     for x in ar:
         z = rows[z][x]
     zero = z if rows[z].count(z) == n and all(row[z] == z for row in rows) else None
-    return FiniteSemigroup(size=n, table=tuple(rows), labels=labels,
-                           identity=identity, zero=zero, generators=tuple(gens))
+    # Built before the checks below so that Light's test uses its generators;
+    # it is returned only once they pass.
+    s = FiniteSemigroup(size=n, table=tuple(rows),
+                        labels=None if labels is None else tuple(str(x) for x in labels),
+                        identity=identity, zero=zero)
+    if not _light_associative(rows, s.generators):
+        raise AssociativityViolation(_first_nonassociative_triple(rows))
+    if s.labels is not None and len(s.labels) != n:
+        raise RangeError("labels length must equal size")
+    return s
 
 
 def from_transformations(degree: int, gens: Sequence[Transformation]) -> FiniteSemigroup:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 import tracemalloc
@@ -550,13 +551,17 @@ def test_generators_generate_the_whole_semigroup(s):
     assert subsemigroup_closure(s, s.generators).members == tuple(range(s.size))
 
 
-def test_generators_are_kept_out_of_equality_hash_and_repr():
+def test_generators_are_derived_from_the_table_and_kept_out_of_equality_and_repr():
     s = cyclic(4)
     bare = FiniteSemigroup(size=s.size, table=s.table)
     assert bare.generators == s.generators == (0, 1)
-    other = FiniteSemigroup(size=s.size, table=s.table, generators=(1,))
-    assert other == s and hash(other) == hash(s)
+    assert bare == s and hash(bare) == hash(s)
     assert "generators" not in repr(s)
+    with pytest.raises(TypeError):
+        FiniteSemigroup(size=s.size, table=s.table, generators=(1,))
+    # a copy with another table gets that table's generators
+    zero = left_zero(3)
+    assert dataclasses.replace(s, size=3, table=zero.table).generators == zero.generators
 
 
 def test_commutative_matches_every_pair():
@@ -564,3 +569,10 @@ def test_commutative_matches_every_pair():
         t = s.table
         assert classify(s).commutative == all(
             t[a][b] == t[b][a] for a in range(s.size) for b in range(s.size))
+
+
+def test_from_cayley_checks_associativity_before_the_labels():
+    with pytest.raises(RangeError, match="labels length"):
+        from_cayley(2, [[0, 1], [1, 0]], labels=["a"])
+    with pytest.raises(AssociativityViolation):
+        from_cayley(2, [[1, 0], [0, 0]], labels=["a"])
