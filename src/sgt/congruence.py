@@ -477,12 +477,31 @@ def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
     lexicographic order, is found by iterative deepening (optimal=True);
     otherwise a greedy cover is built (optimal=False).  exact_limit must
     be a non-negative int (RangeError otherwise).
+
+    The answer depends only on the table, rho's class map and exact_limit,
+    so each search runs once per semigroup instance: its sorted pairs and
+    flag are memoized on s, keyed by (rho.class_of, exact_limit), after
+    rho and exact_limit are checked.  The memo holds one entry per distinct
+    question asked of s and is freed with s.  Every call returns a new
+    PairSet whose parent is s.
     """
     rho = _congruence_on(s, rho)
     exact_limit = _index(exact_limit, "exact_limit")
+    key = (rho.class_of, exact_limit)
+    memo = s._generating_pairs_memo
+    if key not in memo:
+        pairs, optimal = _search_generating_pairs(s, rho, exact_limit)
+        memo[key] = (tuple(sorted(pairs)), optimal)
+    pairs, optimal = memo[key]
+    return PairSet(parent=s, pairs=frozenset(pairs)), optimal
+
+
+def _search_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
+                             exact_limit: int) -> tuple[list[tuple[int, int]], bool]:
+    """minimal_generating_pairs' search, on a checked rho and exact_limit."""
     candidates = sorted(within_class_pairs(rho))
     if not candidates:
-        return pair_set(s, []), True
+        return [], True
     if len(candidates) <= exact_limit:
         # The combinations of each size k, in lexicographic order, walked
         # depth first: each level closes one more pair onto its prefix's
@@ -504,7 +523,7 @@ def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
         for k in range(1, len(candidates) + 1):
             combo = search(0, identity_congruence(s), k)
             if combo is not None:
-                return pair_set(s, combo), True
+                return combo, True
         raise AssertionError("within-class pairs must generate their congruence")
     chosen: list[tuple[int, int]] = []
     current = identity_congruence(s)
@@ -520,7 +539,7 @@ def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
                 best = (gain, c, trial)
         chosen.append(best[1])
         current = best[2]
-    return pair_set(s, chosen), False
+    return chosen, False
 
 
 def quotient_semigroup(s: FiniteSemigroup, rho: RightCongruence) -> FiniteSemigroup:

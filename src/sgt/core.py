@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -61,6 +61,13 @@ class FiniteSemigroup:
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(_greedy_generators(self.table)))
+
+    @cached_property
+    def _generating_pairs_memo(self) -> dict:
+        """minimal_generating_pairs' answers on this instance, by (class map,
+        exact_limit); made on first use, so it is no field and stays out of
+        equality, hashing and repr."""
+        return {}
 
     def idempotents(self) -> list[int]:
         return [x for x in range(self.size) if self.table[x][x] == x]

@@ -1,6 +1,9 @@
+import dataclasses
+import gc
 import itertools
 import random
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -620,3 +623,56 @@ def test_exact_generating_pairs_match_the_resaturating_search():
                     continue
                 x, optimal = minimal_generating_pairs(t, rho, exact_limit=15)
                 assert optimal and sorted(x.pairs) == want
+
+
+def _answer(result):
+    x, optimal = result
+    return sorted(x.pairs), optimal
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_SMALL_TABLES, st.sampled_from([(0, 12), (12, 0)]))
+def test_memoized_generating_pairs_match_a_fresh_instance(s, limits):
+    # every question asked first of a fresh equal instance, whose memo is empty
+    def fresh(rho, limit):
+        return _answer(minimal_generating_pairs(from_cayley(s.size, s.table), rho, limit))
+
+    before = (hash(s), repr(s), dataclasses.fields(s))
+    twin = from_cayley(s.size, s.table)
+    congruences = enumerate_right_congruences(s).congruences
+    for _ in range(2):  # the second round is answered from the memo
+        for rho in congruences:
+            for limit in limits:
+                result = minimal_generating_pairs(s, rho, limit)
+                assert result[0].parent is s
+                assert _answer(result) == fresh(rho, limit)
+    assert len(s._generating_pairs_memo) == len(limits) * len(congruences)
+    assert (hash(s), repr(s), dataclasses.fields(s)) == before
+    assert s == twin and hash(s) == hash(twin)
+
+
+def test_memo_checks_its_arguments_on_every_call():
+    s, other = right_zero(3), left_zero(3)
+    rho = universal_congruence(s)
+    minimal_generating_pairs(s, rho)
+    # the same class map on another table is asked of s after it is memoized
+    with pytest.raises(RangeError, match="another semigroup"):
+        minimal_generating_pairs(s, universal_congruence(other))
+    with pytest.raises(RangeError, match="exact_limit"):
+        minimal_generating_pairs(s, rho, exact_limit=-1)
+
+
+def test_memo_is_freed_with_its_semigroup():
+    # a copy of rz4, so that no library or lru_cache entry holds it; neither
+    # classify nor green_data is called on it
+    s = from_cayley(library()["rz4"].size, library()["rz4"].table)
+    for rho in enumerate_right_congruences(s).congruences:
+        minimal_generating_pairs(s, rho)
+    assert len(s._generating_pairs_memo) == 15
+    relabelled = dataclasses.replace(s, labels=tuple("abcd"))
+    assert relabelled == s and relabelled._generating_pairs_memo == {}
+    ref = weakref.ref(s)
+    del s, rho
+    gc.collect()
+    assert ref() is None
