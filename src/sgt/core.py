@@ -50,17 +50,29 @@ class InternalAssertFailure(RuntimeError):
 class FiniteSemigroup:
     """Semigroup on {0, ..., size-1} with multiplication table[a][b] = a*b."""
 
-    size: int
+    size: int = field(init=False)
     table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None = field(default=None, compare=False)
-    identity: int | None = field(default=None, compare=False)
-    zero: int | None = field(default=None, compare=False)
+    identity: int | None = field(init=False, compare=False)
+    zero: int | None = field(init=False, compare=False)
     #: A generating set, the greedy one of the table: every element is a
-    #: product of these.  Derived from the table, never passed in.
+    #: product of these.  Like size, identity and zero, derived from the table.
     generators: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(_greedy_generators(self.table)))
+        rows, n = self.table, len(self.table)
+        # An identity is the only left identity, and a zero is the product of
+        # all elements, so each has one candidate to check.
+        ar = tuple(range(n))
+        e = next((x for x in ar if rows[x] == ar), None)
+        identity = e if e is not None and all(row[e] == x for x, row in enumerate(rows)) else None
+        z = 0
+        for x in ar:
+            z = rows[z][x]
+        zero = z if rows[z].count(z) == n and all(row[z] == z for row in rows) else None
+        for name, value in (("size", n), ("identity", identity), ("zero", zero),
+                            ("generators", tuple(_greedy_generators(rows)))):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def _generating_pairs_memo(self) -> dict:
@@ -166,8 +178,7 @@ def from_cayley(n: int, rows: Sequence[Sequence[int]],
     floats and strings raise RangeError, as do out-of-range entries.
     Associativity is decided by Light's test over a greedy generating set
     of size k, in O(n^2 * k) C-level gathers; a non-associative table raises
-    AssociativityViolation carrying the lexicographically first failing
-    triple.  The identity and zero, when present, are detected and cached.
+    AssociativityViolation carrying the lexicographically first failing triple.
     """
     if n <= 0:
         raise RangeError("size must be positive")
@@ -181,20 +192,9 @@ def from_cayley(n: int, rows: Sequence[Sequence[int]],
             and frozenset(range(n)).issuperset(chain.from_iterable(rows))):
         # one check per cell, to name the first bad entry
         rows = [tuple([_index(v, "entry", n) for v in row]) for row in rows]
-    # An identity is the only left identity, and a zero is the product of
-    # all elements, so each has one candidate to check.
-    ar = tuple(range(n))
-    e = next((x for x in ar if rows[x] == ar), None)
-    identity = e if e is not None and all(row[e] == x for x, row in enumerate(rows)) else None
-    z = 0
-    for x in ar:
-        z = rows[z][x]
-    zero = z if rows[z].count(z) == n and all(row[z] == z for row in rows) else None
     # Built before the checks below so that Light's test uses its generators;
     # it is returned only once they pass.
-    s = FiniteSemigroup(size=n, table=tuple(rows),
-                        labels=None if labels is None else tuple(str(x) for x in labels),
-                        identity=identity, zero=zero)
+    s = FiniteSemigroup(table=tuple(rows), labels=None if labels is None else tuple(map(str, labels)))
     if not _light_associative(rows, s.generators):
         raise AssociativityViolation(_first_nonassociative_triple(rows))
     if s.labels is not None and len(s.labels) != n:
@@ -331,7 +331,11 @@ def _restricted_table(s: FiniteSemigroup, members: Sequence[int]) -> tuple[tuple
 
 
 def sub_semigroup(s: FiniteSemigroup, members: Sequence[int]) -> FiniteSemigroup:
-    """Restrict the table to a multiplicatively closed subset (given order)."""
+    """Restrict the table to a multiplicatively closed subset (given order);
+    RangeError for a bad or repeated member."""
+    members = [_index(v, "member", s.size) for v in members]
+    if len(set(members)) != len(members):
+        raise RangeError(f"members must be distinct, got {members}")
     labels = tuple(s.label(x) for x in members)
     return from_cayley(len(members), _restricted_table(s, members), labels=labels)
 

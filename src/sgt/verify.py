@@ -321,6 +321,7 @@ def _element_profiles(s: FiniteSemigroup) -> list:
 def isomorphic(s: FiniteSemigroup, t: FiniteSemigroup,
                size_limit: int) -> tuple[int, ...] | None:
     """First table isomorphism found by profile-pruned backtracking, or None."""
+    size_limit = _index(size_limit, "size_limit")
     if s.size != t.size:
         return None
     if s.size > size_limit:
@@ -387,6 +388,9 @@ def ideals_with_identity(s: FiniteSemigroup):
 def sweep(size_limit: int = 5, schutz_limit: int = 6, dp_limit: int = 3,
           lib: dict[str, FiniteSemigroup] | None = None) -> list[VerificationReport]:
     """Run every construction over the built-in library; returns all reports."""
+    size_limit = _index(size_limit, "size_limit")
+    schutz_limit = _index(schutz_limit, "schutz_limit")
+    dp_limit = _index(dp_limit, "dp_limit")
     if lib is None:
         lib = library()
     reports: list[VerificationReport] = []

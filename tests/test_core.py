@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sgt import core
+from sgt import core, green
 from sgt.core import (AssociativityViolation, DegreeMismatch, FiniteSemigroup,
                       NotAnIdeal, RangeError, Transformation, adjoin_identity, adjoin_zero,
                       classify, direct_product, from_cayley,
@@ -250,6 +250,19 @@ def test_ideal_and_seed_entries_are_range_checked():
 def test_sub_semigroup_rejects_unclosed():
     with pytest.raises(ValueError):
         sub_semigroup(cyclic(4), [1, 2])
+
+
+@pytest.mark.parametrize("s, members", [
+    (cyclic(2), [0, 0]), (chain(3), [-1]), (chain(3), [7]), (chain(3), [True]),
+    (chain(3), [1.0]), (chain(3), ["1"])])
+def test_sub_semigroup_rejects_bad_and_repeated_members(s, members):
+    with pytest.raises(RangeError):
+        sub_semigroup(s, members)
+
+
+def test_sub_semigroup_accepts_numpy_members():
+    sub = sub_semigroup(chain(3), [np.int64(0), np.int32(2)])
+    assert sub.table == ((0, 0), (0, 1)) and sub.labels == ("0", "2")
 
 
 def test_classify_right_zero_orientation():
@@ -549,19 +562,36 @@ def test_transformation_stores_images_as_a_tuple_of_ints(images):
 def test_generators_generate_the_whole_semigroup(s):
     assert s.generators == tuple(core._greedy_generators(s.table))
     assert subsemigroup_closure(s, s.generators).members == tuple(range(s.size))
+    bare = FiniteSemigroup(table=s.table)
+    assert ((bare.size, bare.identity, bare.zero, bare.generators)
+            == (s.size, s.identity, s.zero, s.generators))
 
 
 def test_generators_are_derived_from_the_table_and_kept_out_of_equality_and_repr():
     s = cyclic(4)
-    bare = FiniteSemigroup(size=s.size, table=s.table)
+    bare = FiniteSemigroup(table=s.table)
     assert bare.generators == s.generators == (0, 1)
     assert bare == s and hash(bare) == hash(s)
     assert "generators" not in repr(s)
-    with pytest.raises(TypeError):
-        FiniteSemigroup(size=s.size, table=s.table, generators=(1,))
+    for derived in ({"generators": (1,)}, {"size": 4}, {"identity": None}, {"zero": None}):
+        with pytest.raises(TypeError):
+            FiniteSemigroup(table=s.table, **derived)
     # a copy with another table gets that table's generators
     zero = left_zero(3)
-    assert dataclasses.replace(s, size=3, table=zero.table).generators == zero.generators
+    assert dataclasses.replace(s, table=zero.table).generators == zero.generators
+    # ... and that table's size, identity and zero
+    null = dataclasses.replace(chain(2), table=((0, 0), (0, 0)))
+    assert (null.size, null.identity, null.zero) == (2, None, 0)
+
+
+def test_a_bare_table_cannot_poison_the_classify_caches():
+    # identity and zero stay out of equality, so the equality-keyed caches
+    # are sound only if both follow from the table
+    classify.cache_clear()
+    green.green_data.cache_clear()
+    assert classify(FiniteSemigroup(table=chain(2).table)).has_zero
+    assert classify(FiniteSemigroup(table=cyclic(3).table)).monoid
+    assert classify(chain(2)).has_zero and classify(cyclic(3)).monoid
 
 
 def test_commutative_matches_every_pair():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +9,9 @@ import oracles
 from sgt.congruence import (identity_congruence, join, minimal_generating_pairs,
                             pair_set, quotient_semigroup, rc_generate,
                             universal_congruence)
-from sgt.core import (RangeError, Transformation, adjoin_identity, adjoin_zero,
-                      direct_product, from_cayley, from_transformations, sub_semigroup)
+from sgt.core import (FiniteSemigroup, RangeError, Transformation, adjoin_identity,
+                      adjoin_zero, direct_product, from_cayley, from_transformations,
+                      sub_semigroup)
 from sgt.library import (chain, cyclic, left_zero, library, rectangular_band,
                          right_zero, t2, trivial)
 from sgt.verify import (NoInternalIdentity, NotGenerating, NotHomomorphism,
@@ -124,6 +126,12 @@ def test_dp_klein_universal():
     m = cyclic(2)
     p = direct_product(m, m)
     rep = verify_dp_gens(m, m, universal_congruence(p))
+    assert rep.passed
+
+
+def test_dp_accepts_monoids_built_from_a_bare_table():
+    m = FiniteSemigroup(table=cyclic(3).table)
+    rep = verify_dp_gens(m, m, universal_congruence(direct_product(m, m)))
     assert rep.passed
 
 
@@ -340,9 +348,34 @@ def test_isomorphic_size_limit():
     assert isomorphic(cyclic(3), cyclic(4), 8) is None
 
 
+@pytest.mark.parametrize("size_limit", [2.5, -1, True, "8"])
+def test_isomorphic_rejects_a_bad_size_limit(size_limit):
+    with pytest.raises(RangeError):
+        isomorphic(cyclic(3), cyclic(3), size_limit)
+
+
+def test_isomorphic_accepts_a_numpy_size_limit():
+    assert isomorphic(cyclic(3), cyclic(3), np.int64(3)) == (0, 1, 2)
+    with pytest.raises(SizeLimitExceeded):
+        isomorphic(cyclic(3), cyclic(3), np.int32(2))
+
+
 def test_two_sided_congruences_right_zero():
     # in a right-zero semigroup left compatibility is automatic
     assert len(two_sided_congruences(right_zero(3))) == 5
+
+
+@pytest.mark.parametrize("limits", [
+    {"size_limit": "1"}, {"size_limit": 2.5}, {"schutz_limit": -1}, {"dp_limit": True}])
+def test_sweep_rejects_bad_limits(limits):
+    with pytest.raises(RangeError):
+        sweep(lib={"z2": cyclic(2)}, **limits)
+
+
+def test_sweep_accepts_numpy_limits():
+    small = {"z2": cyclic(2)}
+    assert (sweep(size_limit=np.int64(2), schutz_limit=np.int32(2), dp_limit=np.int64(2), lib=small)
+            == sweep(size_limit=2, schutz_limit=2, dp_limit=2, lib=small))
 
 
 def test_sweep_small_library_passes():
