@@ -19,10 +19,9 @@ from .structure import (ReesStructure, archimedean_decomposition,
                         cr_decomposition, diagonal_cyclic_witness,
                         ZERO, rees_construct, rees_coordinates,
                         rees_structure, theta_congruence)
-from .verify import (_internal_identity, _l_congruence, ideal_subsemigroup,
-                     sweep, verify_dp_gens, verify_extend_gens, verify_fg_gens,
-                     verify_ideal_gens, verify_lclass_gens,
-                     verify_quotient_gens, verify_schutz_gens)
+from .verify import (_l_congruence, ideal_subsemigroup, sweep, verify_dp_gens,
+                     verify_extend_gens, verify_fg_gens, verify_ideal_gens,
+                     verify_lclass_gens, verify_quotient_gens, verify_schutz_gens)
 
 
 class _UsageError(ValueError):
@@ -471,9 +470,9 @@ def _verify_dispatch(args) -> int:
             raise _UsageError("ideal needs --ideal LIST")
         ideal = sorted(_ints(args.ideal.split(","), "--ideal"))
         isub, members = ideal_subsemigroup(s, ideal)
-        e = _internal_identity(s, members)
-        if e is None:
+        if isub.identity is None:
             raise _UsageError("ideal has no internal identity")
+        e = members[isub.identity]
         rho_i = _congruence_arg(isub, args.target_pairs, "--target-pairs",
                                 universal_congruence)
         rep = verify_ideal_gens(s, ideal, e, rho_i, inputs="cli")

@@ -40,6 +40,11 @@ class PairSet:
     parent: FiniteSemigroup
     pairs: frozenset[tuple[int, int]]
 
+    def __post_init__(self):
+        n = self.parent.size
+        object.__setattr__(self, "pairs", frozenset(
+            (_index(a, "pair entry", n), _index(b, "pair entry", n)) for a, b in self.pairs))
+
     def symmetrized(self) -> frozenset[tuple[int, int]]:
         return self.pairs | {(y, x) for (x, y) in self.pairs}
 
@@ -51,13 +56,11 @@ class PairSet:
 
 
 def pair_set(s: FiniteSemigroup, pairs: PairSet | Iterable[tuple[int, int]]) -> PairSet:
-    """Validated pairs: ints (numpy integers too) in range, never bools.  A
-    PairSet of s comes back as it is; anything else is checked against s."""
+    """pairs as a PairSet of s: a PairSet of s as it is, else a new PairSet
+    of s (its constructor checks the entries)."""
     if isinstance(pairs, PairSet) and pairs.parent == s:
         return pairs
-    return PairSet(parent=s, pairs=frozenset(
-        (_index(a, "pair entry", s.size), _index(b, "pair entry", s.size))
-        for a, b in pairs))
+    return PairSet(parent=s, pairs=pairs)
 
 
 def _congruence_on(s: FiniteSemigroup, rho: RightCongruence,
@@ -74,7 +77,10 @@ def _congruence_on(s: FiniteSemigroup, rho: RightCongruence,
 class RightCongruence:
     parent: FiniteSemigroup
     class_of: tuple[int, ...]
-    index: int
+
+    @cached_property
+    def index(self) -> int:
+        return max(self.class_of) + 1
 
     def classes(self) -> list[list[int]]:
         return _class_lists(self.class_of, self.index)
@@ -138,25 +144,29 @@ def _incompatible(s: FiniteSemigroup, class_of,
     return None
 
 
+def _require_right_compatible(s: FiniteSemigroup, class_of, error: type) -> None:
+    bad = _incompatible(s, class_of)
+    if bad is not None:
+        a, b, t = bad
+        raise error(f"not right compatible: {a} ~ {b} but {a}*{t} !~ {b}*{t}")
+
+
 def right_congruence(s: FiniteSemigroup, class_of: Iterable) -> RightCongruence:
     """Canonicalize a class map and check right compatibility."""
     labels = list(class_of)
     if len(labels) != s.size:
         raise RangeError("class map length must equal semigroup size")
     canon = _canonical_classes(labels)
-    bad = _incompatible(s, canon)
-    if bad is not None:
-        a, b, t = bad
-        raise ValueError(f"not right compatible: {a} ~ {b} but {a}*{t} !~ {b}*{t}")
-    return RightCongruence(parent=s, class_of=canon, index=max(canon) + 1)
+    _require_right_compatible(s, canon, ValueError)
+    return RightCongruence(parent=s, class_of=canon)
 
 
 def identity_congruence(s: FiniteSemigroup) -> RightCongruence:
-    return RightCongruence(parent=s, class_of=tuple(range(s.size)), index=s.size)
+    return RightCongruence(parent=s, class_of=tuple(range(s.size)))
 
 
 def universal_congruence(s: FiniteSemigroup) -> RightCongruence:
-    return RightCongruence(parent=s, class_of=(0,) * s.size, index=1)
+    return RightCongruence(parent=s, class_of=(0,) * s.size)
 
 
 def _find(parent: list[int], a: int) -> int:
@@ -211,7 +221,7 @@ def _close(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]] = (),
         for row in left:
             union(row[a], row[b])
     canon = _canonical_classes([_find(parent, x) for x in range(n)])
-    return RightCongruence(parent=s, class_of=canon, index=max(canon) + 1)
+    return RightCongruence(parent=s, class_of=canon)
 
 
 def rc_generate(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]],
@@ -257,10 +267,7 @@ def _sequence_edges(s: FiniteSemigroup, x: PairSet):
     adj: list[list[tuple[tuple[int, int, int], int]]] = [[] for _ in range(n)]
     for (px, py) in sorted(x.symmetrized()):
         for m in range(n + 1):
-            if m < n:
-                u, v = s.table[px][m], s.table[py][m]
-            else:
-                u, v = px, py
+            u, v = (s.table[px][m], s.table[py][m]) if m < n else (px, py)
             adj[u].append(((px, py, m), v))
     return adj
 
@@ -356,10 +363,7 @@ class CongruenceLattice:
 
 
 def within_class_pairs(rho: RightCongruence) -> list[tuple[int, int]]:
-    out = []
-    for members in rho.classes():
-        out.extend(itertools.combinations(members, 2))
-    return out
+    return [p for members in rho.classes() for p in itertools.combinations(members, 2)]
 
 
 def join(rho: RightCongruence, sigma: RightCongruence) -> RightCongruence:
@@ -392,8 +396,7 @@ def join(rho: RightCongruence, sigma: RightCongruence) -> RightCongruence:
             relabel.append(relabel[p])
     if index == rho.index:
         return rho
-    return RightCongruence(parent=rho.parent, class_of=tuple(map(relabel.__getitem__, cls)),
-                           index=index)
+    return RightCongruence(parent=rho.parent, class_of=tuple(map(relabel.__getitem__, cls)))
 
 
 def _principal_closure(s: FiniteSemigroup, two_sided: bool = False,
@@ -479,21 +482,20 @@ def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
     be a non-negative int (RangeError otherwise).
 
     The answer depends only on the table, rho's class map and exact_limit,
-    so each search runs once per semigroup instance: its sorted pairs and
-    flag are memoized on s, keyed by (rho.class_of, exact_limit), after
-    rho and exact_limit are checked.  The memo holds one entry per distinct
-    question asked of s and is freed with s.  Every call returns a new
-    PairSet whose parent is s.
+    so after rho and exact_limit are checked a search runs once per question
+    and semigroup instance: a miss checks that rho is right compatible
+    (RangeError otherwise) and memoizes on s, by (rho.class_of, exact_limit),
+    the PairSet of s it built and its flag, which every hit then returns.
     """
     rho = _congruence_on(s, rho)
     exact_limit = _index(exact_limit, "exact_limit")
     key = (rho.class_of, exact_limit)
     memo = s._generating_pairs_memo
     if key not in memo:
+        _require_right_compatible(s, rho.class_of, RangeError)
         pairs, optimal = _search_generating_pairs(s, rho, exact_limit)
-        memo[key] = (tuple(sorted(pairs)), optimal)
-    pairs, optimal = memo[key]
-    return PairSet(parent=s, pairs=frozenset(pairs)), optimal
+        memo[key] = (PairSet(parent=s, pairs=pairs), optimal)
+    return memo[key]
 
 
 def _search_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 from .core import (FiniteSemigroup, InternalAssertFailure, RangeError,
@@ -43,10 +43,14 @@ ZERO = None
 @dataclass(frozen=True)
 class ReesStructure:
     group: FiniteSemigroup
-    i_size: int
-    j_size: int
+    i_size: int = field(init=False)  # |I| and |J|, derived from p_matrix
+    j_size: int = field(init=False)
     p_matrix: tuple[tuple[int | None, ...], ...]  # j_size rows of i_size entries
     with_zero: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "i_size", len(self.p_matrix[0]) if self.p_matrix else 0)
+        object.__setattr__(self, "j_size", len(self.p_matrix))
 
     def triple_count(self) -> int:
         return self.i_size * self.group.size * self.j_size
@@ -83,8 +87,7 @@ def rees_structure(group: FiniteSemigroup, i_size: int, j_size: int,
         if len(row) != i_size:
             raise RaggedMatrix(f"expected {i_size} entries, got {len(row)}")
         rows.append(tuple(map(entry, row)))
-    return ReesStructure(group=group, i_size=i_size, j_size=j_size,
-                         p_matrix=tuple(rows), with_zero=with_zero)
+    return ReesStructure(group=group, p_matrix=tuple(rows), with_zero=with_zero)
 
 
 def _rees_table(r: ReesStructure) -> list[tuple[int, ...]]:
@@ -305,10 +308,9 @@ def archimedean_decomposition(s: FiniteSemigroup) -> Decomposition:
 def completeness_check(s: FiniteSemigroup) -> tuple[bool, tuple[tuple[int, ...], ...]]:
     """Per archimedean component, the idempotents it contains."""
     dec = archimedean_decomposition(s)
-    report = []
-    for members in dec.components():
-        report.append(tuple(x for x in members if s.table[x][x] == x))
-    return all(report), tuple(report)
+    report = tuple(tuple(x for x in members if s.table[x][x] == x)
+                   for members in dec.components())
+    return all(report), report
 
 
 def diagonal_cyclic_witness(s: FiniteSemigroup) -> tuple[int, int] | None:

@@ -251,23 +251,19 @@ def ideal_subsemigroup(s: FiniteSemigroup, ideal: Iterable[int]) -> tuple[Finite
     return sub_semigroup(s, members), tuple(members)
 
 
-def _internal_identity(s: FiniteSemigroup, members: Sequence[int]) -> int | None:
-    """The identity of the subsemigroup on members, or None; it is unique."""
-    return next((c for c in members
-                 if all(s.table[c][v] == v == s.table[v][c] for v in members)), None)
-
-
 def verify_ideal_gens(s: FiniteSemigroup, ideal: Iterable[int], e: int,
                       rho_on_i: RightCongruence,
                       inputs: str = "") -> VerificationReport:
-    """Left-multiply a pullback's generating set into an ideal with identity e."""
+    """Left-multiply a pullback's generating set into an ideal with identity e:
+    rho_on_i's parent is the ideal's table, and its identity must be e."""
     members = _ideal_members(s, ideal)
     if rho_on_i.parent.table != _restricted_table(s, members):
         raise RangeError("rho_on_i is a congruence of another semigroup")
     e = _index(e, "e", s.size)
     if e not in members:
         raise NoInternalIdentity("e must belong to the ideal")
-    if _internal_identity(s, members) != e:
+    f = rho_on_i.parent.identity
+    if f is None or members[f] != e:
         raise NoInternalIdentity(f"{e} is not an identity inside the ideal")
     sub_index = {v: k for k, v in enumerate(members)}
     # a -> e*a maps S onto the ideal with identity e
@@ -379,9 +375,9 @@ def ideals_with_identity(s: FiniteSemigroup):
         candidates.add(tuple(sorted({row[r] for row in table for r in right})))
     out = []
     for ideal in sorted(candidates, key=lambda m: (len(m), m)):
-        f = _internal_identity(s, ideal)
+        f = FiniteSemigroup(table=_restricted_table(s, ideal)).identity
         if f is not None:
-            out.append((ideal, f))
+            out.append((ideal, ideal[f]))
     return out
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from sgt.congruence import _congruence_on, _incompatible
-from sgt.congruence import (CapExceeded, Disconnected, NotTwoSided,
+from sgt.congruence import (CapExceeded, Disconnected, NotTwoSided, PairSet,
                             RightCongruence, enumerate_right_congruences, find_x_sequence,
                             join,
                             identity_congruence, minimal_generating_pairs,
@@ -379,6 +379,51 @@ def test_pair_set_of_its_semigroup_comes_back_as_it_is():
     assert y.parent == cyclic(2) and y.pairs == frozenset({(0, 1)})
 
 
+@pytest.mark.parametrize("pairs", [{(0, -1)}, {(0, 99)}, {(True, 0)}, {(0.0, 1)}])
+def test_pair_set_constructor_checks_its_entries(pairs):
+    with pytest.raises(RangeError, match="pair entry must be an int in"):
+        PairSet(parent=cyclic(3), pairs=pairs)
+
+
+def test_pair_set_constructor_stores_numpy_integers_as_ints():
+    x = PairSet(parent=cyclic(3), pairs={(np.int64(0), np.uint8(2))})
+    assert x.pairs == frozenset({(0, 2)})
+    assert all(type(v) is int for pair in x.pairs for v in pair)
+    assert pair_set(cyclic(3), x) is x
+
+
+def test_right_congruence_holds_only_its_class_map():
+    assert [f.name for f in dataclasses.fields(RightCongruence) if f.init] == [
+        "parent", "class_of"]
+    assert "index" not in {f.name for f in dataclasses.fields(RightCongruence)}
+    s = cyclic(3)
+    with pytest.raises(TypeError):
+        RightCongruence(parent=s, class_of=(0, 1, 2), index=3)
+    rho = dataclasses.replace(rc_generate(s, []), class_of=(0, 0, 0))
+    assert rho.index == 1 and rho.classes() == [[0, 1, 2]]
+    assert "index" not in repr(rho)
+
+
+@pytest.mark.parametrize("exact_limit", [12, 0])
+def test_generating_pairs_of_a_hand_built_non_congruence_raise_range_error(exact_limit):
+    s = cyclic(3)
+    rho = RightCongruence(parent=s, class_of=(0, 1, 0))  # 0 ~ 2 but 0*1 !~ 2*1
+    with pytest.raises(ValueError) as want:
+        right_congruence(s, rho.class_of)
+    with pytest.raises(RangeError) as got:
+        minimal_generating_pairs(s, rho, exact_limit=exact_limit)
+    assert str(got.value) == str(want.value)
+    assert s._generating_pairs_memo == {}
+
+
+def test_memo_returns_the_pair_set_it_built():
+    s = cyclic(6)
+    rho = rc_generate(s, [(0, 2)])
+    first = minimal_generating_pairs(s, rho)
+    assert first[0].parent is s
+    assert minimal_generating_pairs(s, rc_generate(s, [(0, 2)]))[0] is first[0]
+
+
 def test_congruence_of_its_semigroup_comes_back_as_it_is():
     s = cyclic(6)
     rho = rc_generate(s, [(0, 2)])
@@ -440,6 +485,24 @@ def test_lattice_matches_brute_on_transformation_semigroups(gens):
     s = _transformation_semigroup(gens)
     assume(s.size <= 7)
     _check_against_brute(s)
+
+
+@_PROPERTY
+@given(_TRANSFORMATION_GENS, st.data())
+def test_every_constructed_congruence_counts_its_classes(gens, data):
+    s = _transformation_semigroup(gens)
+    assume(s.size <= 7)
+    element = st.integers(0, s.size - 1)
+    pairs = st.lists(st.tuples(element, element), max_size=3)
+    lattice = enumerate_right_congruences(s).congruences
+    made = list(lattice) + [rc_generate(s, data.draw(pairs, label=f"pairs{k}"),
+                                        two_sided=k == 1) for k in range(2)]
+    made.append(right_congruence(s, data.draw(st.sampled_from(lattice)).class_of))
+    made.append(join(*data.draw(st.tuples(st.sampled_from(lattice),
+                                          st.sampled_from(lattice)))))
+    for rho in made:
+        assert rho.index == len(set(rho.class_of))
+        assert all(rho.classes())
 
 
 @_PROPERTY
@@ -534,7 +597,7 @@ def test_right_congruence_accepts_exactly_right_compatible_maps(case):
 def test_quotient_rejects_exactly_maps_not_compatible_on_both_sides(case):
     s, class_of = case
     canon = oracles.canonical(class_of)
-    rho = RightCongruence(parent=s, class_of=canon, index=len(set(canon)))
+    rho = RightCongruence(parent=s, class_of=canon)
     if oracles.is_right_compatible(s, canon) and oracles.is_left_compatible(s, canon):
         q = quotient_semigroup(s, rho)
         assert all(q.table[canon[a]][canon[b]] == canon[s.table[a][b]]

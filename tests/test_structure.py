@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,7 +14,7 @@ from sgt.library import library
 from sgt.library import chain, cyclic, left_zero, nilpotent_n3, rectangular_band, right_zero, t2, trivial
 from sgt.structure import (InvalidGroup, MismatchedInput, NotCommutative,
                            NotCompletelyRegular, NotCompletelySimple,
-                           RaggedMatrix, archimedean_decomposition,
+                           RaggedMatrix, ReesStructure, archimedean_decomposition,
                            completeness_check, cr_decomposition,
                            diagonal_cyclic_witness, h_congruence_check,
                            _rees_table, rees_construct, rees_coordinates,
@@ -262,6 +263,23 @@ def test_rees_coordinates_of_relabelled_constructions_is_an_isomorphism(s):
     assert oracles.is_isomorphism(rees_construct(struct), s, mapping)
     first = set(struct.p_matrix[0]) | {row[0] for row in struct.p_matrix}
     assert first <= {struct.group.identity, None}  # normalized where nonzero
+
+
+def test_rees_structure_derives_its_index_set_sizes_from_the_matrix():
+    assert [f.name for f in dataclasses.fields(ReesStructure) if f.init] == [
+        "group", "p_matrix", "with_zero"]
+    z2 = cyclic(2)
+    for sizes in ({"i_size": 1}, {"j_size": 1}, {"i_size": 1, "j_size": 1}):
+        with pytest.raises(TypeError):
+            ReesStructure(group=z2, p_matrix=((0,), (1,)), with_zero=False, **sizes)
+    # two rows of one entry: |I| = 1 and |J| = 2, so no row is dropped
+    r = ReesStructure(group=z2, p_matrix=((0,), (1,)), with_zero=False)
+    assert (r.i_size, r.j_size) == (1, 2)
+    assert r == rees_structure(z2, 1, 2, [[0], [1]], with_zero=False)
+    assert rees_construct(r).size == 4
+    wide = dataclasses.replace(r, p_matrix=((0, 1, 0),))
+    assert (wide.i_size, wide.j_size) == (3, 1)
+    assert wide != dataclasses.replace(r, p_matrix=((0,), (1,), (0,)))
 
 
 @pytest.mark.parametrize("size", [True, 1.0, -1, "1", None])
