@@ -372,95 +372,105 @@ def join(rho: RightCongruence, sigma: RightCongruence) -> RightCongruence:
     Both are closed already, so the merged partition is closed too and no
     union needs translating; joins of two-sided congruences are therefore
     two-sided.  The merge is a union-find over rho's class labels, driven
-    by sigma's links (first member, member).  A merged group keeps its
-    least label, which is the one that occurs first in S, so numbering the
-    surviving labels in order gives the canonical class map.  When nothing
-    merges, the join is rho itself.
+    by sigma's links.  When nothing merges, the join is rho itself.
     """
     sigma = _congruence_on(rho.parent, sigma, "sigma")
+    return _relabelled(rho, _merged_labels(rho, sigma))
+
+
+def _merged_labels(rho: RightCongruence, sigma: RightCongruence) -> list[int]:
+    """For each class label of rho, the least label that sigma's links
+    (first member, member) merge it with, by a union-find over rho's labels."""
     cls = rho.class_of
-    parent = list(range(rho.index))
+    root = list(range(rho.index))
     for f, x in sigma._links:
-        rf, rx = _find(parent, cls[f]), _find(parent, cls[x])
+        rf, rx = _find(root, cls[f]), _find(root, cls[x])
         if rf < rx:
-            parent[rx] = rf
+            root[rx] = rf
         elif rx < rf:
-            parent[rf] = rx
-    relabel: list[int] = []
-    index = 0
-    for c, p in enumerate(parent):  # below a root, p < c is relabelled already
-        if p == c:
-            relabel.append(index)
-            index += 1
-        else:
-            relabel.append(relabel[p])
-    if index == rho.index:
+            root[rf] = rx
+    for c, p in enumerate(root):  # p <= c, so root[p] is final already
+        root[c] = root[p]
+    return root
+
+
+def _relabelled(rho: RightCongruence, root: list[int]) -> RightCongruence:
+    """rho with its labels merged to their roots: a root is its group's least
+    label, the first in S, so numbering roots in order gives canonical labels."""
+    relabel = _canonical_classes(root)
+    if relabel[-1] + 1 == rho.index:  # the last label keeps its number only if none merged
         return rho
-    return RightCongruence(parent=rho.parent, class_of=tuple(map(relabel.__getitem__, cls)))
+    return RightCongruence(parent=rho.parent,
+                           class_of=tuple(map(relabel.__getitem__, rho.class_of)))
 
 
 def _principal_closure(s: FiniteSemigroup, two_sided: bool = False,
                        cap: int | None = None) -> list[RightCongruence]:
-    """All right (or two-sided) congruences by the principal-join closure
-    of enumerate_right_congruences, ordered by (-index, class_of)."""
-    found: dict[tuple[int, ...], RightCongruence] = {}
+    """All right (or two-sided) congruences, ordered by (-index, class_of),
+    by the close-by-one walk of enumerate_right_congruences.  The walk
+    builds each congruence once, so only the principal phase dedups, and
+    its canonicity test reads the merged labels before a class map is built."""
+    def count(found: int) -> None:
+        if cap is not None and found > cap:
+            raise CapExceeded(found)
 
-    def add(rho):
-        if rho.class_of not in found:
-            found[rho.class_of] = rho
-            if cap is not None and len(found) > cap:
-                raise CapExceeded(len(found))
-            return True
-        return False
-
-    add(identity_congruence(s))
-    principal = []
+    count(1)  # the identity
+    principal: dict[tuple[int, ...], tuple[int, int, RightCongruence]] = {}
     for a in range(s.size):
         for b in range(a + 1, s.size):
             rho = _close(s, [(a, b)], two_sided=two_sided)
-            if add(rho):
-                principal.append((a, b, rho))
+            if principal.setdefault(rho.class_of, (a, b, rho))[2] is rho:
+                count(len(principal) + 1)
     # The principals strictly below sigma are those of larger index whose
     # pair sigma relates; sigma is join-irreducible unless they join to it.
     irreducible = []
-    for a, b, sigma in principal:
+    for a, b, sigma in principal.values():
         cls = sigma.class_of
-        below = [tau.class_of for c, d, tau in principal
+        below = [tau.class_of for c, d, tau in principal.values()
                  if tau.index > sigma.index and cls[c] == cls[d]]
         if not below or _close(s, closed=below).class_of != cls:
             irreducible.append((a, b, sigma))
-    fresh = [rho for _, _, rho in principal]
-    while fresh:
-        rho = fresh.pop()
+    found = [identity_congruence(s)]
+    stack = [(found[0], 0)]
+    while stack:
+        rho, start = stack.pop()
         cls = rho.class_of
-        for a, b, sigma in irreducible:
-            if cls[a] != cls[b]:
-                j = join(rho, sigma)
-                if add(j):
-                    fresh.append(j)
-    return sorted(found.values(), key=lambda r: (-r.index, r.class_of))
+        earlier = []  # rho's labels of the pairs before i that it does not relate
+        for i, (a, b, sigma) in enumerate(irreducible):
+            if cls[a] == cls[b]:
+                continue
+            if i >= start:
+                root = _merged_labels(rho, sigma)
+                if not any(root[c] == root[d] for c, d in earlier):
+                    found.append(_relabelled(rho, root))
+                    count(len(found))
+                    stack.append((found[-1], i + 1))
+            earlier.append((cls[a], cls[b]))
+    return sorted(found, key=lambda r: (-r.index, r.class_of))
 
 
 def enumerate_right_congruences(s: FiniteSemigroup,
                                 cap: int | None = None) -> CongruenceLattice:
-    """All right congruences: the join-irreducible principal ones closed
-    under join.
+    """All right congruences: the joins of the join-irreducible principal
+    ones, each built once by close-by-one.
 
     Every right congruence rho is the join of the principal right
     congruences <(a, b)> of its own pairs: it contains each of them, and
     together they relate all of its pairs.  Each principal congruence is
     closed by translating by the generating set of s only.  In a finite
     lattice every element is a join of join-irreducible ones, and those
-    are principal here, so only the join-irreducible principals are kept
-    as join partners: a principal congruence is dropped when the principal
-    ones strictly below it join to it.  The closure starts from the
-    identity and the distinct principal congruences, keeping one
-    generating pair (a, b) for each, and joins every congruence found with
-    each join-irreducible one, skipping the join when it already relates
-    (a, b) (the join is then itself).  The set found is closed under these
-    joins, so it holds every finite join of them, which is every right
-    congruence.  Each join merges classes of two closed partitions and
-    re-saturates nothing.
+    are principal here, so only the join-irreducible principals sigma_i
+    are kept, each with its first pair (a_i, b_i), in order of those pairs:
+    a principal is dropped when the principal ones strictly below it join
+    to it.  Let C(rho) be the set of i with rho relating (a_i, b_i), that
+    is, sigma_i <= rho.  As rho is the join of the sigma_i below it,
+    rho -> C(rho) is injective, onto the sets closed under
+    X -> C(join of the sigma_i, i in X).  The close-by-one walk (Kuznetsov
+    1993) with Ganter's canonicity test (1984) yields each closed set once:
+    from (identity, 0), for a pair (rho, start) and each i >= start not in
+    C(rho), j = join(rho, sigma_i) is kept, and walked on as (j, i + 1),
+    only when C(j) adds no index below i to C(rho).  Each join merges
+    classes of two closed partitions and re-saturates nothing.
 
     Congruences are ordered by decreasing index, then by class map.
     Raises CapExceeded as soon as the count passes the cap, which must be
@@ -483,15 +493,18 @@ def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
 
     The answer depends only on the table, rho's class map and exact_limit,
     so after rho and exact_limit are checked a search runs once per question
-    and semigroup instance: a miss checks that rho is right compatible
-    (RangeError otherwise) and memoizes on s, by (rho.class_of, exact_limit),
-    the PairSet of s it built and its flag, which every hit then returns.
+    and semigroup instance: a miss checks that rho's class map is canonical
+    and right compatible (RangeError otherwise) and memoizes on s, by
+    (rho.class_of, exact_limit), the PairSet of s it built and its flag,
+    which every hit then returns.
     """
     rho = _congruence_on(s, rho)
     exact_limit = _index(exact_limit, "exact_limit")
     key = (rho.class_of, exact_limit)
     memo = s._generating_pairs_memo
     if key not in memo:
+        if len(rho.class_of) != s.size or _canonical_classes(rho.class_of) != rho.class_of:
+            raise RangeError(f"rho must have a canonical class map of {s.size} elements")
         _require_right_compatible(s, rho.class_of, RangeError)
         pairs, optimal = _search_generating_pairs(s, rho, exact_limit)
         memo[key] = (PairSet(parent=s, pairs=pairs), optimal)

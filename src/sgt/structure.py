@@ -49,8 +49,26 @@ class ReesStructure:
     with_zero: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "i_size", len(self.p_matrix[0]) if self.p_matrix else 0)
-        object.__setattr__(self, "j_size", len(self.p_matrix))
+        # rows of one nonzero length, entries ZERO (if with_zero) or group elements
+        if not len(self.p_matrix) or not len(self.p_matrix[0]):
+            raise RaggedMatrix("index sets must be nonempty")
+        i_size, n = len(self.p_matrix[0]), self.group.size
+
+        def entry(v):
+            if v is not ZERO:
+                return _index(v, "matrix entry", n)
+            if not self.with_zero:
+                raise RangeError("zero entry in a structure without zero")
+            return ZERO
+
+        rows = []
+        for row in self.p_matrix:
+            if len(row) != i_size:
+                raise RaggedMatrix(f"expected {i_size} entries, got {len(row)}")
+            rows.append(tuple(map(entry, row)))
+        object.__setattr__(self, "p_matrix", tuple(rows))
+        object.__setattr__(self, "i_size", i_size)
+        object.__setattr__(self, "j_size", len(rows))
 
     def triple_count(self) -> int:
         return self.i_size * self.group.size * self.j_size
@@ -74,20 +92,9 @@ def rees_structure(group: FiniteSemigroup, i_size: int, j_size: int,
         raise RaggedMatrix("index sets must be nonempty")
     if len(p_matrix) != j_size:
         raise RaggedMatrix(f"expected {j_size} rows, got {len(p_matrix)}")
-
-    def entry(v):
-        if v is not ZERO:
-            return _index(v, "matrix entry", group.size)
-        if not with_zero:
-            raise RangeError("zero entry in a structure without zero")
-        return ZERO
-
-    rows = []
-    for row in p_matrix:
-        if len(row) != i_size:
-            raise RaggedMatrix(f"expected {i_size} entries, got {len(row)}")
-        rows.append(tuple(map(entry, row)))
-    return ReesStructure(group=group, p_matrix=tuple(rows), with_zero=with_zero)
+    if len(p_matrix[0]) != i_size:
+        raise RaggedMatrix(f"expected {i_size} entries, got {len(p_matrix[0])}")
+    return ReesStructure(group=group, p_matrix=p_matrix, with_zero=with_zero)
 
 
 def _rees_table(r: ReesStructure) -> list[tuple[int, ...]]:

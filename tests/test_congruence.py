@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sgt import congruence
 from sgt.congruence import _congruence_on, _incompatible
 from sgt.congruence import (CapExceeded, Disconnected, NotTwoSided, PairSet,
                             RightCongruence, enumerate_right_congruences, find_x_sequence,
@@ -173,13 +174,26 @@ def test_enumerate_order_and_extremes(lib):
     assert lattice.congruences[-1].class_of == (0, 0, 0)
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
     # rz4 has 15 right congruences; counting stops at the first past the cap
     for cap in (0, 1, 2, 5, 7, 14, np.int64(14)):
         with pytest.raises(CapExceeded) as err:
             enumerate_right_congruences(right_zero(4), cap=cap)
         assert err.value.partial_count == cap + 1
     assert len(enumerate_right_congruences(right_zero(4), cap=15)) == 15
+    # T3 has 44 distinct principals besides the identity: the cap trips in
+    # the principal phase up to 44 and in the close-by-one walk from 45 on
+    t3 = from_transformations(3, [Transformation(3, g) for g in T3_GENS])
+    for cap in (0, 44, 45, 46, 100, 286):
+        with pytest.raises(CapExceeded) as err:
+            enumerate_right_congruences(t3, cap=cap)
+        assert err.value.partial_count == cap + 1
+    assert len(enumerate_right_congruences(t3, cap=287)) == 287
+    # up to 44 the cap trips before the walk merges anything
+    monkeypatch.setattr(congruence, "_merged_labels", None)
+    with pytest.raises(CapExceeded) as err:
+        enumerate_right_congruences(t3, cap=44)
+    assert err.value.partial_count == 45
 
 
 @pytest.mark.parametrize("cap", [-1, -3, 2.5, 3.0, True, False, "5"])
@@ -413,6 +427,17 @@ def test_generating_pairs_of_a_hand_built_non_congruence_raise_range_error(exact
     with pytest.raises(RangeError) as got:
         minimal_generating_pairs(s, rho, exact_limit=exact_limit)
     assert str(got.value) == str(want.value)
+    assert s._generating_pairs_memo == {}
+
+
+@pytest.mark.parametrize("exact_limit", [12, 0])
+@pytest.mark.parametrize("class_of", [(1, 1, 1), (0, 2, 1), (0, 0), (0, 0, 0, 0)])
+def test_generating_pairs_of_a_non_canonical_class_map_raise_range_error(class_of, exact_limit):
+    # (1, 1, 1) would read as index 2 with classes [[], [0, 1, 2]]
+    s = cyclic(3)
+    with pytest.raises(RangeError, match="canonical class map of 3 elements"):
+        minimal_generating_pairs(s, RightCongruence(parent=s, class_of=class_of),
+                                 exact_limit=exact_limit)
     assert s._generating_pairs_memo == {}
 
 

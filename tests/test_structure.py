@@ -282,6 +282,33 @@ def test_rees_structure_derives_its_index_set_sizes_from_the_matrix():
     assert wide != dataclasses.replace(r, p_matrix=((0,), (1,), (0,)))
 
 
+@pytest.mark.parametrize("p_matrix, error, message", [
+    (((0, 5),), RangeError, r"matrix entry must be an int in \[0, 2\), got 5"),
+    (((0,), (0, 1)), RaggedMatrix, "expected 1 entries, got 2"),
+    (((0, 1), (0,)), RaggedMatrix, "expected 2 entries, got 1"),
+    (((0, None),), RangeError, "zero entry in a structure without zero"),
+    (((0, 1.0),), RangeError, "got 1.0"),
+    (((True,),), RangeError, "got True"),
+    ((), RaggedMatrix, "index sets must be nonempty"),
+    (((),), RaggedMatrix, "index sets must be nonempty"),
+])
+def test_hand_built_rees_structure_checks_its_matrix(p_matrix, error, message):
+    z2 = cyclic(2)
+    with pytest.raises(error, match=message):
+        ReesStructure(group=z2, p_matrix=p_matrix, with_zero=False)
+    with pytest.raises(error, match=message):
+        dataclasses.replace(ReesStructure(group=z2, p_matrix=((0,),), with_zero=False),
+                            p_matrix=p_matrix)
+
+
+def test_hand_built_rees_structure_stores_int_entries():
+    r = ReesStructure(group=cyclic(2), p_matrix=[[np.int64(1), None], (None, np.int32(0))],
+                      with_zero=True)
+    assert r.p_matrix == ((1, None), (None, 0))
+    assert all(type(v) is int for row in r.p_matrix for v in row if v is not None)
+    assert r == rees_structure(cyclic(2), 2, 2, [[1, None], [None, 0]], with_zero=True)
+
+
 @pytest.mark.parametrize("size", [True, 1.0, -1, "1", None])
 @pytest.mark.parametrize("which", ["i", "j"])
 def test_rees_structure_rejects_bad_index_set_sizes(size, which):
