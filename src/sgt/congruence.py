@@ -63,12 +63,10 @@ def pair_set(s: FiniteSemigroup, pairs: PairSet | Iterable[tuple[int, int]]) -> 
     return PairSet(parent=s, pairs=pairs)
 
 
-def _congruence_on(s: FiniteSemigroup, rho: RightCongruence,
-                   what: str = "rho") -> RightCongruence:
-    """The one intake of congruence arguments: rho itself when it is a
-    congruence of s, else RangeError."""
-    # identity first: every join of the lattice enumeration passes s itself
-    if rho.parent is not s and rho.parent != s:
+def _congruence_on(table, rho: RightCongruence, what: str = "rho") -> RightCongruence:
+    """The one intake of congruence arguments: rho itself when its parent
+    has this product table, else RangeError."""
+    if rho.parent.table != table:
         raise RangeError(f"{what} is a congruence of another semigroup")
     return rho
 
@@ -374,7 +372,7 @@ def join(rho: RightCongruence, sigma: RightCongruence) -> RightCongruence:
     two-sided.  The merge is a union-find over rho's class labels, driven
     by sigma's links.  When nothing merges, the join is rho itself.
     """
-    sigma = _congruence_on(rho.parent, sigma, "sigma")
+    sigma = _congruence_on(rho.parent.table, sigma, "sigma")
     return _relabelled(rho, _merged_labels(rho, sigma))
 
 
@@ -493,17 +491,21 @@ def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
 
     The answer depends only on the table, rho's class map and exact_limit,
     so after rho and exact_limit are checked a search runs once per question
-    and semigroup instance: a miss checks that rho's class map is canonical
-    and right compatible (RangeError otherwise) and memoizes on s, by
-    (rho.class_of, exact_limit), the PairSet of s it built and its flag,
-    which every hit then returns.
+    and semigroup instance: a miss checks that rho's class map is canonical,
+    with int labels, and right compatible (RangeError otherwise) and
+    memoizes on s, by (rho.class_of, exact_limit), the PairSet of s it built
+    and its flag, which every hit then returns.
     """
-    rho = _congruence_on(s, rho)
+    rho = _congruence_on(s.table, rho)
     exact_limit = _index(exact_limit, "exact_limit")
     key = (rho.class_of, exact_limit)
     memo = s._generating_pairs_memo
     if key not in memo:
-        if len(rho.class_of) != s.size or _canonical_classes(rho.class_of) != rho.class_of:
+        try:  # int labels only, numpy integers too: no bool, no float
+            labels = tuple(_index(c, "class label") for c in rho.class_of)
+        except RangeError:
+            labels = ()
+        if len(labels) != s.size or _canonical_classes(labels) != labels:
             raise RangeError(f"rho must have a canonical class map of {s.size} elements")
         _require_right_compatible(s, rho.class_of, RangeError)
         pairs, optimal = _search_generating_pairs(s, rho, exact_limit)
@@ -559,7 +561,7 @@ def _search_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
 
 def quotient_semigroup(s: FiniteSemigroup, rho: RightCongruence) -> FiniteSemigroup:
     """Quotient by a two-sided congruence; classes keep their canonical order."""
-    cls = _congruence_on(s, rho).class_of
+    cls = _congruence_on(s.table, rho).class_of
     bad = _incompatible(s, cls, two_sided=True)
     if bad is not None:
         raise NotTwoSided(bad)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 from .core import (FiniteSemigroup, InternalAssertFailure, RangeError,
@@ -49,7 +50,9 @@ class ReesStructure:
     with_zero: bool
 
     def __post_init__(self):
-        # rows of one nonzero length, entries ZERO (if with_zero) or group elements
+        if not classify(self.group).group:
+            raise InvalidGroup("structure group must be a group")
+        # then rows of one nonzero length, entries ZERO (if with_zero) or group elements
         if not len(self.p_matrix) or not len(self.p_matrix[0]):
             raise RaggedMatrix("index sets must be nonempty")
         i_size, n = len(self.p_matrix[0]), self.group.size
@@ -70,6 +73,26 @@ class ReesStructure:
         object.__setattr__(self, "i_size", i_size)
         object.__setattr__(self, "j_size", len(rows))
 
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The product table on the triples in lexicographic order, then the
+        zero, built on first use: no field, so out of equality, hash and repr.
+        (i1, g1, j1)*(i2, g2, j2) = (i1, c*g2, j2) with c = g1*p[j1][i2], so
+        the part of a row over one i2 is a block fixed by (i1, c), or zeros."""
+        ng, jsz, gt = self.group.size, self.j_size, self.group.table
+        nt = self.triple_count()  # also the index of the zero
+        # blocks[i][c]: the products (i, c*g2, j2) over (g2, j2) in order
+        blocks = [[[(i * ng + cg) * jsz + j for cg in gt[c] for j in range(jsz)]
+                   for c in range(ng)] for i in range(self.i_size)]
+        zeros = [nt] * (ng * jsz)
+        tail = [[nt]] if self.with_zero else []
+        table = [tuple(chain.from_iterable(
+                    [zeros if p is ZERO else ib[grow[p]] for p in self.p_matrix[j]] + tail))
+                 for ib in blocks for grow in gt for j in range(jsz)]
+        if self.with_zero:
+            table.append((nt,) * (nt + 1))
+        return tuple(table)
+
     def triple_count(self) -> int:
         return self.i_size * self.group.size * self.j_size
 
@@ -83,10 +106,8 @@ class ReesStructure:
 
 def rees_structure(group: FiniteSemigroup, i_size: int, j_size: int,
                    p_matrix, with_zero: bool) -> ReesStructure:
-    """Validated structure: every entry is ZERO or an int group element
-    (numpy integers too, stored as ints), never a bool or a float."""
-    if not classify(group).group:
-        raise InvalidGroup("structure group must be a group")
+    """Validated structure: the sizes against the matrix here, then the group
+    and the entries (ints, numpy integers too, or ZERO) by the constructor."""
     i_size, j_size = _index(i_size, "i_size"), _index(j_size, "j_size")
     if i_size == 0 or j_size == 0:
         raise RaggedMatrix("index sets must be nonempty")
@@ -97,26 +118,6 @@ def rees_structure(group: FiniteSemigroup, i_size: int, j_size: int,
     return ReesStructure(group=group, p_matrix=p_matrix, with_zero=with_zero)
 
 
-def _rees_table(r: ReesStructure) -> list[tuple[int, ...]]:
-    """The product table on the triples in lexicographic order, then the zero.
-
-    (i1, g1, j1)*(i2, g2, j2) = (i1, c*g2, j2) with c = g1*p[j1][i2], so the
-    part of a row over one i2 is a block fixed by (i1, c), or zeros."""
-    ng, jsz, gt = r.group.size, r.j_size, r.group.table
-    nt = r.triple_count()  # also the index of the zero
-    # blocks[i][c]: the products (i, c*g2, j2) over (g2, j2) in order
-    blocks = [[[(i * ng + cg) * jsz + j for cg in gt[c] for j in range(jsz)]
-               for c in range(ng)] for i in range(r.i_size)]
-    zeros = [nt] * (ng * jsz)
-    tail = [[nt]] if r.with_zero else []
-    table = [tuple(chain.from_iterable(
-                [zeros if p is ZERO else ib[grow[p]] for p in r.p_matrix[j]] + tail))
-             for ib in blocks for grow in gt for j in range(jsz)]
-    if r.with_zero:
-        table.append((nt,) * (nt + 1))
-    return table
-
-
 def rees_construct(r: ReesStructure) -> FiniteSemigroup:
     """Matrix semigroup over r: triples (i, g, j) in lexicographic order,
     product (i1, g1*p[j1][i2]*g2, j2), plus a zero when requested.
@@ -124,12 +125,11 @@ def rees_construct(r: ReesStructure) -> FiniteSemigroup:
     When P is regular the result is checked to be completely (0-)simple;
     otherwise a warning is issued and the check is skipped.
     """
-    table = _rees_table(r)
     labels = [f"({i},{r.group.label(g)},{j})" for i in range(r.i_size)
               for g in range(r.group.size) for j in range(r.j_size)]
     if r.with_zero:
         labels.append("0")
-    s = from_cayley(len(table), table, labels=labels)
+    s = from_cayley(len(r.table), r.table, labels=labels)
     if r.is_regular():
         flags = classify(s)
         want = flags.completely_zero_simple if r.with_zero else flags.completely_simple
@@ -156,7 +156,7 @@ def theta_congruence(s: FiniteSemigroup, r: ReesStructure) -> tuple[ThetaPattern
     """
     if not r.with_zero:
         raise MismatchedInput("theta congruence needs a structure with zero")
-    if s.table != tuple(_rees_table(r)):
+    if s.table != r.table:
         raise MismatchedInput("semigroup was not constructed from this structure")
     vectors = tuple(tuple(1 if v is not ZERO else 0 for v in row)
                     for row in r.p_matrix)
@@ -215,12 +215,12 @@ def rees_coordinates(s: FiniteSemigroup) -> tuple[ReesStructure, tuple[int, ...]
             rr[i] = table[ri][inverse[x]]
     p = [[g_index.get(table[qj][ri], ZERO) for ri in rr] for qj in q]
 
-    struct = rees_structure(sub_semigroup(s, h), len(rr), len(q), p, with_zero)
+    struct = ReesStructure(group=sub_semigroup(s, h), p_matrix=p, with_zero=with_zero)
     mapping = tuple([table[table[ri][g]][qj] for ri in rr for g in h for qj in q]
                     + ([s.zero] if with_zero else []))
     if sorted(mapping) != list(range(s.size)):
         raise InternalAssertFailure("coordinate map is not a bijection")
-    if _hom_failure(_rees_table(struct), table, mapping) is not None:
+    if _hom_failure(struct.table, table, mapping) is not None:
         raise InternalAssertFailure("coordinate map is not a homomorphism")
     return struct, mapping
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import (FiniteSemigroup, InternalAssertFailure, RangeError,
-                   _hom_failure, _ideal_members, _index, _product_table,
-                   _restricted_table, adjoin_identity, direct_product,
-                   sub_semigroup, subsemigroup_closure)
+from .core import (FiniteSemigroup, InternalAssertFailure, _hom_failure,
+                   _ideal_members, _index, _product_table, _restricted_table,
+                   adjoin_identity, direct_product, sub_semigroup,
+                   subsemigroup_closure)
 from .congruence import (PairSet, RightCongruence, _congruence_on,
                          _principal_closure, enumerate_right_congruences,
                          minimal_generating_pairs, pair_set, quotient_semigroup,
@@ -101,7 +101,7 @@ def _elements_report(construction, inputs, x, t, built, note) -> VerificationRep
 def verify_fg_gens(s: FiniteSemigroup, gens: Iterable[int], rho: RightCongruence,
                    inputs: str = "") -> VerificationReport:
     """Generator-indexed pair set for a finite-index congruence on <gens> = S."""
-    rho = _congruence_on(s, rho)
+    rho = _congruence_on(s.table, rho)
     gens = sorted(set(gens))
     if subsemigroup_closure(s, gens).members != tuple(range(s.size)):
         raise NotGenerating("given set does not generate the semigroup")
@@ -151,8 +151,7 @@ def verify_dp_gens(m: FiniteSemigroup, n: FiniteSemigroup, rho: RightCongruence,
     """Product generating set assembled from the two coordinate restrictions."""
     if m.identity is None or n.identity is None:
         raise NotMonoids("both factors must be monoids")
-    if rho.parent.table != _product_table(m, n):  # compared, not rebuilt
-        raise RangeError("rho is a congruence of another semigroup")
+    rho = _congruence_on(_product_table(m, n), rho)  # compared, not rebuilt
 
     def idx(a, b):
         return a * n.size + b
@@ -231,7 +230,7 @@ def verify_quotient_gens(s: FiniteSemigroup, t: FiniteSemigroup,
                          inputs: str = "") -> VerificationReport:
     """Push a pullback's generating set through a surjective homomorphism;
     every entry of theta must be an int in [0, |T|), else RangeError."""
-    rho_on_t = _congruence_on(t, rho_on_t, "rho_on_t")
+    rho_on_t = _congruence_on(t.table, rho_on_t, "rho_on_t")
     if len(theta) != s.size:
         raise NotHomomorphism("map length must equal source size")
     theta = [_index(v, "theta entry", t.size) for v in theta]
@@ -257,8 +256,7 @@ def verify_ideal_gens(s: FiniteSemigroup, ideal: Iterable[int], e: int,
     """Left-multiply a pullback's generating set into an ideal with identity e:
     rho_on_i's parent is the ideal's table, and its identity must be e."""
     members = _ideal_members(s, ideal)
-    if rho_on_i.parent.table != _restricted_table(s, members):
-        raise RangeError("rho_on_i is a congruence of another semigroup")
+    rho_on_i = _congruence_on(_restricted_table(s, members), rho_on_i, "rho_on_i")
     e = _index(e, "e", s.size)
     if e not in members:
         raise NoInternalIdentity("e must belong to the ideal")
@@ -282,7 +280,7 @@ def verify_extend_gens(s: FiniteSemigroup, rho: RightCongruence,
                        sigma: RightCongruence,
                        inputs: str = "") -> VerificationReport:
     """Extend a refinement's generating set by representative cross pairs."""
-    rho, sigma = _congruence_on(s, rho), _congruence_on(s, sigma, "sigma")
+    rho, sigma = _congruence_on(s.table, rho), _congruence_on(s.table, sigma, "sigma")
     if not _refines(rho, sigma):
         raise NotRefinement("rho does not refine sigma")
     alpha = [members[0] for members in rho.classes()]

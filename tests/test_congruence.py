@@ -431,7 +431,8 @@ def test_generating_pairs_of_a_hand_built_non_congruence_raise_range_error(exact
 
 
 @pytest.mark.parametrize("exact_limit", [12, 0])
-@pytest.mark.parametrize("class_of", [(1, 1, 1), (0, 2, 1), (0, 0), (0, 0, 0, 0)])
+@pytest.mark.parametrize("class_of", [(1, 1, 1), (0, 2, 1), (0, 0), (0, 0, 0, 0),
+                                      (0, 0, 0.0), (0.0, 0, 0), (False, 0, 0)])
 def test_generating_pairs_of_a_non_canonical_class_map_raise_range_error(class_of, exact_limit):
     # (1, 1, 1) would read as index 2 with classes [[], [0, 1, 2]]
     s = cyclic(3)
@@ -447,14 +448,18 @@ def test_memo_returns_the_pair_set_it_built():
     first = minimal_generating_pairs(s, rho)
     assert first[0].parent is s
     assert minimal_generating_pairs(s, rc_generate(s, [(0, 2)]))[0] is first[0]
+    # numpy integer labels pass a miss's check on another instance
+    t, labels = cyclic(6), tuple(np.array(rho.class_of))
+    assert minimal_generating_pairs(t, RightCongruence(parent=t, class_of=labels)) == (
+        PairSet(parent=t, pairs=first[0].pairs), True)
 
 
 def test_congruence_of_its_semigroup_comes_back_as_it_is():
     s = cyclic(6)
     rho = rc_generate(s, [(0, 2)])
-    assert _congruence_on(s, rho) is rho
-    # equal tables suffice: labels and caches are not compared
-    assert _congruence_on(from_cayley(6, s.table), rho) is rho
+    assert _congruence_on(s.table, rho) is rho
+    # equal tables suffice: the rows are compared, not the objects
+    assert _congruence_on(from_cayley(6, [list(row) for row in s.table]).table, rho) is rho
 
 
 @pytest.mark.parametrize("a, b", [(-1, 0), (0, 3), (0, 1.0), (True, 0), ("0", 1)])

@@ -17,7 +17,7 @@ from sgt.structure import (InvalidGroup, MismatchedInput, NotCommutative,
                            RaggedMatrix, ReesStructure, archimedean_decomposition,
                            completeness_check, cr_decomposition,
                            diagonal_cyclic_witness, h_congruence_check,
-                           _rees_table, rees_construct, rees_coordinates,
+                           rees_construct, rees_coordinates,
                            rees_structure, theta_congruence)
 from sgt.verify import isomorphic
 
@@ -79,7 +79,7 @@ def _rees_inputs(draw):
 def test_rees_table_matches_the_triple_product(case):
     gt, i_size, j_size, p, with_zero = case
     r = rees_structure(from_cayley(len(gt), gt), i_size, j_size, p, with_zero)
-    assert list(map(list, _rees_table(r))) == oracles.brute_rees_table(*case)
+    assert list(map(list, r.table)) == oracles.brute_rees_table(*case)
 
 
 def test_rees_structure_validation():
@@ -135,6 +135,12 @@ def test_theta_mismatched_input():
     r = rees_structure(trivial(), 2, 2, [[0, None], [None, 0]], with_zero=True)
     with pytest.raises(MismatchedInput):
         theta_congruence(cyclic(5), r)
+    # built from another structure of the same size: r.table is compared
+    other = rees_construct(rees_structure(trivial(), 2, 2, [[0, 0], [None, 0]],
+                                          with_zero=True))
+    assert other.size == len(r.table)
+    with pytest.raises(MismatchedInput, match="not constructed from this structure"):
+        theta_congruence(other, r)
     r2 = rees_structure(trivial(), 2, 2, [[0, 0], [0, 0]], with_zero=False)
     with pytest.raises(MismatchedInput):
         theta_congruence(rees_construct(r2), r2)
@@ -299,6 +305,24 @@ def test_hand_built_rees_structure_checks_its_matrix(p_matrix, error, message):
     with pytest.raises(error, match=message):
         dataclasses.replace(ReesStructure(group=z2, p_matrix=((0,),), with_zero=False),
                             p_matrix=p_matrix)
+
+
+def test_hand_built_rees_structure_checks_its_group():
+    with pytest.raises(InvalidGroup, match="structure group must be a group"):
+        ReesStructure(group=chain(2), p_matrix=((0,),), with_zero=False)
+    r = ReesStructure(group=cyclic(2), p_matrix=((0,),), with_zero=False)
+    with pytest.raises(InvalidGroup, match="structure group must be a group"):
+        dataclasses.replace(r, group=chain(2))
+
+
+def test_rees_table_is_derived_once_and_is_no_field():
+    r = rees_structure(cyclic(2), 2, 1, [[0, 1]], with_zero=False)
+    assert "table" not in [f.name for f in dataclasses.fields(ReesStructure)]
+    assert r.table is r.table and rees_construct(r).table == r.table
+    twin = rees_structure(cyclic(2), 2, 1, [[0, 1]], with_zero=False)
+    # twin has built no table yet; the group's own table is in both reprs
+    assert repr(r.table) not in repr(r) and repr(r) == repr(twin)
+    assert r == twin and hash(r) == hash(twin)
 
 
 def test_hand_built_rees_structure_stores_int_entries():
