@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
+from . import trace
 from .core import FiniteSemigroup, RangeError, _index, from_cayley
 
 #: Multiplier standing for the formal identity of S^1; serialized as "1".
@@ -191,6 +192,8 @@ def _close(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]] = (),
     pair of the result does, and by induction on word length so do its
     translates by every element of S.
     """
+    if trace.enabled:
+        trace.counts["congruence.close.calls"] += 1
     n = s.size
     table = s.table
     parent = list(range(n))
@@ -402,34 +405,141 @@ def _relabelled(rho: RightCongruence, root: list[int]) -> RightCongruence:
                            class_of=tuple(map(relabel.__getitem__, rho.class_of)))
 
 
+def _sccs(n: int, succ):
+    """The strongly connected components of the graph on range(n) whose
+    node v has successors succ(v), each yielded as a list of its nodes,
+    successors first: an edge leaving a component enters one yielded
+    before it.  Tarjan's algorithm (1972), with a stack of successor
+    iterators in place of recursion."""
+    order = [0] * n  # depth-first number from 1, 0 while unvisited
+    low = [0] * n
+    path = []  # visited nodes not yet in a component, in order of visit
+    visited = 0
+    for root in range(n):
+        if order[root]:
+            continue
+        visited += 1
+        order[root] = low[root] = visited
+        path.append(root)
+        frames = [(root, iter(succ(root)))]
+        while frames:
+            v, edges = frames[-1]
+            for w in edges:
+                if not order[w]:
+                    visited += 1
+                    order[w] = low[w] = visited
+                    path.append(w)
+                    frames.append((w, iter(succ(w))))
+                    break
+                if order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                frames.pop()
+                if frames and low[v] < low[frames[-1][0]]:
+                    low[frames[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    k = len(path) - 1
+                    while path[k] != v:
+                        k -= 1
+                    component = path[k:]
+                    del path[k:]
+                    for w in component:
+                        order[w] = n + 1  # above every low-link from now on
+                    yield component
+
+
+def _pair_principals(s: FiniteSemigroup, two_sided: bool = False) -> list[RightCongruence]:
+    """The principal right (or two-sided) congruence <(a, b)> of every pair
+    a < b, in lexicographic order of the pairs; equal ones are one object.
+
+    <(a, b)> is the equivalence generated by the pairs reachable from
+    {a, b} in the pair graph: its nodes are the pairs {x, y}, x < y, and
+    its edges go from {x, y} to {xg, yg} (and to {gx, gy} when two_sided)
+    for each generator g of s, except into the diagonal.  So the pairs of
+    one strongly connected component generate one congruence, and the
+    components come successors first: a component's class map is its own
+    pairs merged with the closed class maps of the components it reaches
+    in one edge, and nothing is translated or re-saturated.
+    """
+    n = s.size
+    table = s.table
+    moves = [[row[g] for row in table] for g in s.generators]  # x -> x*g
+    if two_sided:
+        moves += [table[g] for g in s.generators]  # x -> g*x
+    # node ids in lexicographic order of the pairs: {x, y} is off[x] + y
+    off = [x * n - x * (x + 3) // 2 - 1 for x in range(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    succ = [[off[u] + w if u < w else off[w] + u
+             for m in moves if (u := m[x]) != (w := m[y])] for x, y in pairs]
+    comp = [0] * len(pairs)
+    rhos: list[RightCongruence] = []  # the distinct principals, by first build
+    ids: dict[tuple[int, ...], int] = {}  # their positions in rhos
+    rho_of: list[int] = []  # each component's position in rhos
+    for c, members in enumerate(_sccs(len(pairs), succ.__getitem__)):
+        for v in members:
+            comp[v] = c
+        reached = {rho_of[d] for v in members for w in succ[v] if (d := comp[w]) != c}
+        parent = list(range(n))
+        links = [pairs[v] for v in members]
+        for d in reached:
+            links += rhos[d]._links
+        for f, x in links:
+            rx, rf = _find(parent, x), _find(parent, f)
+            if rx != rf:
+                parent[rx] = rf
+        cls = _canonical_classes([_find(parent, x) for x in range(n)])
+        rho_of.append(ids.setdefault(cls, len(ids)))
+        if len(rhos) < len(ids):
+            rhos.append(RightCongruence(parent=s, class_of=cls))
+    if trace.enabled:
+        trace.counts.update({"congruence.pair_graph.nodes": len(pairs),
+                             "congruence.pair_graph.sccs": len(rho_of),
+                             "congruence.principals": len(rhos)})
+    return [rhos[rho_of[c]] for c in comp]
+
+
+def _principals(s: FiniteSemigroup, two_sided: bool = False,
+                count=None) -> list[tuple[int, int, RightCongruence]]:
+    """The distinct principal right (or two-sided) congruences, each with
+    its first pair (a, b) in lexicographic order, in the order of those
+    pairs; count, when given, is called with 1 + the number found so far
+    after each new one."""
+    first: dict[int, tuple[int, int, RightCongruence]] = {}  # by id(<(a, b)>)
+    for (a, b), rho in zip(itertools.combinations(range(s.size), 2),
+                           _pair_principals(s, two_sided)):
+        if id(rho) not in first:
+            first[id(rho)] = (a, b, rho)
+            if count is not None:
+                count(len(first) + 1)
+    return list(first.values())
+
+
 def _principal_closure(s: FiniteSemigroup, two_sided: bool = False,
                        cap: int | None = None) -> list[RightCongruence]:
     """All right (or two-sided) congruences, ordered by (-index, class_of),
-    by the close-by-one walk of enumerate_right_congruences.  The walk
-    builds each congruence once, so only the principal phase dedups, and
-    its canonicity test reads the merged labels before a class map is built."""
+    by the close-by-one walk of enumerate_right_congruences.  The principal
+    phase is one pass over the components of the pair graph (_principals),
+    which saturates no pair.  The walk builds each congruence once, so only
+    the principal phase dedups, and its canonicity test reads the merged
+    labels before a class map is built."""
     def count(found: int) -> None:
         if cap is not None and found > cap:
             raise CapExceeded(found)
 
     count(1)  # the identity
-    principal: dict[tuple[int, ...], tuple[int, int, RightCongruence]] = {}
-    for a in range(s.size):
-        for b in range(a + 1, s.size):
-            rho = _close(s, [(a, b)], two_sided=two_sided)
-            if principal.setdefault(rho.class_of, (a, b, rho))[2] is rho:
-                count(len(principal) + 1)
+    principal = _principals(s, two_sided, count)
     # The principals strictly below sigma are those of larger index whose
     # pair sigma relates; sigma is join-irreducible unless they join to it.
     irreducible = []
-    for a, b, sigma in principal.values():
+    for a, b, sigma in principal:
         cls = sigma.class_of
-        below = [tau.class_of for c, d, tau in principal.values()
+        below = [tau.class_of for c, d, tau in principal
                  if tau.index > sigma.index and cls[c] == cls[d]]
         if not below or _close(s, closed=below).class_of != cls:
             irreducible.append((a, b, sigma))
     found = [identity_congruence(s)]
     stack = [(found[0], 0)]
+    tried = 0  # label merges; each kept one is a congruence found
     while stack:
         rho, start = stack.pop()
         cls = rho.class_of
@@ -438,12 +548,16 @@ def _principal_closure(s: FiniteSemigroup, two_sided: bool = False,
             if cls[a] == cls[b]:
                 continue
             if i >= start:
+                tried += 1
                 root = _merged_labels(rho, sigma)
                 if not any(root[c] == root[d] for c, d in earlier):
                     found.append(_relabelled(rho, root))
                     count(len(found))
                     stack.append((found[-1], i + 1))
             earlier.append((cls[a], cls[b]))
+    if trace.enabled:
+        trace.counts.update({"congruence.walk.merges_tried": tried,
+                             "congruence.walk.merges_kept": len(found) - 1})
     return sorted(found, key=lambda r: (-r.index, r.class_of))
 
 
@@ -454,8 +568,11 @@ def enumerate_right_congruences(s: FiniteSemigroup,
 
     Every right congruence rho is the join of the principal right
     congruences <(a, b)> of its own pairs: it contains each of them, and
-    together they relate all of its pairs.  Each principal congruence is
-    closed by translating by the generating set of s only.  In a finite
+    together they relate all of its pairs.  The principal congruences come
+    from one pass over the strongly connected components of the graph of
+    pairs {x, y} -> {xg, yg}, g in the generating set of s: each
+    component's congruence is its own pairs merged with the congruences of
+    the components it reaches, built before it.  In a finite
     lattice every element is a join of join-irreducible ones, and those
     are principal here, so only the join-irreducible principals sigma_i
     are kept, each with its first pair (a_i, b_i), in order of those pairs:

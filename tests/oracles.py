@@ -155,6 +155,29 @@ def brute_generated(s, pairs, two_sided=False):
     return meet(fitting)
 
 
+def first_pair_principals(n, generate):
+    """The principal loop of old: generate([(a, b)]) for every pair a < b
+    in lexicographic order, each distinct class map it returns kept with
+    its first pair, as (class map, a, b) in the order of those pairs."""
+    first = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            first.setdefault(generate([(a, b)]), (a, b))
+    return [(class_of, a, b) for class_of, (a, b) in first.items()]
+
+
+def reachable(succ, v):
+    """The nodes reachable from v in the graph with successors succ, v included."""
+    seen = {v}
+    frontier = [v]
+    while frontier:
+        for w in succ(frontier.pop()):
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
 def first_incompatible(s, class_of, two_sided=False):
     """The full scan for a compatibility witness: the first (a, b, t), over
     classes by first occurrence, consecutive members (a, b), then every t in

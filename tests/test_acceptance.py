@@ -4,8 +4,10 @@ import itertools
 import random
 import time
 import warnings
+from collections import Counter
 
 import oracles
+from sgt import trace
 from sgt.congruence import (enumerate_right_congruences,
                             minimal_generating_pairs, rc_diameter, rc_generate,
                             universal_congruence)
@@ -15,9 +17,15 @@ from sgt.library import cyclic, right_zero, trivial
 from sgt.structure import (ZERO, archimedean_decomposition, cr_decomposition,
                            diagonal_cyclic_witness, rees_construct,
                            rees_coordinates, rees_structure, theta_congruence)
-from sgt.verify import isomorphic, sweep, verify_schutz_gens
+from sgt.verify import isomorphic, sweep, two_sided_congruences, verify_schutz_gens
 
 SEED = 20260810
+T3_GENS = ((1, 2, 0), (1, 0, 2), (0, 0, 2))
+T4_GENS = ((1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3))
+
+
+def _full_transformation_monoid(degree, gens):
+    return from_transformations(degree, [Transformation(degree, g) for g in gens])
 
 
 def _run(num, desc, bound, fn):
@@ -257,3 +265,35 @@ def test_criterion_11_diagonal_act_negative(lib):
                 assert diagonal_cyclic_witness(s) is None, name
 
     _run(11, "diagonal act is cyclic only for the trivial semigroup", 5, check)
+
+
+def test_criterion_12_large_tables():
+    def check():
+        t4 = _full_transformation_monoid(4, T4_GENS)
+        with trace.counting() as counts:
+            chain = two_sided_congruences(t4)
+        assert [rho.index for rho in chain] == [256, 253, 211, 169, 73, 49, 25, 7, 3, 2, 1]
+        # a chain: each congruence refines the next, whose labels are a
+        # function of its own
+        assert all(len(set(zip(finer.class_of, coarser.class_of))) == finer.index
+                   for finer, coarser in zip(chain, chain[1:]))
+        # one pass over the pair graph; only the irreducibility test closes
+        assert counts["congruence.pair_graph.nodes"] == 256 * 255 // 2
+        assert counts["congruence.principals"] == 10
+        assert counts["congruence.close.calls"] < counts["congruence.principals"]
+        assert len(enumerate_right_congruences(cyclic(500))) == oracles.divisor_count(500) == 12
+
+    _run(12, "two-sided congruences of T4 and right congruences of cyclic(500)", 10, check)
+
+
+def test_criterion_13_t3_replays():
+    def check():
+        t3 = _full_transformation_monoid(3, T3_GENS)
+        reports = sweep(size_limit=27, schutz_limit=27, dp_limit=0, lib={"T3": t3})
+        bad = [r for r in reports if not r.passed]
+        assert not bad, f"{len(bad)} failures, first: {bad[0]}"
+        assert Counter(r.construction for r in reports) == {
+            "fg": 287, "extend": 5963, "quotient": 446, "ideal": 287,
+            "schutz": 27, "lclass": 2}
+
+    _run(13, "every construction replays on T3", 10, check)

@@ -667,6 +667,54 @@ def test_generated_congruence_matches_brute_on_both_sides(s, data):
                 == oracles.brute_generated(s, pairs, two_sided=two_sided))
 
 
+def _check_principals_against_closures(s):
+    pairs = list(itertools.combinations(range(s.size), 2))
+    for two_sided in (False, True):
+        def close(x):
+            return congruence._close(s, x, two_sided=two_sided).class_of
+
+        assert ([rho.class_of for rho in congruence._pair_principals(s, two_sided)]
+                == [close([p]) for p in pairs])
+        assert ([(rho.class_of, a, b) for a, b, rho in congruence._principals(s, two_sided)]
+                == oracles.first_pair_principals(s.size, close))
+
+
+@_PROPERTY
+@given(_SMALL_TABLES)
+def test_pair_graph_principals_match_one_closure_per_pair(s):
+    _check_principals_against_closures(s)
+
+
+def test_t3_principals_match_one_closure_per_pair():
+    _check_principals_against_closures(
+        from_transformations(3, [Transformation(3, g) for g in T3_GENS]))
+
+
+_GRAPHS = st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), max_size=3), min_size=n, max_size=n))
+
+
+@_PROPERTY
+@given(_GRAPHS)
+def test_sccs_are_the_mutually_reachable_classes_successors_first(succ):
+    n = len(succ)
+    components = list(congruence._sccs(n, succ.__getitem__))
+    where = {v: k for k, members in enumerate(components) for v in members}
+    assert sorted(where) == list(range(n)) and sum(map(len, components)) == n
+    reach = [oracles.reachable(succ.__getitem__, v) for v in range(n)]
+    for v in range(n):
+        for w in range(n):
+            assert (where[v] == where[w]) == (w in reach[v] and v in reach[w])
+        assert all(where[w] <= where[v] for w in succ[v])
+
+
+def test_sccs_need_no_recursion_on_long_paths():
+    n = 100_000
+    assert [len(c) for c in congruence._sccs(n, lambda v: [(v + 1) % n])] == [n]
+    line = list(congruence._sccs(n, lambda v: [v + 1] if v + 1 < n else []))
+    assert line == [[v] for v in reversed(range(n))]
+
+
 @_PROPERTY
 @given(st.sampled_from(_MAP_TABLES), st.data())
 def test_join_matches_partition_join_up_to_nine_elements(s, data):

@@ -1,0 +1,62 @@
+"""The opt-in work counters of sgt.trace."""
+from sgt import congruence, trace
+from sgt.congruence import enumerate_right_congruences, rc_generate
+from sgt.core import Transformation, from_transformations
+from sgt.verify import two_sided_congruences
+
+T3_GENS = ((1, 2, 0), (1, 0, 2), (0, 0, 2))
+
+
+def _t3():
+    return from_transformations(3, [Transformation(3, g) for g in T3_GENS])
+
+
+def test_nothing_is_counted_while_off():
+    t3 = _t3()
+    trace.counts.clear()
+    assert not trace.enabled
+    enumerate_right_congruences(t3)
+    two_sided_congruences(t3)
+    rc_generate(t3, [(0, 1)])
+    assert not trace.counts
+
+
+def test_counting_restores_the_flag_and_starts_from_zero():
+    trace.counts["stale"] = 3
+    with trace.counting() as counts:
+        assert trace.enabled and counts is trace.counts and not counts
+    assert not trace.enabled
+
+
+def test_t3_counts_on_both_sides():
+    t3 = _t3()
+    with trace.counting() as counts:
+        enumerate_right_congruences(t3)
+    assert counts["congruence.pair_graph.nodes"] == 351
+    assert counts["congruence.pair_graph.sccs"] == 65
+    assert counts["congruence.principals"] == 44
+    assert counts["congruence.walk.merges_tried"] == 1295
+    assert counts["congruence.walk.merges_kept"] == 286
+    with trace.counting() as counts:
+        two_sided_congruences(t3)
+    assert counts["congruence.pair_graph.nodes"] == 351
+    assert counts["congruence.pair_graph.sccs"] == 17
+    assert counts["congruence.principals"] == 6
+    assert counts["congruence.walk.merges_kept"] == 6
+
+
+def test_the_principal_phase_saturates_no_pair():
+    t3 = _t3()
+    for two_sided in (False, True):
+        with trace.counting() as counts:
+            congruence._principals(t3, two_sided)
+        assert counts["congruence.pair_graph.nodes"] == 351
+        assert counts["congruence.close.calls"] == 0
+    # the counter does see closures: one per rc_generate, and only the
+    # irreducibility test's, at most one per principal, in an enumeration
+    with trace.counting() as counts:
+        rc_generate(t3, [(0, 1)])
+    assert counts["congruence.close.calls"] == 1
+    with trace.counting() as counts:
+        enumerate_right_congruences(t3)
+    assert 0 < counts["congruence.close.calls"] < counts["congruence.principals"]
