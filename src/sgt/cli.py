@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import warnings
 
 from . import (classify, enumerate_right_congruences, find_x_sequence,
                green_data, maximal_subgroups, minimal_generating_pairs,
-               pair_set, rc_diameter, rc_generate, schutzenberger)
+               pair_set, rc_diameter, rc_generate, schutzenberger, trace)
 from .congruence import (CapExceeded, Disconnected, FORMAL_IDENTITY,
                          identity_congruence, quotient_semigroup,
                          universal_congruence)
@@ -502,6 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["auto", "cayley", "transformation", "rees"])
         p.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON")
+        p.add_argument("--stats", action="store_true",
+                       help="write the work counters as JSON, last on stderr")
 
     p = sub.add_parser("info", help="classification flags")
     common(p, _cmd_info)
@@ -570,12 +573,15 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """Exit codes: 0 success, 1 usage/parse/precondition error, 2 a failed
     verification, 3 an internal check failed (a bug).  Warnings print as
-    "warning:" lines after the output, and not at all after an error."""
+    "warning:" lines after the output, and not at all after an error.  With
+    --stats, a run without an error ends stderr with the counts of
+    sgt.trace as one JSON object, keys sorted."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             args = build_parser().parse_args(argv)
-            code = args.handler(args)
+            with trace.counting() if args.stats else contextlib.nullcontext() as stats:
+                code = args.handler(args)
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -584,6 +590,8 @@ def run(argv=None) -> int:
             return 3
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
+    if stats is not None:
+        print(json.dumps(stats, sort_keys=True), file=sys.stderr)
     return code
 
 

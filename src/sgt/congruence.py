@@ -521,7 +521,9 @@ def _principal_closure(s: FiniteSemigroup, two_sided: bool = False,
     phase is one pass over the components of the pair graph (_principals),
     which saturates no pair.  The walk builds each congruence once, so only
     the principal phase dedups, and its canonicity test reads the merged
-    labels before a class map is built."""
+    labels before a class map is built.  A stack entry (rho, start, witness)
+    maps each i whose merge failed the test at an ancestor to the earlier
+    pair k that it related, so that rho skips sigma_i unless it relates k."""
     def count(found: int) -> None:
         if cap is not None and found > cap:
             raise CapExceeded(found)
@@ -538,25 +540,36 @@ def _principal_closure(s: FiniteSemigroup, two_sided: bool = False,
         if not below or _close(s, closed=below).class_of != cls:
             irreducible.append((a, b, sigma))
     found = [identity_congruence(s)]
-    stack = [(found[0], 0)]
-    tried = 0  # label merges; each kept one is a congruence found
+    stack = [(found[0], 0, {})]
+    tried = skipped = 0  # label merges made, and skipped on a witness
     while stack:
-        rho, start = stack.pop()
+        rho, start, inherited = stack.pop()
         cls = rho.class_of
-        earlier = []  # rho's labels of the pairs before i that it does not relate
+        # i -> k < i: a pair that rho v sigma_i relates; rho's children share
+        # it, and each copies it when popped, after rho's loop has filled it
+        witness = dict(inherited)
+        earlier = []  # (k, rho's labels of pair k) for the pairs k < i rho does not relate
         for i, (a, b, sigma) in enumerate(irreducible):
             if cls[a] == cls[b]:
                 continue
             if i >= start:
-                tried += 1
-                root = _merged_labels(rho, sigma)
-                if not any(root[c] == root[d] for c, d in earlier):
-                    found.append(_relabelled(rho, root))
-                    count(len(found))
-                    stack.append((found[-1], i + 1))
-            earlier.append((cls[a], cls[b]))
+                k = witness.get(i)
+                if k is not None and cls[irreducible[k][0]] != cls[irreducible[k][1]]:
+                    skipped += 1  # rho v sigma_i relates pair k as well
+                else:
+                    tried += 1
+                    root = _merged_labels(rho, sigma)
+                    k = next((k for k, c, d in earlier if root[c] == root[d]), None)
+                    if k is None:
+                        found.append(_relabelled(rho, root))
+                        count(len(found))
+                        stack.append((found[-1], i + 1, witness))
+                    else:
+                        witness[i] = k
+            earlier.append((i, cls[a], cls[b]))
     if trace.enabled:
         trace.counts.update({"congruence.walk.merges_tried": tried,
+                             "congruence.walk.merges_skipped": skipped,
                              "congruence.walk.merges_kept": len(found) - 1})
     return sorted(found, key=lambda r: (-r.index, r.class_of))
 
@@ -585,7 +598,12 @@ def enumerate_right_congruences(s: FiniteSemigroup,
     from (identity, 0), for a pair (rho, start) and each i >= start not in
     C(rho), j = join(rho, sigma_i) is kept, and walked on as (j, i + 1),
     only when C(j) adds no index below i to C(rho).  Each join merges
-    classes of two closed partitions and re-saturates nothing.
+    classes of two closed partitions and re-saturates nothing.  A failed
+    test is passed down to the descendants (fast close-by-one, Outrata and
+    Vychodil 2012): when C(join(rho, sigma_i)) holds some k < i not in
+    C(rho), every rho' >= rho has k in C(join(rho', sigma_i)), so a
+    descendant rho' with k not in C(rho') skips that join, and only one
+    that holds k makes it.
 
     Congruences are ordered by decreasing index, then by class map.
     Raises CapExceeded as soon as the count passes the cap, which must be

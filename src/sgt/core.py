@@ -416,8 +416,9 @@ def classify(s: FiniteSemigroup) -> Classification:
         has_zero=s.zero is not None,
         nilpotent=idem == [s.zero],
         completely_regular=completely_regular,
+        # H is a congruence on a completely simple semigroup (Howie 1995, §4)
         cryptogroup=(completely_regular
-                     and _incompatible(s, gd.h_class, two_sided=True) is None),
+                     and (num_j == 1 or _incompatible(s, gd.h_class, two_sided=True) is None)),
         left_simple=num_l == 1,
         right_simple=num_r == 1,
         simple=num_j == 1,

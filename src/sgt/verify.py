@@ -7,6 +7,7 @@ tie-breaking so reports are reproducible.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -283,12 +284,12 @@ def verify_extend_gens(s: FiniteSemigroup, rho: RightCongruence,
     rho, sigma = _congruence_on(s.table, rho), _congruence_on(s.table, sigma, "sigma")
     if not _refines(rho, sigma):
         raise NotRefinement("rho does not refine sigma")
-    alpha = [members[0] for members in rho.classes()]
+    # rho's class representatives, grouped by their sigma class
+    alpha: dict[int, list[int]] = {}
+    for members in rho.classes():
+        alpha.setdefault(sigma.class_of[members[0]], []).append(members[0])
     built = set(minimal_generating_pairs(s, rho)[0].pairs)
-    for i, ai in enumerate(alpha):
-        for j, aj in enumerate(alpha):
-            if i != j and sigma.related(ai, aj):
-                built.add((ai, aj))
+    built.update(p for group in alpha.values() for p in itertools.permutations(group, 2))
     return _congruence_report("extend", inputs, s, built, sigma)
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgt
+from sgt import trace
 from sgt.cli import ParseError, parse_input, run
 from sgt.congruence import right_congruence
 from sgt.library import cyclic
@@ -155,6 +156,35 @@ def test_congruences_cap(files, capsys):
     assert code == 1
     assert captured.out == ""
     assert "cap exceeded" in captured.err
+
+
+def test_congruences_stats_end_stderr_and_leave_stdout_alone(tmp_path, capsys):
+    path = tmp_path / "t3.sg"
+    path.write_text("transformation 3 3\n1 2 0\n1 0 2\n0 0 2\n")
+    assert run(["congruences", "-i", str(path), "--json"]) == 0
+    plain = capsys.readouterr()
+    assert run(["congruences", "-i", str(path), "--json", "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain.out and plain.err == ""
+    assert captured.err.endswith("}\n") and captured.err.count("\n") == 1
+    stats = json.loads(captured.err)
+    assert list(stats) == sorted(stats)
+    assert stats["congruence.walk.merges_tried"] == 696
+    assert stats["congruence.walk.merges_skipped"] == 599
+    assert stats["congruence.walk.merges_kept"] == 286
+    assert not trace.enabled
+
+
+def test_stats_come_after_warnings_and_not_after_an_error(tmp_path, files, capsys):
+    path = tmp_path / "w.rs"
+    path.write_text(IRREGULAR_REES)
+    assert run(["rees", "--construct", "-i", str(path), "--stats"]) == 0
+    warning, stats = capsys.readouterr().err.splitlines()
+    assert warning.startswith("warning: sandwich matrix is not regular")
+    assert isinstance(json.loads(stats), dict)
+    assert run(["congruences", "-i", files["rz3"], "--max", "2", "--stats"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cap", ["-3", "-1"])

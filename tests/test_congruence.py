@@ -487,7 +487,8 @@ def _relabel(s, perm):
 
 
 def _check_against_brute(s):
-    right = sorted(oracles.brute_right_congruences(s), key=lambda c: (-(max(c) + 1), c))
+    right = sorted(map(oracles.canonical, oracles.brute_right_congruences(s)),
+                   key=lambda c: (-(max(c) + 1), c))
     assert [r.class_of for r in enumerate_right_congruences(s).congruences] == right
     assert ([r.class_of for r in two_sided_congruences(s)]
             == [c for c in right if oracles.is_left_compatible(s, c)])
@@ -505,16 +506,6 @@ _TRANSFORMATION_GENS = st.integers(2, 3).flatmap(lambda d: st.lists(
 
 def _transformation_semigroup(gens):
     return from_transformations(len(gens[0]), [Transformation(len(g), g) for g in gens])
-
-
-@_PROPERTY
-@given(_TRANSFORMATION_GENS)
-# the two constants and the identity: left translation by the last element matters
-@example(gens=[(0, 0), (0, 1), (1, 1)])
-def test_lattice_matches_brute_on_transformation_semigroups(gens):
-    s = _transformation_semigroup(gens)
-    assume(s.size <= 7)
-    _check_against_brute(s)
 
 
 @_PROPERTY
@@ -568,14 +559,6 @@ def test_sequences_and_diameter_match_brute_bfs(gens, data):
             assert rc_diameter(s, x) == oracles.brute_diameter(s, x)
         else:
             assert rc_diameter(s, x) == Disconnected(index=rho.index)
-
-
-@_PROPERTY
-@given(st.sampled_from(_SMALL_LIBRARY).flatmap(
-    lambda s: st.tuples(st.just(s), st.permutations(range(s.size)))))
-def test_lattice_matches_brute_on_relabelled_library(case):
-    s, perm = case
-    _check_against_brute(_relabel(s, perm))
 
 
 def test_right_congruence_validates():
@@ -654,6 +637,16 @@ _SMALL_TABLES = st.one_of(
     _TRANSFORMATION_GENS.map(_transformation_semigroup).filter(lambda s: s.size <= 7),
     st.sampled_from(_SMALL_LIBRARY).flatmap(
         lambda s: st.permutations(range(s.size)).map(lambda p: _relabel(s, p))))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_SMALL_TABLES)
+# the two constants and the identity: left translation by the last element matters
+@example(s=_transformation_semigroup([(0, 0), (0, 1), (1, 1)]))
+def test_lattice_matches_brute_on_both_sides(s):
+    # a merge skipped on an inherited witness must never be one the walk needed
+    _check_against_brute(s)
 
 
 @settings(max_examples=60, deadline=None,

@@ -16,7 +16,8 @@ from sgt.core import (AssociativityViolation, DegreeMismatch, FiniteSemigroup,
                       from_transformations, rees_quotient, sub_semigroup,
                       subsemigroup_closure)
 from sgt.library import (chain, cyclic, left_zero, library, rectangular_band,
-                         right_zero)
+                         right_zero, trivial)
+from sgt.structure import rees_construct, rees_structure
 from sgt.verify import ideal_subsemigroup, isomorphic
 
 
@@ -349,6 +350,21 @@ def test_classify_matches_brute_on_transformation_semigroups(gens, variant, seed
     perm = list(range(s.size))
     random.Random(seed).shuffle(perm)
     assert classify(_permuted(s, perm)) == flags
+
+
+def test_classify_matches_brute_on_rees_structures_and_library(lib):
+    # classify skips the cryptogroup scan on one J-class: H is then a congruence
+    rng = random.Random(20261019)
+    sample = []
+    for g in (trivial(), cyclic(2), cyclic(3)):
+        for isz in (1, 2, 3):
+            for jsz in (1, 2, 3):
+                for _ in range(3):
+                    p = [[rng.randrange(g.size) for _ in range(isz)] for _ in range(jsz)]
+                    sample.append(rees_construct(rees_structure(g, isz, jsz, p, with_zero=False)))
+    assert all(classify(s).completely_simple for s in sample)
+    for s in sample + list(lib.values()):
+        assert classify(s).as_dict() == oracles.brute_classify(s)
 
 
 def test_every_library_table_associative(lib):

@@ -2,6 +2,7 @@
 from sgt import congruence, trace
 from sgt.congruence import enumerate_right_congruences, rc_generate
 from sgt.core import Transformation, from_transformations
+from sgt.library import right_zero
 from sgt.verify import two_sided_congruences
 
 T3_GENS = ((1, 2, 0), (1, 0, 2), (0, 0, 2))
@@ -35,14 +36,28 @@ def test_t3_counts_on_both_sides():
     assert counts["congruence.pair_graph.nodes"] == 351
     assert counts["congruence.pair_graph.sccs"] == 65
     assert counts["congruence.principals"] == 44
-    assert counts["congruence.walk.merges_tried"] == 1295
+    # the old walk's 1,295 merges, each made or skipped on an inherited witness
+    assert counts["congruence.walk.merges_tried"] == 696
+    assert counts["congruence.walk.merges_skipped"] == 599
     assert counts["congruence.walk.merges_kept"] == 286
+    assert (counts["congruence.walk.merges_tried"]
+            + counts["congruence.walk.merges_skipped"]) == 1295
     with trace.counting() as counts:
         two_sided_congruences(t3)
     assert counts["congruence.pair_graph.nodes"] == 351
     assert counts["congruence.pair_graph.sccs"] == 17
     assert counts["congruence.principals"] == 6
     assert counts["congruence.walk.merges_kept"] == 6
+
+
+def test_rz6_walk_counts():
+    with trace.counting() as counts:
+        enumerate_right_congruences(right_zero(6))
+    assert counts["congruence.walk.merges_tried"] == 399
+    assert counts["congruence.walk.merges_skipped"] == 471
+    assert counts["congruence.walk.merges_kept"] == 202
+    assert (counts["congruence.walk.merges_tried"]
+            + counts["congruence.walk.merges_skipped"]) == 870
 
 
 def test_the_principal_phase_saturates_no_pair():
