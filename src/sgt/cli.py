@@ -42,15 +42,12 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _content_lines(text: str):
-    """(line_number, tokens) for every non-blank, non-comment line."""
-    out = []
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append((num, line.split()))
-    return out
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line_number, stripped line) for every non-blank, non-comment line.
+    A reader splits a line only when it reads it, so the tokens of one row
+    at a time are alive, not those of the whole file."""
+    return [(num, line) for num, line in enumerate(map(str.strip, text.splitlines()), start=1)
+            if line and not line.startswith("#")]
 
 
 def _ints(tokens, where, dash: bool = False) -> list:
@@ -79,7 +76,8 @@ def parse_input(text: str, fmt: str = "auto") -> tuple[FiniteSemigroup, ReesStru
     lines = _content_lines(text)
     if not lines:
         raise ParseError(None, "empty input")
-    num, head = lines[0]
+    num, line = lines[0]
+    head = line.split()
     kind = head[0].lower()
     if fmt != "auto" and kind != fmt:
         raise ParseError(num, f"expected {fmt} input, found {kind}")
@@ -89,7 +87,20 @@ def parse_input(text: str, fmt: str = "auto") -> tuple[FiniteSemigroup, ReesStru
         n, = _ints(head[1:], num)
         if len(lines) != 1 + n:
             raise ParseError(num, f"expected {n} table rows")
-        rows = [_ints(tokens, ln) for ln, tokens in lines[1:]]
+        # Rows become tuples as they are read, each token looked up so that
+        # equal entries share one int; a row with another spelling ("007",
+        # "+1", out of range, not an integer) is read by _ints instead.
+        value = {str(v): v for v in range(n)}.__getitem__
+        rows, fallback = [], 0
+        for ln, line in lines[1:]:
+            tokens = line.split()
+            try:
+                rows.append(tuple(map(value, tokens)))
+            except KeyError:
+                rows.append(_ints(tokens, ln))
+                fallback += 1
+        if trace.enabled:
+            trace.counts["cli.parse.fallback_rows"] += fallback
         return from_cayley(n, rows), None
     if kind == "transformation":
         if len(head) != 3:
@@ -98,8 +109,8 @@ def parse_input(text: str, fmt: str = "auto") -> tuple[FiniteSemigroup, ReesStru
         if len(lines) != 1 + count:
             raise ParseError(num, f"expected {count} generator rows")
         gens = []
-        for ln, tokens in lines[1:]:
-            images = _ints(tokens, ln)
+        for ln, line in lines[1:]:
+            images = _ints(line.split(), ln)
             if len(images) != degree:
                 raise ParseError(ln, f"expected {degree} images")
             gens.append(Transformation(degree, tuple(images)))
@@ -111,11 +122,11 @@ def parse_input(text: str, fmt: str = "auto") -> tuple[FiniteSemigroup, ReesStru
         need = 1 + ng + jsz
         if len(lines) != need:
             raise ParseError(num, f"expected {need - 1} content rows after header")
-        gtable = [_ints(tokens, ln) for ln, tokens in lines[1:1 + ng]]
+        gtable = [_ints(line.split(), ln) for ln, line in lines[1:1 + ng]]
         group = from_cayley(ng, gtable)
         p = []
-        for ln, tokens in lines[1 + ng:]:
-            row = _ints(tokens, ln, dash=True)
+        for ln, line in lines[1 + ng:]:
+            row = _ints(line.split(), ln, dash=True)
             if len(row) != isz:
                 raise ParseError(ln, f"expected {isz} matrix entries")
             p.append(row)

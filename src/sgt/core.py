@@ -208,6 +208,12 @@ def from_transformations(degree: int, gens: Sequence[Transformation]) -> FiniteS
     Elements are indexed in discovery order: the generators first (in the
     given order, duplicates dropped), then breadth-first products in
     (element, generator) order.  Labels record a shortest generator word.
+
+    The search composes transformations only along the right Cayley graph,
+    n*k times for k generators (Froidure and Pin 1997).  It keeps each
+    element's edges right[x][gi] = x*g_gi and its search parent: b = p*g_gi.
+    Each row of the table is then read off the graph in index order, as
+    a*b = (a*p)*g_gi = right[a*p][gi], where p comes before b.
     """
     if not gens:
         raise DegreeMismatch("at least one generator required")
@@ -220,22 +226,33 @@ def from_transformations(degree: int, gens: Sequence[Transformation]) -> FiniteS
     elements: list[tuple[int, ...]] = []
     index: dict[tuple[int, ...], int] = {}
     words: list[str] = []
+    first: list[int] = []  # the generator of each of the first elements
     for gi, g in enumerate(images):
         if g not in index:
             index[g] = len(elements)
             elements.append(g)
             words.append(f"g{gi}")
-    pos = 0
-    while pos < len(elements):
-        x = elements[pos]
+            first.append(gi)
+    right: list[list[int]] = []
+    steps: list[tuple[int, int]] = []  # (p, gi) of each later element
+    for pos, x in enumerate(elements):  # grows while it is walked
+        edges = []
         for gi, g in enumerate(images):
             y = tuple([g[v] for v in x])
-            if y not in index:
-                index[y] = len(elements)
+            k = index.get(y)
+            if k is None:
+                k = index[y] = len(elements)
                 elements.append(y)
                 words.append(words[pos] + f"*g{gi}")
-        pos += 1
-    table = [[index[tuple([b[v] for v in a])] for b in elements] for a in elements]
+                steps.append((pos, gi))
+            edges.append(k)
+        right.append(edges)
+    table = []
+    for edges in right:  # edges of a; row[b] = a*b
+        row = [edges[gi] for gi in first]
+        for p, gi in steps:
+            row.append(right[row[p]][gi])
+        table.append(tuple(row))
     return from_cayley(len(elements), table, labels=words)
 
 
@@ -277,14 +294,22 @@ def direct_product(m: FiniteSemigroup, n: FiniteSemigroup) -> FiniteSemigroup:
     return from_cayley(m.size * n.size, _product_table(m, n), labels=labels)
 
 
-def _hom_failure(src_table, dst_table, phi) -> tuple[int, int] | None:
-    """First (a, b) in row-major order with phi(a*b) != phi(a)*phi(b), else None."""
-    for a, row in enumerate(src_table):
-        image = dst_table[phi[a]]
-        for b, ab in enumerate(row):
-            if phi[ab] != image[phi[b]]:
-                return a, b
-    return None
+def _hom_failure(src_table, dst_table, phi, gens: Sequence[int]) -> tuple[int, int] | None:
+    """First (a, b) in row-major order with phi(a*b) != phi(a)*phi(b), else None.
+
+    Both tables must be associative and gens must generate the source.  Then
+    phi(a*g) == phi(a)*phi(g) for every a and every generator g makes phi a
+    homomorphism, by induction on the length of b as a word in gens; so that
+    O(n*k) check answers None, and only a failing map is scanned in full, to
+    name its first pair.
+    """
+    images = [dst_table[x] for x in phi]  # row of phi(a), by a
+    gen_images = [(g, phi[g]) for g in gens]
+    if all(phi[row[g]] == image[h]
+           for row, image in zip(src_table, images) for g, h in gen_images):
+        return None
+    return next((a, b) for a, (row, image) in enumerate(zip(src_table, images))
+                for b, ab in enumerate(row) if phi[ab] != image[phi[b]])
 
 
 def _ideal_members(s: FiniteSemigroup, ideal: Iterable[int]) -> list[int]:

@@ -9,7 +9,8 @@ def trivial() -> FiniteSemigroup:
 
 
 def cyclic(n: int) -> FiniteSemigroup:
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    r = tuple(range(n))
+    table = [r[a:] + r[:a] for a in range(n)]  # (a + b) % n, sharing r's ints
     labels = ["e"] + [f"g{'' if k == 1 else k}" for k in range(1, n)]
     return from_cayley(n, table, labels=labels[:n] if n > 1 else ["e"])
 

@@ -235,7 +235,7 @@ def verify_quotient_gens(s: FiniteSemigroup, t: FiniteSemigroup,
     if len(theta) != s.size:
         raise NotHomomorphism("map length must equal source size")
     theta = [_index(v, "theta entry", t.size) for v in theta]
-    bad = _hom_failure(s.table, t.table, theta)
+    bad = _hom_failure(s.table, t.table, theta, s.generators)
     if bad is not None:
         a, b = bad
         raise NotHomomorphism(f"theta({a}*{b}) != theta({a})*theta({b})")

@@ -84,14 +84,15 @@ def contains_pairs(class_of, pairs):
     return all(class_of[a] == class_of[b] for a, b in pairs)
 
 
-def brute_first_nonassociative(rows):
-    """First (i, j, k) in lexicographic order with (ij)k != i(jk), else None."""
+def brute_first_nonassociative(rows, triples=None):
+    """First (i, j, k) with (ij)k != i(jk), else None: among the given
+    triples, or among all of them in lexicographic order."""
     n = len(rows)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if rows[rows[i][j]][k] != rows[i][rows[j][k]]:
-                    return (i, j, k)
+    if triples is None:
+        triples = itertools.product(range(n), repeat=3)
+    for i, j, k in triples:
+        if rows[rows[i][j]][k] != rows[i][rows[j][k]]:
+            return (i, j, k)
     return None
 
 
@@ -392,3 +393,88 @@ def is_isomorphism(src, dst, phi):
     return (dst.size == n and sorted(phi) == list(range(n))
             and all(phi[src.table[a][b]] == dst.table[phi[a]][phi[b]]
                     for a in range(n) for b in range(n)))
+
+
+def brute_parse_cayley(text):
+    """A cayley file parsed the plain way, the reference for parse_input:
+    every line split up front, and one int() per token."""
+    from sgt.cli import ParseError
+    from sgt.core import from_cayley
+
+    lines = []
+    for num, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        lines.append((num, line.split()))
+
+    def ints(tokens, where):
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+        for t in tokens:
+            try:
+                int(t)
+            except ValueError:
+                break
+        raise ParseError(where, f"expected an integer, got {t!r}")
+
+    if not lines:
+        raise ParseError(None, "empty input")
+    num, head = lines[0]
+    kind = head[0].lower()
+    if kind != "cayley":
+        raise ParseError(num, f"unknown format {kind!r}")
+    if len(head) != 2:
+        raise ParseError(num, "usage: cayley <n>")
+    n, = ints(head[1:], num)
+    if len(lines) != 1 + n:
+        raise ParseError(num, f"expected {n} table rows")
+    rows = [ints(tokens, ln) for ln, tokens in lines[1:]]
+    return from_cayley(n, rows)
+
+
+def brute_from_transformations(degree, gens):
+    """The closure of transformations with one tuple composition and one dict
+    lookup per table cell; the generators first (duplicates dropped), then
+    breadth-first products in (element, generator) order."""
+    from sgt.core import DegreeMismatch, from_cayley
+
+    if not gens:
+        raise DegreeMismatch("at least one generator required")
+    for g in gens:
+        if g.degree != degree:
+            raise DegreeMismatch(
+                f"generator of degree {g.degree}, expected {degree}")
+    images = [g.images for g in gens]
+    elements = []
+    index = {}
+    words = []
+    for gi, g in enumerate(images):
+        if g not in index:
+            index[g] = len(elements)
+            elements.append(g)
+            words.append(f"g{gi}")
+    pos = 0
+    while pos < len(elements):
+        x = elements[pos]
+        for gi, g in enumerate(images):
+            y = tuple([g[v] for v in x])
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+                words.append(words[pos] + f"*g{gi}")
+        pos += 1
+    table = [[index[tuple([b[v] for v in a])] for b in elements] for a in elements]
+    return from_cayley(len(elements), table, labels=words)
+
+
+def brute_hom_failure(src_table, dst_table, phi):
+    """First (a, b) in row-major order with phi(a*b) != phi(a)*phi(b), else None."""
+    for a, row in enumerate(src_table):
+        image = dst_table[phi[a]]
+        for b, ab in enumerate(row):
+            if phi[ab] != image[phi[b]]:
+                return a, b
+    return None

@@ -1,7 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL
 line with its runtime and enforcing a runtime budget."""
 import itertools
+import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 import warnings
 from collections import Counter
@@ -22,6 +27,7 @@ from sgt.verify import isomorphic, sweep, two_sided_congruences, verify_schutz_g
 SEED = 20260810
 T3_GENS = ((1, 2, 0), (1, 0, 2), (0, 0, 2))
 T4_GENS = ((1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3))
+T5_GENS = ((1, 2, 3, 4, 0), (1, 0, 2, 3, 4), (0, 0, 2, 3, 4))
 
 
 def _full_transformation_monoid(degree, gens):
@@ -297,3 +303,39 @@ def test_criterion_13_t3_replays():
             "schutz": 27, "lclass": 2}
 
     _run(13, "every construction replays on T3", 10, check)
+
+
+def _build_t5() -> dict:
+    """Build T5 and check it; with the build's time and the process's peak
+    RSS, so that criterion 14 reads them in an interpreter of their own."""
+    t0 = time.perf_counter()
+    t5 = _full_transformation_monoid(5, T5_GENS)
+    seconds = time.perf_counter() - t0
+    rng = random.Random(SEED)
+    triples = [tuple(rng.randrange(t5.size) for _ in range(3)) for _ in range(100_000)]
+    return {"size": t5.size, "seconds": seconds,
+            "identity_row": (t5.identity is not None
+                             and t5.table[t5.identity] == tuple(range(t5.size))),
+            "idempotents": len(t5.idempotents()),
+            "nonassociative": oracles.brute_first_nonassociative(t5.table, triples),
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
+def test_criterion_14_t5_from_transformations():
+    def check():
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(trace.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", "import json, test_acceptance as a; "
+                                   "print(json.dumps(a._build_t5()))"],
+            cwd=tests, env={**os.environ, "PYTHONPATH": os.pathsep.join([tests, src])},
+            capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        got = json.loads(out.stdout)
+        # |T5| = 5^5, and sum_k C(5, k) k^(5-k) of its elements are idempotent
+        assert (got["size"], got["idempotents"]) == (3125, 196)
+        assert got["identity_row"] and got["nonassociative"] is None
+        print(f"T5: built in {got['seconds']:.2f} s (target 3 s), "
+              f"peak RSS {got['peak_rss_mb']:.0f} MB (target 250 MB)")
+
+    _run(14, "T5 from its generators: 3,125 elements, identity, associative sample", 10, check)

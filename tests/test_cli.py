@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -11,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import sgt
 from sgt import trace
-from sgt.cli import ParseError, parse_input, run
+from sgt.cli import ParseError, _cayley_text, parse_input, run
 from sgt.congruence import right_congruence
-from sgt.library import cyclic
+from sgt.library import cyclic, library
 
 
 Z3 = "cayley 3\n0 1 2\n1 2 0\n2 0 1\n"
@@ -566,3 +568,77 @@ def test_a_library_warning_is_one_line_and_an_error_drops_it(tmp_path):
     assert out.returncode == 0 and out.stdout.startswith("cayley 5\n")
     assert out.stderr == ("warning: sandwich matrix is not regular; "
                           "classification not checked\n")
+
+
+# Spellings of an entry v of an n-element table: the first ones read as v by
+# int(), the rest are out of range, negative, or not integers at all
+RESPELL = [lambda v, n: f"00{v}", lambda v, n: f"+{v}", lambda v, n: f"0_{v}",
+           lambda v, n: f"-{v}", lambda v, n: chr(0xFF10 + v), lambda v, n: f" {v}\t",
+           lambda v, n: "1_0", lambda v, n: str(n + v), lambda v, n: f"{v}.0",
+           lambda v, n: "x", lambda v, n: "-", lambda v, n: "0x1"]
+_SMALL_TABLES = [s.table for s in library().values() if s.size <= 5]
+
+
+@st.composite
+def _respelled_cayley_texts(draw):
+    """A small table, associative or not, as a cayley text with some entries
+    respelled, and at times a ragged row, a row too many or too few, or a
+    padded header."""
+    rows = draw(st.one_of(st.sampled_from(_SMALL_TABLES), st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                           min_size=n, max_size=n))))
+    n = len(rows)
+    tokens = [[str(v) for v in row] for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        tokens[r][c] = draw(st.sampled_from(RESPELL))(rows[r][c], n)
+    shape = draw(st.sampled_from(["square", "short", "long", "rows", "header"]))
+    r = draw(st.integers(0, n - 1))
+    if shape == "short":
+        tokens[r].pop()
+    elif shape == "long":
+        tokens[r].append("0")
+    elif shape == "rows" and draw(st.booleans()):
+        tokens.pop(r)
+    elif shape == "rows":
+        tokens.insert(r, tokens[r])
+    head = f"cayley 0{n}" if shape == "header" else f"cayley {n}"
+    return "\n".join([head, *(" ".join(row) for row in tokens)]) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_respelled_cayley_texts())
+def test_parse_matches_the_one_int_per_token_oracle(text):
+    try:
+        want = oracles.brute_parse_cayley(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            parse_input(text)
+        assert (type(err.value), str(err.value)) == (type(exc), str(exc))
+        return
+    s, r = parse_input(text)
+    assert r is None and s.table == want.table
+    assert all(type(v) is int for row in s.table for v in row)
+
+
+def test_parse_reads_cyclic_500_without_holding_its_tokens():
+    text = _cayley_text(cyclic(500))
+    tracemalloc.start()
+    try:
+        with trace.counting() as counts:
+            s, _ = parse_input(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s == cyclic(500)
+    assert peak < 8 * 2 ** 20  # splitting the whole file up front peaks at 23 MB
+    assert len({id(v) for row in s.table for v in row}) == 500
+    assert counts["cli.parse.fallback_rows"] == 0
+
+
+def test_stats_count_the_rows_read_with_int(tmp_path, capsys):
+    path = tmp_path / "z3.sg"
+    path.write_text(Z3.replace("2 0 1", "2 0 001"))
+    assert run(["info", "-i", str(path), "--stats"]) == 0
+    stats = json.loads(capsys.readouterr().err)
+    assert stats["cli.parse.fallback_rows"] == 1

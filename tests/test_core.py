@@ -622,3 +622,67 @@ def test_from_cayley_checks_associativity_before_the_labels():
         from_cayley(2, [[0, 1], [1, 0]], labels=["a"])
     with pytest.raises(AssociativityViolation):
         from_cayley(2, [[1, 0], [0, 0]], labels=["a"])
+
+
+@st.composite
+def _generator_lists(draw):
+    """Transformations of degree 1 to 4, drawn from a pool of at most three,
+    so that a list often repeats a generator."""
+    d = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, d - 1)] * d), min_size=1, max_size=3))
+    return d, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+
+
+def _same_closure(degree, gens):
+    gens = [Transformation(degree, g) for g in gens]
+    s = from_transformations(degree, gens)
+    want = oracles.brute_from_transformations(degree, gens)
+    assert ((s.table, s.labels, s.identity, s.zero)
+            == (want.table, want.labels, want.identity, want.zero))
+    return s
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_lists())
+def test_from_transformations_matches_the_composition_oracle(case):
+    _same_closure(*case)
+
+
+@pytest.mark.parametrize("degree, gens, size", [
+    (2, [(1, 0), (0, 0)], 4),  # the library's t2
+    (3, [(1, 2, 0), (1, 0, 2), (0, 0, 2)], 27),
+    (4, [(1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3)], 256),
+    (3, [(1, 2, 0), (1, 2, 0), (0, 1, 2)], 3),  # Z3, its generator twice
+], ids=["t2", "T3", "T4", "duplicates"])
+def test_from_transformations_matches_the_oracle_on_full_monoids(degree, gens, size):
+    assert _same_closure(degree, gens).size == size
+
+
+_HOM_SOURCES = [s for s in library().values() if s.size <= 6] + [_T3]
+
+
+@st.composite
+def _hom_cases(draw):
+    """(s, t, phi): maps from a small semigroup that are homomorphisms, and
+    maps that are not, some of them one entry away from one."""
+    s = draw(st.sampled_from(_HOM_SOURCES))
+    t = draw(st.sampled_from([s, *_HOM_SOURCES]))
+    kind = draw(st.sampled_from(["random", "relabel", "idempotent", "bent"]))
+    if kind == "relabel":  # an isomorphism onto a relabelled copy
+        perm = draw(st.permutations(range(s.size)))
+        return s, _permuted(s, perm), list(perm)
+    if kind == "idempotent":  # constant on an idempotent: a homomorphism
+        return s, t, [draw(st.sampled_from(t.idempotents()))] * s.size
+    if kind == "bent":  # the identity map of s with one entry changed
+        phi = list(range(s.size))
+        phi[draw(st.integers(0, s.size - 1))] = draw(st.integers(0, s.size - 1))
+        return s, s, phi
+    return s, t, draw(st.lists(st.integers(0, t.size - 1), min_size=s.size, max_size=s.size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hom_cases())
+def test_hom_failure_on_generators_names_the_oracles_pair(case):
+    s, t, phi = case
+    assert (core._hom_failure(s.table, t.table, phi, s.generators)
+            == oracles.brute_hom_failure(s.table, t.table, phi))

@@ -4,8 +4,9 @@
 
 Runs ``sgt.cli.run`` in-process on every verb, in text and ``--json``, over
 the built-in library, T3, the 2-element null semigroup, Z2 with a zero,
-Rees-format inputs and malformed files, with valid and invalid arguments
-(bad integer tokens included), plus ``verify --sweep`` in text and JSON.
+Rees-format inputs, tables with respelled entries (``001``, ``+1``, ``-0``,
+``1_0``) and malformed files, with valid and invalid arguments (bad integer
+tokens included), plus ``verify --sweep`` in text and JSON.
 Two Rees inputs over S3, whose tables have 36 and 37 elements, get the
 verbs that stay fast there.  Each line holds the argv, the exit code,
 stdout and stderr.  A last line holds the number of ``sweep()`` reports and
@@ -72,13 +73,32 @@ MALFORMED_FILES = {
 }
 
 
+def _cyclic_text(n: int, spell=str) -> str:
+    return f"cayley {n}\n" + "".join(
+        " ".join(spell((a + b) % n) for b in range(n)) + "\n" for a in range(n))
+
+
+# Tables with entries that int() reads but that are not spelled as the
+# number itself, and one entry out of range in a 12-row table
+RESPELLED_FILES = {
+    "padded.sg": "cayley 3\n0 1 2\n1 2 0\n2 0 001\n",
+    "plus.sg": "cayley 2\n0 +1\n+1 0\n",
+    "minus_zero.sg": "cayley 2\n-0 1\n1 -0\n",
+    "underscore.sg": _cyclic_text(11, lambda v: "1_0" if v == 10 else str(v)),
+    "range12.sg": _cyclic_text(12).rsplit(" ", 1)[0] + " 12\n",
+}
+RESPELLED_ARGVS = [["info"], ["rees", "--to-coordinates"], ["close", "--pairs", "0 1"]]
+
+
 def _inputs(cayley_text, library) -> dict[str, str]:
-    """File name -> text for every input: library tables, T3, zero, Rees, malformed."""
+    """File name -> text for every input: library tables, T3, zero, Rees,
+    respelled and malformed."""
     files = {f"{name}.sg": cayley_text(s) + "\n" for name, s in library.items()}
     files["t3.sg"] = T3_TEXT
     files.update(ZERO_FILES)
     files.update(REES_FILES)
     files.update(S3_FILES)
+    files.update(RESPELLED_FILES)
     files.update(MALFORMED_FILES)
     return files
 
@@ -137,6 +157,8 @@ def _argvs(sizes) -> list[list[str]]:
             argvs += [[verb, "-i", path, *rest] for verb, *rest in S3_ARGVS]
         else:
             argvs += _table_argvs(path, size)
+    for path in RESPELLED_FILES:
+        argvs += [[verb, "-i", path, *rest] for verb, *rest in RESPELLED_ARGVS]
     for path in [*MALFORMED_FILES, "missing.sg"]:
         argvs += [["info", "-i", path], ["rees", "--construct", "-i", path],
                   ["theta", "-i", path]]
@@ -182,7 +204,7 @@ def main(argv=None) -> int:
             for name, text in files.items():
                 Path(name).write_text(text, encoding="utf-8")
             sizes = {name: parse_input(text)[0].size for name, text in files.items()
-                     if name not in MALFORMED_FILES}
+                     if name not in MALFORMED_FILES and name not in RESPELLED_FILES}
             records = [_invoke(run, argv) for argv in _argvs(sizes)]
         finally:
             os.chdir(cwd)
