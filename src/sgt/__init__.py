@@ -25,11 +25,10 @@ from .structure import (Decomposition, InvalidGroup, MismatchedInput,
                         theta_congruence)
 from .verify import (NoInternalIdentity, NotGenerating, NotHomomorphism,
                      NotMonoids, NotRefinement, NotSurjective,
-                     PreconditionFailed, SizeLimitExceeded,
-                     VerificationReport, isomorphic, sweep, verify_dp_gens,
-                     verify_extend_gens, verify_fg_gens, verify_ideal_gens,
-                     verify_lclass_gens, verify_quotient_gens,
-                     verify_schutz_gens)
+                     PreconditionFailed, VerificationReport, sweep,
+                     verify_dp_gens, verify_extend_gens, verify_fg_gens,
+                     verify_ideal_gens, verify_lclass_gens,
+                     verify_quotient_gens, verify_schutz_gens)
 from .library import library
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Iterable
 
 from . import trace
-from .core import FiniteSemigroup, RangeError, _index, from_cayley
+from .core import FiniteSemigroup, RangeError, _index, _trusted, from_cayley
 
 #: Multiplier standing for the formal identity of S^1; serialized as "1".
 FORMAL_IDENTITY = None
@@ -74,8 +74,25 @@ def _congruence_on(table, rho: RightCongruence, what: str = "rho") -> RightCongr
 
 @dataclass(frozen=True)
 class RightCongruence:
+    """A right congruence of parent as a class map.  The constructor checks
+    for one int label per element (numpy integers are stored as ints),
+    numbered by first occurrence (RangeError otherwise), and right
+    compatibility (ValueError naming the first witness otherwise)."""
+
     parent: FiniteSemigroup
     class_of: tuple[int, ...]
+
+    def __post_init__(self):
+        s, labels = self.parent, tuple(self.class_of)
+        if len(labels) != s.size:
+            raise RangeError("class map length must equal semigroup size")
+        if set(map(type, labels)) != {int}:
+            labels = tuple([_index(c, "class label") for c in labels])
+        if list(dict.fromkeys(labels)) != list(range(max(labels) + 1)):  # first occurrences
+            raise RangeError(f"class map must number its classes by first occurrence, got {labels}")
+        if bad := _incompatible(s, labels):  # (a, b, t)
+            raise ValueError("not right compatible: {0} ~ {1} but {0}*{2} !~ {1}*{2}".format(*bad))
+        object.__setattr__(self, "class_of", labels)
 
     @cached_property
     def index(self) -> int:
@@ -143,29 +160,18 @@ def _incompatible(s: FiniteSemigroup, class_of,
     return None
 
 
-def _require_right_compatible(s: FiniteSemigroup, class_of, error: type) -> None:
-    bad = _incompatible(s, class_of)
-    if bad is not None:
-        a, b, t = bad
-        raise error(f"not right compatible: {a} ~ {b} but {a}*{t} !~ {b}*{t}")
-
-
 def right_congruence(s: FiniteSemigroup, class_of: Iterable) -> RightCongruence:
-    """Canonicalize a class map and check right compatibility."""
-    labels = list(class_of)
-    if len(labels) != s.size:
-        raise RangeError("class map length must equal semigroup size")
-    canon = _canonical_classes(labels)
-    _require_right_compatible(s, canon, ValueError)
-    return RightCongruence(parent=s, class_of=canon)
+    """The right congruence whose classes are those of a map from the elements
+    to any hashable keys, numbered by first occurrence; its constructor checks it."""
+    return RightCongruence(parent=s, class_of=_canonical_classes(class_of))
 
 
 def identity_congruence(s: FiniteSemigroup) -> RightCongruence:
-    return RightCongruence(parent=s, class_of=tuple(range(s.size)))
+    return _trusted(RightCongruence, parent=s, class_of=tuple(range(s.size)))
 
 
 def universal_congruence(s: FiniteSemigroup) -> RightCongruence:
-    return RightCongruence(parent=s, class_of=(0,) * s.size)
+    return _trusted(RightCongruence, parent=s, class_of=(0,) * s.size)
 
 
 def _find(parent: list[int], a: int) -> int:
@@ -222,7 +228,7 @@ def _close(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]] = (),
         for row in left:
             union(row[a], row[b])
     canon = _canonical_classes([_find(parent, x) for x in range(n)])
-    return RightCongruence(parent=s, class_of=canon)
+    return _trusted(RightCongruence, parent=s, class_of=canon)
 
 
 def rc_generate(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]],
@@ -248,17 +254,6 @@ class XSequence:
 
     def __len__(self):
         return len(self.steps)
-
-    def check(self) -> bool:
-        """Re-verify every step identity by direct multiplication."""
-        if not self.steps:
-            return self.a == self.b
-        cur = self.a
-        for st in self.steps:
-            if times(self.parent, st.x, st.s) != cur:
-                return False
-            cur = times(self.parent, st.y, st.s)
-        return cur == self.b
 
 
 def _sequence_edges(s: FiniteSemigroup, x: PairSet):
@@ -401,8 +396,8 @@ def _relabelled(rho: RightCongruence, root: list[int]) -> RightCongruence:
     relabel = _canonical_classes(root)
     if relabel[-1] + 1 == rho.index:  # the last label keeps its number only if none merged
         return rho
-    return RightCongruence(parent=rho.parent,
-                           class_of=tuple(map(relabel.__getitem__, rho.class_of)))
+    return _trusted(RightCongruence, parent=rho.parent,
+                    class_of=tuple(map(relabel.__getitem__, rho.class_of)))
 
 
 def _sccs(n: int, succ):
@@ -490,7 +485,7 @@ def _pair_principals(s: FiniteSemigroup, two_sided: bool = False) -> list[RightC
         cls = _canonical_classes([_find(parent, x) for x in range(n)])
         rho_of.append(ids.setdefault(cls, len(ids)))
         if len(rhos) < len(ids):
-            rhos.append(RightCongruence(parent=s, class_of=cls))
+            rhos.append(_trusted(RightCongruence, parent=s, class_of=cls))
     if trace.enabled:
         trace.counts.update({"congruence.pair_graph.nodes": len(pairs),
                              "congruence.pair_graph.sccs": len(rho_of),
@@ -626,26 +621,19 @@ def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
 
     The answer depends only on the table, rho's class map and exact_limit,
     so after rho and exact_limit are checked a search runs once per question
-    and semigroup instance: a miss checks that rho's class map is canonical,
-    with int labels, and right compatible (RangeError otherwise) and
-    memoizes on s, by (rho.class_of, exact_limit), the PairSet of s it built
-    and its flag, which every hit then returns.
+    and semigroup instance: s memoizes, by (rho.class_of, exact_limit), the
+    pairs found and the flag, and every call wraps them in a new PairSet of
+    s, so that the memo makes no reference cycle through s.
     """
     rho = _congruence_on(s.table, rho)
     exact_limit = _index(exact_limit, "exact_limit")
     key = (rho.class_of, exact_limit)
     memo = s._generating_pairs_memo
     if key not in memo:
-        try:  # int labels only, numpy integers too: no bool, no float
-            labels = tuple(_index(c, "class label") for c in rho.class_of)
-        except RangeError:
-            labels = ()
-        if len(labels) != s.size or _canonical_classes(labels) != labels:
-            raise RangeError(f"rho must have a canonical class map of {s.size} elements")
-        _require_right_compatible(s, rho.class_of, RangeError)
         pairs, optimal = _search_generating_pairs(s, rho, exact_limit)
-        memo[key] = (PairSet(parent=s, pairs=pairs), optimal)
-    return memo[key]
+        memo[key] = (frozenset(pairs), optimal)
+    pairs, optimal = memo[key]
+    return _trusted(PairSet, parent=s, pairs=pairs), optimal
 
 
 def _search_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
@@ -655,25 +643,8 @@ def _search_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
     if not candidates:
         return [], True
     if len(candidates) <= exact_limit:
-        # The combinations of each size k, in lexicographic order, walked
-        # depth first: each level closes one more pair onto its prefix's
-        # congruence.  A pair that the prefix already relates is skipped with
-        # all its extensions: they close like a smaller combination, and
-        # every smaller one has failed.
-        def search(start, prefix, k):
-            if k == 0:
-                return [] if prefix.class_of == rho.class_of else None
-            cls = prefix.class_of
-            for i in range(start, len(candidates) - k + 1):
-                a, b = candidates[i]
-                if cls[a] != cls[b]:
-                    rest = search(i + 1, _close(s, [(a, b)], closed=(cls,)), k - 1)
-                    if rest is not None:
-                        return [(a, b), *rest]
-            return None
-
         for k in range(1, len(candidates) + 1):
-            combo = search(0, identity_congruence(s), k)
+            combo = _first_combination(s, candidates, rho.class_of, 0, identity_congruence(s), k)
             if combo is not None:
                 return combo, True
         raise AssertionError("within-class pairs must generate their congruence")
@@ -692,6 +663,26 @@ def _search_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
         chosen.append(best[1])
         current = best[2]
     return chosen, False
+
+
+def _first_combination(s: FiniteSemigroup, candidates, target, start: int,
+                       prefix: RightCongruence, k: int) -> list[tuple[int, int]] | None:
+    """The first k-combination of candidates[start:], in lexicographic order,
+    that closes onto prefix to the class map target, else None, walked depth
+    first.  A pair that the prefix already relates is skipped with all its
+    extensions: they close like a smaller combination, and every smaller
+    one has failed."""
+    if k == 0:
+        return [] if prefix.class_of == target else None
+    cls = prefix.class_of
+    for i in range(start, len(candidates) - k + 1):
+        a, b = candidates[i]
+        if cls[a] != cls[b]:
+            rest = _first_combination(s, candidates, target, i + 1,
+                                      _close(s, [(a, b)], closed=(cls,)), k - 1)
+            if rest is not None:
+                return [(a, b), *rest]
+    return None
 
 
 def quotient_semigroup(s: FiniteSemigroup, rho: RightCongruence) -> FiniteSemigroup:

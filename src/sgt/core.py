@@ -48,7 +48,14 @@ class InternalAssertFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class FiniteSemigroup:
-    """Semigroup on {0, ..., size-1} with multiplication table[a][b] = a*b."""
+    """Semigroup on {0, ..., size-1} with multiplication table[a][b] = a*b.
+
+    The constructor checks a nonempty square table of ints in [0, size)
+    (numpy integers are stored as ints; bools, floats and strings raise
+    RangeError) and one label per element, and decides associativity by
+    Light's test over the greedy generators, in O(n^2 * k) C-level gathers
+    for k generators: AssociativityViolation carries the first failing triple.
+    """
 
     size: int = field(init=False)
     table: tuple[tuple[int, ...], ...]
@@ -60,19 +67,29 @@ class FiniteSemigroup:
     generators: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rows, n = self.table, len(self.table)
-        # An identity is the only left identity, and a zero is the product of
-        # all elements, so each has one candidate to check.
-        ar = tuple(range(n))
-        e = next((x for x in ar if rows[x] == ar), None)
-        identity = e if e is not None and all(row[e] == x for x, row in enumerate(rows)) else None
-        z = 0
-        for x in ar:
+        n = len(self.table)
+        if n == 0:
+            raise RangeError("size must be positive")
+        for row in self.table:
+            if len(row) != n:
+                raise RangeError(f"expected {n} columns, got {len(row)}")
+        rows = tuple(map(tuple, self.table))
+        if not (set(map(type, chain.from_iterable(rows))) == {int}
+                and frozenset(range(n)).issuperset(chain.from_iterable(rows))):
+            # one check per cell, to name the first bad entry
+            rows = tuple(tuple([_index(v, "entry", n) for v in row]) for row in rows)
+        gens = tuple(_greedy_generators(rows))
+        if not _light_associative(rows, gens):
+            raise AssociativityViolation(_first_nonassociative_triple(rows))
+        labels = None if self.labels is None else tuple(map(str, self.labels))
+        if labels is not None and len(labels) != n:
+            raise RangeError("labels length must equal size")
+        z = 0  # a zero is the product of all elements, so it has one candidate
+        for x in range(n):
             z = rows[z][x]
         zero = z if rows[z].count(z) == n and all(row[z] == z for row in rows) else None
-        for name, value in (("size", n), ("identity", identity), ("zero", zero),
-                            ("generators", tuple(_greedy_generators(rows)))):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(table=rows, labels=labels, size=n, identity=_identity(rows),
+                             zero=zero, generators=gens)  # frozen: set past __setattr__
 
     @cached_property
     def _generating_pairs_memo(self) -> dict:
@@ -109,6 +126,25 @@ class Transformation:
 class SubsetClosure:
     parent: FiniteSemigroup
     members: tuple[int, ...]
+
+
+def _trusted(cls, **fields):
+    """A frozen dataclass value with these fields, built without its
+    __post_init__ checks, for builders whose output is valid by construction:
+    the RightCongruences of congruence._close, _relabelled, _pair_principals,
+    identity_congruence and universal_congruence, and the PairSets of
+    minimal_generating_pairs' memo and verify._congruence_report."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
+def _identity(rows) -> int | None:
+    """The two-sided identity of a checked table, else None: an identity is
+    the only left identity, so one candidate is checked."""
+    ar = tuple(range(len(rows)))
+    e = next((x for x in ar if rows[x] == ar), None)
+    return e if e is not None and all(row[e] == x for x, row in enumerate(rows)) else None
 
 
 def _first_nonassociative_triple(rows) -> tuple[int, int, int] | None:
@@ -172,34 +208,13 @@ def _light_associative(rows, gens: Sequence[int]) -> bool:
 
 def from_cayley(n: int, rows: Sequence[Sequence[int]],
                 labels: Sequence[str] | None = None) -> FiniteSemigroup:
-    """Validate an n-by-n multiplication table and build the semigroup.
-
-    Entries must be ints (numpy integers included) in [0, n); bools,
-    floats and strings raise RangeError, as do out-of-range entries.
-    Associativity is decided by Light's test over a greedy generating set
-    of size k, in O(n^2 * k) C-level gathers; a non-associative table raises
-    AssociativityViolation carrying the lexicographically first failing triple.
-    """
+    """The semigroup of an n-by-n table: n must be positive and the number of
+    rows (RangeError otherwise); the FiniteSemigroup constructor checks the rest."""
     if n <= 0:
         raise RangeError("size must be positive")
     if len(rows) != n:
         raise RangeError(f"expected {n} rows, got {len(rows)}")
-    for row in rows:
-        if len(row) != n:
-            raise RangeError(f"expected {n} columns, got {len(row)}")
-    rows = list(map(tuple, rows))
-    if not (set(map(type, chain.from_iterable(rows))) == {int}
-            and frozenset(range(n)).issuperset(chain.from_iterable(rows))):
-        # one check per cell, to name the first bad entry
-        rows = [tuple([_index(v, "entry", n) for v in row]) for row in rows]
-    # Built before the checks below so that Light's test uses its generators;
-    # it is returned only once they pass.
-    s = FiniteSemigroup(table=tuple(rows), labels=None if labels is None else tuple(map(str, labels)))
-    if not _light_associative(rows, s.generators):
-        raise AssociativityViolation(_first_nonassociative_triple(rows))
-    if s.labels is not None and len(s.labels) != n:
-        raise RangeError("labels length must equal size")
-    return s
+    return FiniteSemigroup(table=rows, labels=labels)
 
 
 def from_transformations(degree: int, gens: Sequence[Transformation]) -> FiniteSemigroup:

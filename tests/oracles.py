@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 
 
@@ -94,6 +95,28 @@ def brute_first_nonassociative(rows, triples=None):
         if rows[rows[i][j]][k] != rows[i][rows[j][k]]:
             return (i, j, k)
     return None
+
+
+def is_square_table(rows):
+    """Every row has one entry per row, and every entry is an int (not a
+    bool) naming a row."""
+    n = len(rows)
+    return n > 0 and all(len(row) == n and all(
+        type(v) is int and 0 <= v < n for v in row) for row in rows)
+
+
+def x_sequence_holds(seq):
+    """Every step identity of a connecting sequence, re-verified by direct
+    multiplication; a multiplier of None is the formal identity."""
+    def times(x, m):
+        return x if m is None else seq.parent.table[x][m]
+
+    cur = seq.a
+    for st in seq.steps:
+        if times(st.x, st.s) != cur:
+            return False
+        cur = times(st.y, st.s)
+    return cur == seq.b
 
 
 def brute_rees_table(group_table, i_size, j_size, p, with_zero):
@@ -478,3 +501,73 @@ def brute_hom_failure(src_table, dst_table, phi):
             if phi[ab] != image[phi[b]]:
                 return a, b
     return None
+
+
+class SizeLimitExceeded(ValueError):
+    pass
+
+
+def _power_profile(table, x):
+    """(index, period) of the monogenic subsemigroup of x."""
+    seen = {x: 1}
+    p, k = x, 1
+    while True:
+        p = table[p][x]
+        k += 1
+        if p in seen:
+            return seen[p], k - seen[p]
+        seen[p] = k
+
+
+def _element_profiles(s):
+    """Per element: idempotent or not, |xS^1|, |S^1x| and the power profile;
+    an isomorphism keeps all four."""
+    t = s.table
+    return [(t[x][x] == x, len({x, *t[x]}), len({x, *(row[x] for row in t)}),
+             _power_profile(t, x)) for x in range(s.size)]
+
+
+def isomorphic(s, t, size_limit):
+    """First table isomorphism found by profile-pruned backtracking, or None;
+    size_limit must be a non-negative int (numpy integers too), else
+    RangeError, and SizeLimitExceeded is raised above it."""
+    from sgt.core import RangeError
+
+    try:
+        limit = -1 if isinstance(size_limit, bool) else operator.index(size_limit)
+    except TypeError:
+        limit = -1
+    if limit < 0:
+        raise RangeError(f"size_limit must be a non-negative int, got {size_limit!r}")
+    if s.size != t.size:
+        return None
+    if s.size > limit:
+        raise SizeLimitExceeded(f"size {s.size} exceeds limit {limit}")
+    n = s.size
+    prof_s, prof_t = _element_profiles(s), _element_profiles(t)
+    candidates = [[y for y in range(n) if prof_t[y] == prof_s[x]] for x in range(n)]
+    mapping = [-1] * n
+    used = [False] * n
+
+    def consistent(x, y):
+        for a in range(x + 1):
+            fa = mapping[a] if a < x else y
+            for (u, v, fu, fv) in ((a, x, fa, y), (x, a, y, fa)):
+                p = s.table[u][v]
+                if mapping[p] != -1 and mapping[p] != t.table[fu][fv]:
+                    return False
+        return True
+
+    def backtrack(x):
+        if x == n:
+            return True
+        for y in candidates[x]:
+            if used[y]:
+                continue
+            mapping[x], used[y] = y, True
+            if consistent(x, y) and backtrack(x + 1):
+                return True
+            mapping[x], used[y] = -1, False
+        return False
+
+    return tuple(mapping) if backtrack(0) else None

@@ -18,7 +18,7 @@ from sgt.core import (AssociativityViolation, DegreeMismatch, FiniteSemigroup,
 from sgt.library import (chain, cyclic, left_zero, library, rectangular_band,
                          right_zero, trivial)
 from sgt.structure import rees_construct, rees_structure
-from sgt.verify import ideal_subsemigroup, isomorphic
+from sgt.verify import ideal_subsemigroup
 
 
 def test_trivial_semigroup():
@@ -171,7 +171,7 @@ def test_rees_quotient_of_chain_bottom():
     c = chain(3)
     q = rees_quotient(c, {0})
     assert q.zero == 2 and q.size == 3
-    assert isomorphic(q, c, 8) is not None
+    assert oracles.isomorphic(q, c, 8) is not None
 
 
 def test_rees_quotient_whole_semigroup():
@@ -592,9 +592,12 @@ def test_generators_are_derived_from_the_table_and_kept_out_of_equality_and_repr
     for derived in ({"generators": (1,)}, {"size": 4}, {"identity": None}, {"zero": None}):
         with pytest.raises(TypeError):
             FiniteSemigroup(table=s.table, **derived)
-    # a copy with another table gets that table's generators
+    # a copy with another table gets that table's generators; the table and
+    # its labels are checked again, so four labels do not fit three elements
     zero = left_zero(3)
-    assert dataclasses.replace(s, table=zero.table).generators == zero.generators
+    assert dataclasses.replace(s, table=zero.table, labels=None).generators == zero.generators
+    with pytest.raises(RangeError, match="labels length"):
+        dataclasses.replace(s, table=zero.table)
     # ... and that table's size, identity and zero
     null = dataclasses.replace(chain(2), table=((0, 0), (0, 0)))
     assert (null.size, null.identity, null.zero) == (2, None, 0)

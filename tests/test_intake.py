@@ -1,0 +1,156 @@
+"""Every value checks itself: FiniteSemigroup refuses tables that are not
+semigroups, RightCongruence refuses class maps that are not right
+congruences, and the builders that skip those checks build only values
+that pass them."""
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from sgt import congruence, verify
+from sgt.cli import parse_input
+from sgt.congruence import PairSet, RightCongruence, enumerate_right_congruences, rc_generate
+from sgt.core import AssociativityViolation, FiniteSemigroup, RangeError, classify
+from sgt.library import library
+from sgt.verify import sweep, two_sided_congruences
+
+T3 = parse_input("transformation 3 3\n1 2 0\n1 0 2\n0 0 2\n")[0]
+_SMALL = [s for s in library().values() if s.size <= 4]
+_BAD_ENTRIES = [-1, True, False, 0.0, 1.5, None, "0", np.int64(-1)]
+
+
+def _valid_entry(v, n):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < n
+
+
+@st.composite
+def _tables(draw):
+    """A tuple-of-tuples table: random entries or a library table, with at
+    most one cell replaced (by an int, a numpy int or a bad value) and at
+    most one row cut short or grown, so that every outcome occurs."""
+    if draw(st.booleans()):
+        rows = [list(row) for row in draw(st.sampled_from(_SMALL)).table]
+    else:
+        n = draw(st.integers(1, 3))
+        rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    n = len(rows)
+    if draw(st.booleans()):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[a][b] = draw(st.one_of(st.integers(-1, n), st.sampled_from(_BAD_ENTRIES),
+                                    st.integers(0, n - 1).map(np.int8)))
+    if draw(st.integers(0, 4)) == 0:
+        row = rows[draw(st.integers(0, n - 1))]
+        if draw(st.booleans()):
+            row.append(0)
+        else:
+            row.pop()
+    if draw(st.integers(0, 9)) == 0:
+        rows = []
+    return tuple(map(tuple, rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_a_table_is_accepted_exactly_when_it_is_an_associative_table(rows):
+    n = len(rows)
+    if not (n and all(len(row) == n and all(_valid_entry(v, n) for v in row) for row in rows)):
+        with pytest.raises(RangeError):
+            FiniteSemigroup(table=rows)
+        return
+    ints = tuple(tuple(int(v) for v in row) for row in rows)
+    bad = oracles.brute_first_nonassociative(ints)
+    if bad is not None:
+        with pytest.raises(AssociativityViolation) as err:
+            FiniteSemigroup(table=rows)
+        assert err.value.triple == bad
+        return
+    s = FiniteSemigroup(table=rows)
+    assert s.table == ints and oracles.is_square_table(s.table)
+    assert oracles.brute_first_nonassociative(s.table) is None
+
+
+@st.composite
+def _class_maps(draw):
+    """A library table and a map: a generated right congruence or a random
+    canonical map, with at most one label replaced (by an int, a numpy int or a
+    bad value) and the length at most one off."""
+    s = draw(st.sampled_from(list(library().values())))
+    element = st.integers(0, s.size - 1)
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(element, element), max_size=2))
+        labels = list(rc_generate(s, pairs).class_of)
+    else:
+        k = draw(st.integers(1, s.size))
+        labels = list(oracles.canonical(draw(st.lists(st.integers(0, k - 1),
+                                                      min_size=s.size, max_size=s.size))))
+    if draw(st.booleans()):
+        labels[draw(element)] = draw(st.one_of(
+            st.integers(-1, s.size), st.sampled_from(_BAD_ENTRIES),
+            st.integers(0, s.size - 1).map(np.int16)))
+    if draw(st.integers(0, 5)) == 0:
+        if draw(st.booleans()):
+            labels.append(0)
+        else:
+            labels.pop()
+    return s, tuple(labels)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_class_maps())
+def test_a_class_map_is_accepted_exactly_when_it_is_a_right_congruence(case):
+    s, labels = case
+    if not (len(labels) == s.size and all(_valid_entry(c, s.size) for c in labels)
+            and oracles.canonical(labels) == labels):
+        with pytest.raises(RangeError):
+            RightCongruence(parent=s, class_of=labels)
+        return
+    if not oracles.is_right_compatible(s, labels):
+        with pytest.raises(ValueError, match="not right compatible") as err:
+            RightCongruence(parent=s, class_of=labels)
+        assert type(err.value) is ValueError
+        return
+    rho = RightCongruence(parent=s, class_of=labels)
+    assert rho.class_of == labels and all(type(c) is int for c in rho.class_of)
+
+
+def test_every_trusted_value_rebuilds_unchanged_through_its_constructor(monkeypatch):
+    built = []
+
+    def recording(cls, **fields):
+        value = trusted(cls, **fields)
+        built.append(value)
+        return value
+
+    trusted = congruence._trusted
+    for module in (congruence, verify):
+        monkeypatch.setattr(module, "_trusted", recording)
+    sweep()  # every replay, and minimal_generating_pairs' memo hits and misses
+    for s in [*library().values(), T3]:
+        enumerate_right_congruences(s)
+        two_sided_congruences(s)
+    assert {type(v) for v in built} == {RightCongruence, PairSet}
+    for v in built:
+        fields = {f.name: getattr(v, f.name) for f in dataclasses.fields(v) if f.init}
+        assert type(v)(**fields) == v, v
+    for rho in (v for v in built if type(v) is RightCongruence):
+        assert type(rho.class_of) is tuple and all(type(c) is int for c in rho.class_of)
+    assert all(type(a) is int and type(b) is int
+               for x in built if type(x) is PairSet for a, b in x.pairs)
+
+
+@pytest.mark.parametrize("rows, error", [
+    (((1, 0), (0, 0)), AssociativityViolation),  # classify called it a group
+    (((0, 5), (1, 1)), RangeError),  # ended in a bare IndexError
+    (((True, False), (False, True)), RangeError),
+    (((0, 1), (1, 0.0)), RangeError),  # ended in a bare TypeError
+    ((), RangeError),
+    (((0, 1), (1,)), RangeError),
+])
+def test_a_hand_built_table_is_refused_when_built(rows, error):
+    with pytest.raises(error):
+        classify(FiniteSemigroup(table=rows))
+

@@ -11,7 +11,10 @@ Two Rees inputs over S3, whose tables have 36 and 37 elements, get the
 verbs that stay fast there.  Each line holds the argv, the exit code,
 stdout and stderr.  A last line holds the number of ``sweep()`` reports and
 the sha256 of their JSON (``cli._report_json``) in sweep order, so that the
-report order is checked too.  The input files are
+report order is checked too, and the sha256 of every class map of
+``enumerate_right_congruences`` and then ``two_sided_congruences``, in
+order, on each library table and on T3, so that lattice parity is checked
+too.  The input files are
 written to a temporary directory and named relatively, so two captures of
 the same code are byte-identical.  ``--src`` selects the ``sgt`` sources to
 import (default: this checkout's ``src``); capture two trees and ``diff``
@@ -193,8 +196,9 @@ def main(argv=None) -> int:
     os.environ["COLUMNS"] = "80"  # argparse wraps --help output to the terminal
     sys.path.insert(0, str(Path(args.src).resolve()))
     from sgt.cli import _cayley_text, _report_json, parse_input, run
+    from sgt.congruence import enumerate_right_congruences
     from sgt.library import library
-    from sgt.verify import sweep
+    from sgt.verify import sweep, two_sided_congruences
 
     files = _inputs(_cayley_text, library())
     cwd = os.getcwd()
@@ -209,8 +213,14 @@ def main(argv=None) -> int:
         finally:
             os.chdir(cwd)
     reports = [_report_json(rep) for rep in sweep()]
+    lattices = []
+    for s in [*library().values(), parse_input(T3_TEXT)[0]]:
+        lattices += [rho.class_of for rho in enumerate_right_congruences(s).congruences]
+        lattices += [rho.class_of for rho in two_sided_congruences(s)]
     records.append({"sweep_reports": len(reports), "sweep_sha256": hashlib.sha256(
-        json.dumps(reports).encode("utf-8")).hexdigest()})
+        json.dumps(reports).encode("utf-8")).hexdigest(),
+        "lattice_class_maps": len(lattices), "lattice_sha256": hashlib.sha256(
+            json.dumps(lattices).encode("utf-8")).hexdigest()})
     with open(out_path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
