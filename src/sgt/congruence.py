@@ -83,6 +83,8 @@ class RightCongruence:
     class_of: tuple[int, ...]
 
     def __post_init__(self):
+        if trace.enabled:
+            trace.counts["congruence.checked"] += 1
         s, labels = self.parent, tuple(self.class_of)
         if len(labels) != s.size:
             raise RangeError("class map length must equal semigroup size")
@@ -632,6 +634,10 @@ def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
     if key not in memo:
         pairs, optimal = _search_generating_pairs(s, rho, exact_limit)
         memo[key] = (frozenset(pairs), optimal)
+        if trace.enabled:
+            trace.counts["congruence.generating_pairs.searches"] += 1
+    elif trace.enabled:
+        trace.counts["congruence.generating_pairs.memo_hits"] += 1
     pairs, optimal = memo[key]
     return _trusted(PairSet, parent=s, pairs=pairs), optimal
 

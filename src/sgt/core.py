@@ -8,6 +8,8 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
 
+from . import trace
+
 
 class RangeError(ValueError):
     pass
@@ -67,6 +69,8 @@ class FiniteSemigroup:
     generators: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if trace.enabled:
+            trace.counts["core.semigroups.checked"] += 1
         n = len(self.table)
         if n == 0:
             raise RangeError("size must be positive")
@@ -130,10 +134,14 @@ class SubsetClosure:
 
 def _trusted(cls, **fields):
     """A frozen dataclass value with these fields, built without its
-    __post_init__ checks, for builders whose output is valid by construction:
-    the RightCongruences of congruence._close, _relabelled, _pair_principals,
-    identity_congruence and universal_congruence, and the PairSets of
-    minimal_generating_pairs' memo and verify._congruence_report."""
+    __post_init__ checks, for builders whose output is valid by construction
+    or by a check made earlier in the same call: the RightCongruences of
+    congruence._close, _relabelled, _pair_principals, identity_congruence
+    and universal_congruence, and of verify._implied, which builds
+    verify_dp_gens' coordinate restrictions of a checked congruence of the
+    product and _push_forward's pullbacks along a map checked to be a
+    homomorphism; and the PairSets of minimal_generating_pairs' memo and
+    verify._congruence_report."""
     value = object.__new__(cls)
     value.__dict__.update(fields)
     return value

@@ -15,7 +15,7 @@ from .core import (FiniteSemigroup, InternalAssertFailure, _hom_failure,
                    _ideal_members, _identity, _index, _product_table,
                    _restricted_table, _trusted, adjoin_identity,
                    direct_product, sub_semigroup, subsemigroup_closure)
-from .congruence import (PairSet, RightCongruence, _congruence_on,
+from .congruence import (PairSet, RightCongruence, _canonical_classes, _congruence_on,
                          _principal_closure, enumerate_right_congruences,
                          minimal_generating_pairs, pair_set, quotient_semigroup,
                          rc_generate, right_congruence, times, within_class_pairs)
@@ -114,6 +114,13 @@ def verify_fg_gens(s: FiniteSemigroup, gens: Iterable[int], rho: RightCongruence
     return _congruence_report("fg", inputs, s, built, rho)
 
 
+def _implied(s: FiniteSemigroup, keys) -> RightCongruence:
+    """The right congruence of s with these class keys, numbered by first
+    occurrence and not checked again: only for a map that a check made
+    earlier in the same call makes right compatible."""
+    return _trusted(RightCongruence, parent=s, class_of=_canonical_classes(keys))
+
+
 def _l_congruence(s: FiniteSemigroup) -> RightCongruence:
     return right_congruence(s, green_data(s).l_class)
 
@@ -146,7 +153,14 @@ def verify_lclass_gens(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]
 
 def verify_dp_gens(m: FiniteSemigroup, n: FiniteSemigroup, rho: RightCongruence,
                    inputs: str = "") -> VerificationReport:
-    """Product generating set assembled from the two coordinate restrictions."""
+    """Product generating set assembled from the two coordinate restrictions.
+
+    rho was checked as a right congruence when it was built, and
+    _congruence_on checks that its parent is M x N, so both restrictions
+    are right congruences without a second check: (1, b) rho (1, b')
+    times (1, c) gives (1, bc) rho (1, b'c), and (a, d) rho (a', d) times
+    (c, 1) gives (ac, d) rho (a'c, d).
+    """
     if m.identity is None or n.identity is None:
         raise NotMonoids("both factors must be monoids")
     rho = _congruence_on(_product_table(m, n), rho)  # compared, not rebuilt
@@ -155,7 +169,7 @@ def verify_dp_gens(m: FiniteSemigroup, n: FiniteSemigroup, rho: RightCongruence,
         return a * n.size + b
 
     one_m, one_n = m.identity, n.identity
-    rho_n = right_congruence(n, [rho.class_of[idx(one_m, b)] for b in range(n.size)])
+    rho_n = _implied(n, [rho.class_of[idx(one_m, b)] for b in range(n.size)])
     d_reps = [members[0] for members in rho_n.classes()]
 
     alpha: dict[tuple[int, int], int] = {}
@@ -172,7 +186,7 @@ def verify_dp_gens(m: FiniteSemigroup, n: FiniteSemigroup, rho: RightCongruence,
     for (a, b) in minimal_generating_pairs(n, rho_n)[0]:
         built.add((idx(one_m, a), idx(one_m, b)))
     for j, dj in enumerate(d_reps):
-        rho_j = right_congruence(m, [rho.class_of[idx(a, dj)] for a in range(m.size)])
+        rho_j = _implied(m, [rho.class_of[idx(a, dj)] for a in range(m.size)])
         for (a, b) in minimal_generating_pairs(m, rho_j)[0]:
             built.add((idx(a, dj), idx(b, dj)))
     return _congruence_report("dp", inputs, rho.parent, built, rho)
@@ -182,15 +196,24 @@ def verify_schutz_gens(s: FiniteSemigroup, element: int,
                        inputs: str = "") -> VerificationReport:
     """Stabilizer-class generators for the group assigned to an H-class.
 
-    Works over S with a fresh identity adjoined; the by-translate congruence
-    is generated, and for each generating pair inside the R-class a
-    stabilizer element realizing the translate is reduced to its class.
+    Works over S^1, S with a fresh identity adjoined; the by-translate
+    congruence is generated, and for each generating pair inside the
+    R-class a stabilizer element realizing the translate is reduced to its
+    class.  This call builds its own S^1; sweep() builds one per table.
     """
+    return _schutz_report(s, adjoin_identity(s), element, inputs)
+
+
+def _schutz_report(s: FiniteSemigroup, t: FiniteSemigroup, element: int,
+                   inputs: str) -> VerificationReport:
+    """verify_schutz_gens over t = adjoin_identity(s), which sweep() shares
+    among the elements of s, so that t's generating-pairs memo answers the
+    questions they share.  The by-translate congruence is checked: no
+    earlier check implies it."""
     sg = schutzenberger(s, element)  # range-checks element
     # for a in S, aS^1 is the same in S and in S^1, whose 1 is alone in its R-class
     r_class = green_data(s).r_class
     r_set = frozenset(v for v, c in enumerate(r_class) if c == r_class[element])
-    t = adjoin_identity(s)
     keys = []
     for w in range(t.size):
         f = frozenset(t.table[h][w] for h in sg.h_class)
@@ -218,8 +241,12 @@ def verify_schutz_gens(s: FiniteSemigroup, element: int,
 def _push_forward(s: FiniteSemigroup, phi: Sequence[int],
                   rho: RightCongruence) -> set[tuple[int, int]]:
     """A generating set of the pullback of rho along phi: S -> T, mapped
-    forward by phi."""
-    pulled = right_congruence(s, [rho.class_of[v] for v in phi])
+    forward by phi.  The caller has checked that phi is a homomorphism
+    (verify_quotient_gens with _hom_failure, verify_ideal_gens through e
+    being the ideal's identity), so the pullback is a right congruence
+    without a second check: phi(a) rho phi(b) gives
+    phi(ac) = phi(a)phi(c) rho phi(b)phi(c) = phi(bc)."""
+    pulled = _implied(s, [rho.class_of[v] for v in phi])
     return {(phi[a], phi[b]) for (a, b) in minimal_generating_pairs(s, pulled)[0]}
 
 
@@ -252,7 +279,9 @@ def verify_ideal_gens(s: FiniteSemigroup, ideal: Iterable[int], e: int,
                       rho_on_i: RightCongruence,
                       inputs: str = "") -> VerificationReport:
     """Left-multiply a pullback's generating set into an ideal with identity e:
-    rho_on_i's parent is the ideal's table, and its identity must be e."""
+    rho_on_i's parent is the ideal's table, and its identity must be e.
+    Then a -> e*a is a homomorphism onto the ideal, as e*a*e = e*a for e*a
+    in it, which the push-forward relies on."""
     members = _ideal_members(s, ideal)
     rho_on_i = _congruence_on(_restricted_table(s, members), rho_on_i, "rho_on_i")
     e = _index(e, "e", s.size)
@@ -316,12 +345,20 @@ def ideals_with_identity(s: FiniteSemigroup):
 
 def sweep(size_limit: int = 5, schutz_limit: int = 6, dp_limit: int = 3,
           lib: dict[str, FiniteSemigroup] | None = None) -> list[VerificationReport]:
-    """Run every construction over the built-in library; returns all reports."""
+    """Run every construction over the built-in library, or over lib (a
+    dict of FiniteSemigroups by name, TypeError naming the first other
+    value); returns all reports.  Each table of at most schutz_limit
+    elements gets one S^1 = adjoin_identity(s), shared by its elements'
+    schutz replays.
+    """
     size_limit = _index(size_limit, "size_limit")
     schutz_limit = _index(schutz_limit, "schutz_limit")
     dp_limit = _index(dp_limit, "dp_limit")
     if lib is None:
         lib = library()
+    for name, s in lib.items():
+        if not isinstance(s, FiniteSemigroup):
+            raise TypeError(f"lib[{name!r}] must be a FiniteSemigroup, got {type(s).__name__}")
     reports: list[VerificationReport] = []
     for name, s in lib.items():
         if s.size <= size_limit:
@@ -353,8 +390,9 @@ def sweep(size_limit: int = 5, schutz_limit: int = 6, dp_limit: int = 3,
                         s, ideal, e, rho_i,
                         inputs=f"{name} ideal{list(ideal)} rho#{k2}"))
         if s.size <= schutz_limit:
+            t = adjoin_identity(s)
             for el in range(s.size):
-                reports.append(verify_schutz_gens(s, el, inputs=f"{name} el{el}"))
+                reports.append(_schutz_report(s, t, el, inputs=f"{name} el{el}"))
     monoids = [(name, s) for name, s in lib.items()
                if s.identity is not None and s.size <= dp_limit]
     for na, m in monoids:

@@ -493,6 +493,15 @@ def brute_from_transformations(degree, gens):
     return from_cayley(len(elements), table, labels=words)
 
 
+def relabelled(s, perm):
+    """Isomorphic copy of s in which element x is renamed perm[x]."""
+    from sgt.core import from_cayley
+
+    inv = sorted(range(s.size), key=perm.__getitem__)
+    return from_cayley(s.size, [[perm[s.table[inv[a]][inv[b]]] for b in range(s.size)]
+                                for a in range(s.size)])
+
+
 def brute_hom_failure(src_table, dst_table, phi):
     """First (a, b) in row-major order with phi(a*b) != phi(a)*phi(b), else None."""
     for a, row in enumerate(src_table):

@@ -490,13 +490,6 @@ def test_pair_set_of_another_semigroup_is_range_checked(call):
         call(cyclic(2), pair_set(cyclic(6), [(0, 5)]))
 
 
-def _relabel(s, perm):
-    """Isomorphic copy of s with element x renamed perm[x]."""
-    inv = sorted(range(s.size), key=perm.__getitem__)
-    return from_cayley(s.size, [[perm[s.table[inv[a]][inv[b]]] for b in range(s.size)]
-                                for a in range(s.size)])
-
-
 def _check_against_brute(s):
     right = sorted(map(oracles.canonical, oracles.brute_right_congruences(s)),
                    key=lambda c: (-(max(c) + 1), c))
@@ -652,7 +645,7 @@ def test_minimal_generating_pairs_rejects_bad_exact_limit(limit):
 _SMALL_TABLES = st.one_of(
     _TRANSFORMATION_GENS.map(_transformation_semigroup).filter(lambda s: s.size <= 7),
     st.sampled_from(_SMALL_LIBRARY).flatmap(
-        lambda s: st.permutations(range(s.size)).map(lambda p: _relabel(s, p))))
+        lambda s: st.permutations(range(s.size)).map(lambda p: oracles.relabelled(s, p))))
 
 
 @settings(max_examples=200, deadline=None,
@@ -766,7 +759,7 @@ def test_exact_generating_pairs_match_the_resaturating_search():
     for s in _SMALL_LIBRARY:
         perm = list(range(s.size))
         rng.shuffle(perm)
-        for t in (s, _relabel(s, perm)):
+        for t in (s, oracles.relabelled(s, perm)):
             for rho in enumerate_right_congruences(t).congruences:
                 want = _resaturating_search(t, rho, 15)
                 if want is None:

@@ -215,7 +215,7 @@ def _relabelled_library(seed):
     for s in tables:
         perm = list(range(s.size))
         rng.shuffle(perm)
-        out += [s, _permuted(s, perm)]
+        out += [s, oracles.relabelled(s, perm)]
     return out
 
 
@@ -302,21 +302,12 @@ def test_classify_rectangular_band():
     assert flags.band and flags.completely_simple and not flags.commutative
 
 
-def _permuted(s, perm):
-    inv = [0] * s.size
-    for i, p in enumerate(perm):
-        inv[p] = i
-    rows = [[perm[s.table[inv[a]][inv[b]]] for b in range(s.size)]
-            for a in range(s.size)]
-    return from_cayley(s.size, rows)
-
-
 def test_classify_relabel_invariance(lib):
     rng = random.Random(7)
     for s in lib.values():
         perm = list(range(s.size))
         rng.shuffle(perm)
-        assert classify(_permuted(s, perm)) == classify(s)
+        assert classify(oracles.relabelled(s, perm)) == classify(s)
 
 
 def test_classify_zero_simple_and_nilpotent_pins():
@@ -349,7 +340,7 @@ def test_classify_matches_brute_on_transformation_semigroups(gens, variant, seed
     assert flags.as_dict() == oracles.brute_classify(s)
     perm = list(range(s.size))
     random.Random(seed).shuffle(perm)
-    assert classify(_permuted(s, perm)) == flags
+    assert classify(oracles.relabelled(s, perm)) == flags
 
 
 def test_classify_matches_brute_on_rees_structures_and_library(lib):
@@ -461,7 +452,7 @@ _MANY_GENERATORS = [left_zero(7), right_zero(7), _null(7), rectangular_band(2, 3
     lambda s: st.tuples(st.just(s), st.permutations(range(s.size)))))
 def test_from_cayley_accepts_relabelled_associative_tables(case):
     s, perm = case
-    _check_against_brute([list(r) for r in _permuted(s, perm).table])
+    _check_against_brute([list(r) for r in oracles.relabelled(s, perm).table])
 
 
 def _brute_closure(rows, seed):
@@ -482,7 +473,7 @@ _T3 = from_transformations(3, [Transformation(3, (1, 0, 2)), Transformation(3, (
     lambda s: st.tuples(st.just(s), st.permutations(range(s.size)))))
 def test_greedy_generators_take_the_least_unreached_element(case):
     s, perm = case
-    rows = [list(r) for r in _permuted(s, perm).table]
+    rows = [list(r) for r in oracles.relabelled(s, perm).table]
     gens = core._greedy_generators(rows)
     for i, g in enumerate(gens):
         assert g == min(set(range(s.size)) - _brute_closure(rows, gens[:i]))
@@ -574,7 +565,7 @@ def test_transformation_stores_images_as_a_tuple_of_ints(images):
         lambda gens: from_transformations(
             len(gens[0]), [Transformation(len(g), g) for g in gens])),
     st.sampled_from(list(library().values())).flatmap(
-        lambda s: st.permutations(range(s.size)).map(lambda p: _permuted(s, p)))))
+        lambda s: st.permutations(range(s.size)).map(lambda p: oracles.relabelled(s, p)))))
 def test_generators_generate_the_whole_semigroup(s):
     assert s.generators == tuple(core._greedy_generators(s.table))
     assert subsemigroup_closure(s, s.generators).members == tuple(range(s.size))
@@ -673,7 +664,7 @@ def _hom_cases(draw):
     kind = draw(st.sampled_from(["random", "relabel", "idempotent", "bent"]))
     if kind == "relabel":  # an isomorphism onto a relabelled copy
         perm = draw(st.permutations(range(s.size)))
-        return s, _permuted(s, perm), list(perm)
+        return s, oracles.relabelled(s, perm), list(perm)
     if kind == "idempotent":  # constant on an idempotent: a homomorphism
         return s, t, [draw(st.sampled_from(t.idempotents()))] * s.size
     if kind == "bent":  # the identity map of s with one entry changed

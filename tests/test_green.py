@@ -177,22 +177,13 @@ def test_h_refines_r_and_l(lib):
                     assert gd.l_class[x] == gd.l_class[y]
 
 
-def _permuted(s, perm):
-    inv = [0] * s.size
-    for i, p in enumerate(perm):
-        inv[p] = i
-    rows = [[perm[s.table[inv[a]][inv[b]]] for b in range(s.size)]
-            for a in range(s.size)]
-    return from_cayley(s.size, rows)
-
-
 def test_green_relabel_invariance(lib):
     rng = random.Random(23)
     for s in lib.values():
         perm = list(range(s.size))
         rng.shuffle(perm)
         gd = green_data(s)
-        gd2 = green_data(_permuted(s, perm))
+        gd2 = green_data(oracles.relabelled(s, perm))
         for cls, cls2 in ((gd.r_class, gd2.r_class), (gd.l_class, gd2.l_class),
                           (gd.h_class, gd2.h_class), (gd.d_class, gd2.d_class)):
             moved = [cls[x] for x in range(s.size)]

@@ -3,6 +3,7 @@ semigroups, RightCongruence refuses class maps that are not right
 congruences, and the builders that skip those checks build only values
 that pass them."""
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 import oracles
 from sgt import congruence, verify
 from sgt.cli import parse_input
-from sgt.congruence import PairSet, RightCongruence, enumerate_right_congruences, rc_generate
-from sgt.core import AssociativityViolation, FiniteSemigroup, RangeError, classify
+from sgt.congruence import (PairSet, RightCongruence, enumerate_right_congruences,
+                            quotient_semigroup, rc_generate)
+from sgt.core import AssociativityViolation, FiniteSemigroup, RangeError, classify, direct_product
 from sgt.library import library
-from sgt.verify import sweep, two_sided_congruences
+from sgt.verify import (ideal_subsemigroup, ideals_with_identity, sweep,
+                        two_sided_congruences)
 
 T3 = parse_input("transformation 3 3\n1 2 0\n1 0 2\n0 0 2\n")[0]
 _SMALL = [s for s in library().values() if s.size <= 4]
@@ -117,12 +120,56 @@ def test_a_class_map_is_accepted_exactly_when_it_is_a_right_congruence(case):
     assert rho.class_of == labels and all(type(c) is int for c in rho.class_of)
 
 
+def _relabelled_copies(tables):
+    return st.sampled_from(tables).flatmap(lambda s: st.permutations(range(s.size)).map(
+        lambda perm: oracles.relabelled(s, perm)))
+
+
+_MONOIDS = [s for s in library().values() if s.identity is not None and s.size <= 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relabelled_copies(_MONOIDS), _relabelled_copies(_MONOIDS))
+def test_every_coordinate_restriction_of_a_product_congruence_is_a_right_congruence(m, n):
+    """verify_dp_gens builds its restrictions of a checked congruence of M x N
+    unchecked: at 1_M to N, and at every d in N (each d_j among them) to M."""
+    for rho in enumerate_right_congruences(direct_product(m, n)).congruences:
+        cls = rho.class_of
+        RightCongruence(parent=n, class_of=oracles.canonical(
+            [cls[m.identity * n.size + b] for b in range(n.size)]))
+        for d in range(n.size):
+            RightCongruence(parent=m, class_of=oracles.canonical(
+                [cls[a * n.size + d] for a in range(m.size)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relabelled_copies([s for s in library().values() if s.size <= 5]), st.data())
+def test_every_pullback_along_a_checked_homomorphism_is_a_right_congruence(s, data):
+    """verify_quotient_gens and verify_ideal_gens build the pullbacks of
+    _push_forward unchecked, along theta onto a relabelled quotient and
+    along a -> e*a onto an ideal with identity e."""
+    maps = []
+    for rho2 in two_sided_congruences(s):
+        t = quotient_semigroup(s, rho2)
+        perm = data.draw(st.permutations(range(t.size)))
+        maps.append((oracles.relabelled(t, perm), [perm[c] for c in rho2.class_of]))
+    for ideal, e in ideals_with_identity(s):
+        maps.append((ideal_subsemigroup(s, ideal)[0], [ideal.index(v) for v in s.table[e]]))
+    for t, phi in maps:
+        assert oracles.brute_hom_failure(s.table, t.table, phi) is None
+        for rho in enumerate_right_congruences(t).congruences:
+            RightCongruence(parent=s, class_of=oracles.canonical([rho.class_of[v] for v in phi]))
+
+
 def test_every_trusted_value_rebuilds_unchanged_through_its_constructor(monkeypatch):
     built = []
+    callers = set()  # the functions that asked for them, and their callers
 
     def recording(cls, **fields):
         value = trusted(cls, **fields)
         built.append(value)
+        caller = sys._getframe(1)
+        callers.update((caller.f_code.co_name, caller.f_back.f_code.co_name))
         return value
 
     trusted = congruence._trusted
@@ -133,6 +180,8 @@ def test_every_trusted_value_rebuilds_unchanged_through_its_constructor(monkeypa
         enumerate_right_congruences(s)
         two_sided_congruences(s)
     assert {type(v) for v in built} == {RightCongruence, PairSet}
+    # the dp restrictions and the push-forward's pullbacks among them
+    assert {"verify_dp_gens", "_push_forward"} <= callers
     for v in built:
         fields = {f.name: getattr(v, f.name) for f in dataclasses.fields(v) if f.init}
         assert type(v)(**fields) == v, v

@@ -239,7 +239,7 @@ def test_rees_coordinates_pinned_over_s3(p, with_zero, p_out, mapping_out, label
 def test_rees_coordinates_orders_classes_by_first_occurrence_in_s():
     # L-classes go in order of their least element in S, not in R_e; the
     # two orders differ here and the map shows which one was taken
-    s = _relabel(rectangular_band(2, 3), (0, 2, 3, 4, 5, 1))
+    s = oracles.relabelled(rectangular_band(2, 3), (0, 2, 3, 4, 5, 1))
     struct, mapping = rees_coordinates(s)
     assert (struct.i_size, struct.j_size) == (2, 3)
     assert mapping == (0, 3, 2, 4, 1, 5)
@@ -258,7 +258,7 @@ def _rees_inputs(draw):
         lambda p: all(any(v is not None for v in row) for row in p)
         and all(any(row[i] is not None for row in p) for i in range(i_size))))
     s = rees_construct(rees_structure(g, i_size, j_size, p, with_zero))
-    return _relabel(s, draw(st.permutations(range(s.size))))
+    return oracles.relabelled(s, draw(st.permutations(range(s.size))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -413,17 +413,11 @@ _TABLES = list(library().values()) + [
     if 1 < a.size and 1 < b.size and a.size * b.size <= 12]
 
 
-def _relabel(s, perm):
-    inv = sorted(range(s.size), key=perm.__getitem__)
-    return from_cayley(s.size, [[perm[s.table[inv[a]][inv[b]]] for b in range(s.size)]
-                                for a in range(s.size)])
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(_TABLES).flatmap(
     lambda s: st.tuples(st.just(s), st.permutations(range(s.size)))))
 def test_h_congruence_check_and_cryptogroup_on_relabelled_tables(case):
-    s = _relabel(*case)
+    s = oracles.relabelled(*case)
     h = green_data(s).h_class
     ok, witness = h_congruence_check(s)
     assert ok == (oracles.is_right_compatible(s, h) and oracles.is_left_compatible(s, h))
@@ -466,7 +460,7 @@ def test_decompositions_match_brute_classes():
 @given(st.sampled_from(_DECOMPOSABLE).flatmap(
     lambda s: st.tuples(st.just(s), st.permutations(range(s.size)))))
 def test_decompositions_match_brute_classes_on_relabelled_tables(case):
-    _check_decompositions(_relabel(*case))
+    _check_decompositions(oracles.relabelled(*case))
 
 
 def test_cryptogroup_cross_module_consistency(lib):

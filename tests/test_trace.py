@@ -2,8 +2,8 @@
 from sgt import congruence, trace
 from sgt.congruence import enumerate_right_congruences, rc_generate
 from sgt.core import Transformation, from_transformations
-from sgt.library import right_zero
-from sgt.verify import two_sided_congruences
+from sgt.library import library, right_zero
+from sgt.verify import sweep, two_sided_congruences, verify_schutz_gens
 
 T3_GENS = ((1, 2, 0), (1, 0, 2), (0, 0, 2))
 
@@ -19,6 +19,7 @@ def test_nothing_is_counted_while_off():
     enumerate_right_congruences(t3)
     two_sided_congruences(t3)
     rc_generate(t3, [(0, 1)])
+    verify_schutz_gens(t3, 0)  # a checked S^1, a checked congruence and a search
     assert not trace.counts
 
 
@@ -75,3 +76,20 @@ def test_the_principal_phase_saturates_no_pair():
     with trace.counting() as counts:
         enumerate_right_congruences(t3)
     assert 0 < counts["congruence.close.calls"] < counts["congruence.principals"]
+
+
+def test_one_library_sweep_builds_180_tables_and_checks_103_congruences():
+    lib = library()
+    with trace.counting() as counts:
+        reports = sweep(lib=lib)
+    assert len(reports) == 896
+    # one S^1 per table of at most six elements: 17 of them, not one per element (55)
+    assert counts["core.semigroups.checked"] == 180
+    # the elements of a table share its S^1 and so 25 answers from its memo
+    assert counts["congruence.generating_pairs.searches"] == 106
+    assert (counts["congruence.generating_pairs.searches"]
+            + counts["congruence.generating_pairs.memo_hits"]) == 1412
+    # three L-relations for each of the 16 tables of at most five elements
+    # and one by-translate congruence per schutz replay; the dp restrictions
+    # and the pullbacks, 1,120 more, follow from checks already made
+    assert counts["congruence.checked"] == 3 * 16 + 55

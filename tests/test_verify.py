@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sgt import trace
 from sgt.congruence import (identity_congruence, join, minimal_generating_pairs,
                             pair_set, quotient_semigroup, rc_generate,
                             universal_congruence)
@@ -16,7 +18,7 @@ from sgt.library import (chain, cyclic, left_zero, library, rectangular_band,
                          right_zero, trivial)
 from sgt.verify import (NoInternalIdentity, NotGenerating, NotHomomorphism,
                         NotMonoids, NotRefinement, NotSurjective,
-                        PreconditionFailed, ideals_with_identity, sweep,
+                        PreconditionFailed, VerificationReport, ideals_with_identity, sweep,
                         two_sided_congruences, verify_dp_gens,
                         verify_extend_gens, verify_fg_gens, verify_ideal_gens,
                         verify_lclass_gens, verify_quotient_gens,
@@ -338,6 +340,25 @@ def test_sweep_accepts_numpy_limits():
     small = {"z2": cyclic(2)}
     assert (sweep(size_limit=np.int64(2), schutz_limit=np.int32(2), dp_limit=np.int64(2), lib=small)
             == sweep(size_limit=2, schutz_limit=2, dp_limit=2, lib=small))
+
+
+def test_sweep_names_a_library_value_that_is_no_semigroup():
+    lib = {"z2": cyclic(2), "x": 3}  # once a bare AttributeError, after z2's replays
+    with trace.counting() as counts, pytest.raises(
+            TypeError, match=r"lib\['x'\] must be a FiniteSemigroup, got int"):
+        sweep(lib=lib)
+    assert not counts  # refused before any replay ran
+
+
+def test_sweep_schutz_reports_equal_the_replay_called_alone(lib):
+    # the sweep shares one S^1 per table among its elements' replays
+    swept = sweep(size_limit=0, schutz_limit=6, dp_limit=0, lib=lib)
+    alone = [verify_schutz_gens(s, el, inputs=f"{name} el{el}")
+             for name, s in lib.items() if s.size <= 6 for el in range(s.size)]
+    names = [f.name for f in dataclasses.fields(VerificationReport)]
+    assert len(swept) == len(alone) == 55
+    for a, b in zip(swept, alone):
+        assert [getattr(a, f) for f in names] == [getattr(b, f) for f in names], b.inputs
 
 
 def test_sweep_small_library_passes():
