@@ -10,7 +10,7 @@ from .congruence import (CapExceeded, CongruenceLattice, Disconnected,
                          FORMAL_IDENTITY, NotTwoSided, PairSet,
                          RightCongruence, XSequence, XStep,
                          enumerate_right_congruences, find_x_sequence,
-                         identity_congruence, minimal_generating_pairs,
+                         identity_congruence, join, minimal_generating_pairs,
                          pair_set, quotient_semigroup, rc_diameter,
                          rc_generate, right_congruence, universal_congruence,
                          within_class_pairs)

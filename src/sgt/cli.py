@@ -53,22 +53,16 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 def _ints(tokens, where, dash: bool = False) -> list:
     """Every token as an int, and "-" as ZERO when dash.  The first bad token
     is named with `where`: a file line number (ParseError) or an option."""
-    try:
-        if dash:
-            return [ZERO if t == "-" else int(t) for t in tokens]
-        return list(map(int, tokens))
-    except ValueError:
-        pass
+    out = []
     for t in tokens:
         try:
-            int(t)
+            out.append(ZERO if dash and t == "-" else int(t))
         except ValueError:
-            if not (dash and t == "-"):
-                break
-    message = f"expected an integer, got {t!r}"
-    if isinstance(where, int):
-        raise ParseError(where, message)
-    raise _UsageError(f"{where}: {message}")
+            message = f"expected an integer, got {t!r}"
+            if isinstance(where, int):
+                raise ParseError(where, message) from None
+            raise _UsageError(f"{where}: {message}") from None
+    return out
 
 
 def parse_input(text: str, fmt: str = "auto") -> tuple[FiniteSemigroup, ReesStructure | None]:

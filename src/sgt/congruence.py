@@ -445,9 +445,10 @@ def _sccs(n: int, succ):
                     yield component
 
 
-def _pair_principals(s: FiniteSemigroup, two_sided: bool = False) -> list[RightCongruence]:
-    """The principal right (or two-sided) congruence <(a, b)> of every pair
-    a < b, in lexicographic order of the pairs; equal ones are one object.
+def _principals(s: FiniteSemigroup,
+                two_sided: bool = False) -> list[tuple[int, int, RightCongruence]]:
+    """The distinct principal right (or two-sided) congruences <(a, b)>,
+    each with its first pair a < b, in lexicographic order of those pairs.
 
     <(a, b)> is the equivalence generated by the pairs reachable from
     {a, b} in the pair graph: its nodes are the pairs {x, y}, x < y, and
@@ -468,46 +469,31 @@ def _pair_principals(s: FiniteSemigroup, two_sided: bool = False) -> list[RightC
     pairs = list(itertools.combinations(range(n), 2))
     succ = [[off[u] + w if u < w else off[w] + u
              for m in moves if (u := m[x]) != (w := m[y])] for x, y in pairs]
-    comp = [0] * len(pairs)
-    rhos: list[RightCongruence] = []  # the distinct principals, by first build
-    ids: dict[tuple[int, ...], int] = {}  # their positions in rhos
-    rho_of: list[int] = []  # each component's position in rhos
-    for c, members in enumerate(_sccs(len(pairs), succ.__getitem__)):
-        for v in members:
-            comp[v] = c
-        reached = {rho_of[d] for v in members for w in succ[v] if (d := comp[w]) != c}
+    principal: dict[tuple[int, ...], RightCongruence] = {}  # the distinct ones, by class map
+    rho_of: list[RightCongruence | None] = [None] * len(pairs)  # each node's, once built
+    components = list(_sccs(len(pairs), succ.__getitem__))
+    for members in components:
+        # a successor outside the component is in one built before it
+        reached = {id(r): r for v in members for w in succ[v] if (r := rho_of[w]) is not None}
         parent = list(range(n))
         links = [pairs[v] for v in members]
-        for d in reached:
-            links += rhos[d]._links
+        for r in reached.values():
+            links += r._links
         for f, x in links:
             rx, rf = _find(parent, x), _find(parent, f)
             if rx != rf:
                 parent[rx] = rf
         cls = _canonical_classes([_find(parent, x) for x in range(n)])
-        rho_of.append(ids.setdefault(cls, len(ids)))
-        if len(rhos) < len(ids):
-            rhos.append(_trusted(RightCongruence, parent=s, class_of=cls))
+        rho = principal.setdefault(cls, _trusted(RightCongruence, parent=s, class_of=cls))
+        for v in members:
+            rho_of[v] = rho
     if trace.enabled:
         trace.counts.update({"congruence.pair_graph.nodes": len(pairs),
-                             "congruence.pair_graph.sccs": len(rho_of),
-                             "congruence.principals": len(rhos)})
-    return [rhos[rho_of[c]] for c in comp]
-
-
-def _principals(s: FiniteSemigroup, two_sided: bool = False,
-                count=None) -> list[tuple[int, int, RightCongruence]]:
-    """The distinct principal right (or two-sided) congruences, each with
-    its first pair (a, b) in lexicographic order, in the order of those
-    pairs; count, when given, is called with 1 + the number found so far
-    after each new one."""
-    first: dict[int, tuple[int, int, RightCongruence]] = {}  # by id(<(a, b)>)
-    for (a, b), rho in zip(itertools.combinations(range(s.size), 2),
-                           _pair_principals(s, two_sided)):
-        if id(rho) not in first:
-            first[id(rho)] = (a, b, rho)
-            if count is not None:
-                count(len(first) + 1)
+                             "congruence.pair_graph.sccs": len(components),
+                             "congruence.principals": len(principal)})
+    first: dict[int, tuple[int, int, RightCongruence]] = {}  # by id(<(a, b)>), in node order
+    for (a, b), rho in zip(pairs, rho_of):
+        first.setdefault(id(rho), (a, b, rho))
     return list(first.values())
 
 
@@ -521,12 +507,9 @@ def _principal_closure(s: FiniteSemigroup, two_sided: bool = False,
     labels before a class map is built.  A stack entry (rho, start, witness)
     maps each i whose merge failed the test at an ancestor to the earlier
     pair k that it related, so that rho skips sigma_i unless it relates k."""
-    def count(found: int) -> None:
-        if cap is not None and found > cap:
-            raise CapExceeded(found)
-
-    count(1)  # the identity
-    principal = _principals(s, two_sided, count)
+    principal = _principals(s, two_sided)
+    if cap is not None and 1 + len(principal) > cap:  # the identity and the principals
+        raise CapExceeded(cap + 1)
     # The principals strictly below sigma are those of larger index whose
     # pair sigma relates; sigma is join-irreducible unless they join to it.
     irreducible = []
@@ -559,7 +542,8 @@ def _principal_closure(s: FiniteSemigroup, two_sided: bool = False,
                     k = next((k for k, c, d in earlier if root[c] == root[d]), None)
                     if k is None:
                         found.append(_relabelled(rho, root))
-                        count(len(found))
+                        if cap is not None and len(found) > cap:
+                            raise CapExceeded(len(found))
                         stack.append((found[-1], i + 1, witness))
                     else:
                         witness[i] = k

@@ -134,14 +134,9 @@ class SubsetClosure:
 
 def _trusted(cls, **fields):
     """A frozen dataclass value with these fields, built without its
-    __post_init__ checks, for builders whose output is valid by construction
-    or by a check made earlier in the same call: the RightCongruences of
-    congruence._close, _relabelled, _pair_principals, identity_congruence
-    and universal_congruence, and of verify._implied, which builds
-    verify_dp_gens' coordinate restrictions of a checked congruence of the
-    product and _push_forward's pullbacks along a map checked to be a
-    homomorphism; and the PairSets of minimal_generating_pairs' memo and
-    verify._congruence_report."""
+    __post_init__ checks.  Only for a builder whose output is valid by
+    construction, or by a check made earlier in the same call, which its
+    docstring names; README lists these builders."""
     value = object.__new__(cls)
     value.__dict__.update(fields)
     return value

@@ -134,8 +134,8 @@ def verify_lclass_gens(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]
     allowed as alpha and contributes nothing.
     """
     x = pair_set(s, x)
-    lrel = _l_congruence(s)
-    if rc_generate(s, x).class_of != lrel.class_of:
+    lrel = rc_generate(s, x)  # both class maps are numbered by first occurrence
+    if lrel.class_of != green_data(s).l_class:
         raise PreconditionFailed("pair set does not generate the L-relation")
     built = set()
     for (a, b) in sorted(x.symmetrized()):
@@ -145,8 +145,7 @@ def verify_lclass_gens(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]
         if alpha is None:
             raise PreconditionFailed(f"no left factor: {a} not in S*{b}")
         built.add(alpha)
-    for members in lrel.classes():
-        built.add(members[0])
+    built.update(members[0] for members in lrel.classes())
     return _elements_report("lclass", inputs, x, s, built, lambda gen:
                             f"unreached elements: {sorted(set(range(s.size)) - set(gen))}")
 
@@ -373,7 +372,8 @@ def sweep(size_limit: int = 5, schutz_limit: int = 6, dp_limit: int = 3,
             xfull = pair_set(s, within_class_pairs(lrel))
             reports.append(verify_lclass_gens(s, xfull, inputs=f"{name} full"))
             for a, rho in enumerate(lattice):
-                for b, sigma in enumerate(lattice):
+                # a strict refinement has a larger index, so it comes first
+                for b, sigma in enumerate(lattice[a:], start=a):
                     if _refines(rho, sigma):
                         reports.append(verify_extend_gens(
                             s, rho, sigma, inputs=f"{name} rho#{a} sigma#{b}"))

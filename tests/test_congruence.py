@@ -23,7 +23,7 @@ from sgt.congruence import (CapExceeded, Disconnected, NotTwoSided, PairSet,
 from sgt.core import (RangeError, Transformation, direct_product, from_cayley,
                       from_transformations)
 from sgt.library import chain, cyclic, left_zero, library, right_zero, t2
-from sgt.verify import two_sided_congruences
+from sgt.verify import _refines, two_sided_congruences
 
 T3_GENS = ((1, 2, 0), (1, 0, 2), (0, 0, 2))
 
@@ -212,6 +212,11 @@ def test_t3_lattice_counts():
     two_sided = two_sided_congruences(t3)
     assert len(two_sided) == 7
     assert {r.class_of for r in two_sided} <= {r.class_of for r in lattice.congruences}
+
+
+def test_join_is_exported_from_the_package():
+    import sgt
+    assert sgt.join is sgt.congruence.join
 
 
 def test_join_resaturation_agrees_with_partition_join(lib):
@@ -670,13 +675,10 @@ def test_generated_congruence_matches_brute_on_both_sides(s, data):
 
 
 def _check_principals_against_closures(s):
-    pairs = list(itertools.combinations(range(s.size), 2))
     for two_sided in (False, True):
         def close(x):
             return congruence._close(s, x, two_sided=two_sided).class_of
 
-        assert ([rho.class_of for rho in congruence._pair_principals(s, two_sided)]
-                == [close([p]) for p in pairs])
         assert ([(rho.class_of, a, b) for a, b, rho in congruence._principals(s, two_sided)]
                 == oracles.first_pair_principals(s.size, close))
 
@@ -690,6 +692,20 @@ def test_pair_graph_principals_match_one_closure_per_pair(s):
 def test_t3_principals_match_one_closure_per_pair():
     _check_principals_against_closures(
         from_transformations(3, [Transformation(3, g) for g in T3_GENS]))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_SMALL_TABLES)
+def test_a_congruence_refines_none_listed_before_it(s):
+    # the order (-index, class_of) puts a strict refinement, of larger
+    # index, first: sweep() looks for what lattice[a] refines in lattice[a:]
+    lattice = enumerate_right_congruences(s).congruences
+    for a, rho in enumerate(lattice):
+        for b, sigma in enumerate(lattice):
+            refines = oracles.partition_join(rho.class_of, sigma.class_of) == sigma.class_of
+            assert _refines(rho, sigma) == refines
+            assert not refines or a <= b
 
 
 _GRAPHS = st.integers(1, 12).flatmap(lambda n: st.lists(

@@ -10,10 +10,11 @@ import oracles
 from sgt import trace
 from sgt.congruence import (identity_congruence, join, minimal_generating_pairs,
                             pair_set, quotient_semigroup, rc_generate,
-                            universal_congruence)
+                            right_congruence, universal_congruence, within_class_pairs)
 from sgt.core import (FiniteSemigroup, RangeError, Transformation, adjoin_identity,
                       adjoin_zero, direct_product, from_cayley, from_transformations,
                       sub_semigroup)
+from sgt.green import green_data
 from sgt.library import (chain, cyclic, left_zero, library, rectangular_band,
                          right_zero, trivial)
 from sgt.verify import (NoInternalIdentity, NotGenerating, NotHomomorphism,
@@ -124,6 +125,18 @@ def test_lclass_precondition():
     s = cyclic(3)
     with pytest.raises(PreconditionFailed):
         verify_lclass_gens(s, pair_set(s, []))  # identity != universal = L
+
+
+def test_lclass_replay_compares_without_a_checked_congruence(lib):
+    # the replay compares the generated class map with green_data's L-classes
+    # and takes its representatives from it, so it rebuilds no L-relation
+    for name, s in lib.items():
+        lrel = right_congruence(s, green_data(s).l_class)
+        for x in (minimal_generating_pairs(s, lrel)[0], pair_set(s, within_class_pairs(lrel))):
+            with trace.counting() as counts:
+                rep = verify_lclass_gens(s, x)
+            assert rep.passed, name
+            assert counts["congruence.checked"] == 0, name
 
 
 def test_dp_klein_universal():
