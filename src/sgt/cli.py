@@ -65,6 +65,16 @@ def _ints(tokens, where, dash: bool = False) -> list:
     return out
 
 
+def _counts(tokens, num: int) -> list[int]:
+    """Header tokens as ints, each at least 0; the first negative one is
+    named with the header's line number."""
+    values = _ints(tokens, num)
+    for t, v in zip(tokens, values):
+        if v < 0:
+            raise ParseError(num, f"expected a count >= 0, got {t!r}")
+    return values
+
+
 def parse_input(text: str, fmt: str = "auto") -> tuple[FiniteSemigroup, ReesStructure | None]:
     """Parse one of the table formats; returns the structure too for rees input."""
     lines = _content_lines(text)
@@ -78,7 +88,7 @@ def parse_input(text: str, fmt: str = "auto") -> tuple[FiniteSemigroup, ReesStru
     if kind == "cayley":
         if len(head) != 2:
             raise ParseError(num, "usage: cayley <n>")
-        n, = _ints(head[1:], num)
+        n, = _counts(head[1:], num)
         if len(lines) != 1 + n:
             raise ParseError(num, f"expected {n} table rows")
         # Rows become tuples as they are read, each token looked up so that
@@ -99,7 +109,7 @@ def parse_input(text: str, fmt: str = "auto") -> tuple[FiniteSemigroup, ReesStru
     if kind == "transformation":
         if len(head) != 3:
             raise ParseError(num, "usage: transformation <degree> <count>")
-        degree, count = _ints(head[1:], num)
+        degree, count = _counts(head[1:], num)
         if len(lines) != 1 + count:
             raise ParseError(num, f"expected {count} generator rows")
         gens = []
@@ -112,7 +122,10 @@ def parse_input(text: str, fmt: str = "auto") -> tuple[FiniteSemigroup, ReesStru
     if kind == "rees":
         if len(head) != 5:
             raise ParseError(num, "usage: rees <|G|> <|I|> <|J|> <zero:0|1>")
-        ng, isz, jsz, wz = _ints(head[1:], num)
+        ng, isz, jsz = _counts(head[1:4], num)
+        wz, = _ints(head[4:], num)
+        if wz not in (0, 1):
+            raise ParseError(num, f"expected a zero flag of 0 or 1, got {head[4]!r}")
         need = 1 + ng + jsz
         if len(lines) != need:
             raise ParseError(num, f"expected {need - 1} content rows after header")
@@ -205,157 +218,109 @@ def _egg_box_grid(d_classes) -> str:
     return "\n".join(lines)
 
 
-def _steps_json(seq):
-    return [{"x": st.x, "y": st.y, "s": "1" if st.s is FORMAL_IDENTITY else st.s}
-            for st in seq.steps]
+def _label(m):
+    """A multiplier for output: the formal identity is written "1"."""
+    return "1" if m is FORMAL_IDENTITY else m
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(human)
+def _congruence_lines(rho) -> list[str]:
+    return [f"index: {rho.index}"] + [f"class {i}: " + " ".join(map(str, c))
+                                      for i, c in enumerate(rho.classes())]
 
 
-def _require_semigroup(args) -> FiniteSemigroup:
-    s, _ = parse_input(_read(args.input), args.format)
-    return s
+def _cmd_info(args, s, r):
+    payload = {"size": s.size, "identity": s.identity, "zero": s.zero,
+               **classify(s).as_dict()}
+    return payload, [f"{k}: {v}" for k, v in payload.items()]
 
 
-def _cmd_info(args) -> int:
-    s = _require_semigroup(args)
-    flags = classify(s).as_dict()
-    payload = {"size": s.size, "identity": s.identity, "zero": s.zero, **flags}
-    human = [f"size: {s.size}", f"identity: {s.identity}", f"zero: {s.zero}"]
-    human += [f"{k}: {v}" for k, v in flags.items()]
-    _emit(args, payload, "\n".join(human))
-    return 0
-
-
-def _cmd_green(args) -> int:
-    s = _require_semigroup(args)
+def _cmd_green(args, s, r):
     d_classes = _d_classes(green_data(s))
     subgroups = maximal_subgroups(s)
     payload = _egg_box(d_classes)
     payload["maximal_subgroups"] = [{"h_class": list(m), "order": g.size}
                                     for m, g in subgroups]
-    human = _egg_box_grid(d_classes) + "\nmaximal subgroups: " + " ".join(
-        f"{list(m)}(order {g.size})" for m, g in subgroups)
-    _emit(args, payload, human)
-    return 0
+    return payload, [_egg_box_grid(d_classes), "maximal subgroups: " + " ".join(
+        f"{list(m)}(order {g.size})" for m, g in subgroups)]
 
 
-def _cmd_congruences(args) -> int:
-    s = _require_semigroup(args)
+def _cmd_congruences(args, s, r):
     try:
         lattice = enumerate_right_congruences(s, cap=args.max)
     except CapExceeded as exc:
         raise _UsageError(f"cap exceeded: more than {args.max} right congruences "
                           f"(found {exc.partial_count})") from exc
     payload = {"count": len(lattice),
-               "congruences": [congruence_json(r) for r in lattice.congruences]}
-    human = [f"count: {len(lattice)}"]
-    human += [f"index {r.index}: " + " ".join("{" + ",".join(map(str, c)) + "}"
-                                              for c in r.classes())
-              for r in lattice.congruences]
-    _emit(args, payload, "\n".join(human))
-    return 0
+               "congruences": [congruence_json(rho) for rho in lattice.congruences]}
+    lines = [f"count: {len(lattice)}"]
+    lines += [f"index {rho.index}: " + " ".join("{" + ",".join(map(str, c)) + "}"
+                                                for c in rho.classes())
+              for rho in lattice.congruences]
+    return payload, lines
 
 
-def _cmd_close(args) -> int:
-    s = _require_semigroup(args)
-    x = parse_pairs(args.pairs, s)
-    rho = rc_generate(s, x, two_sided=args.two_sided)
-    payload = congruence_json(rho)
-    human = [f"index: {rho.index}"]
-    human += [f"class {i}: " + " ".join(map(str, c))
-              for i, c in enumerate(rho.classes())]
-    _emit(args, payload, "\n".join(human))
-    return 0
+def _cmd_close(args, s, r):
+    rho = rc_generate(s, parse_pairs(args.pairs, s), two_sided=args.two_sided)
+    return congruence_json(rho), _congruence_lines(rho)
 
 
-def _cmd_witness(args) -> int:
-    s = _require_semigroup(args)
-    x = parse_pairs(args.pairs, s)
-    seq = find_x_sequence(s, x, args.from_el, args.to_el)
+def _cmd_witness(args, s, r):
+    seq = find_x_sequence(s, parse_pairs(args.pairs, s), args.from_el, args.to_el)
     if seq is None:
-        _emit(args, {"nopath": True, "from": args.from_el, "to": args.to_el},
-              "no path")
-        return 0
-    payload = {"from": seq.a, "to": seq.b, "k": len(seq),
-               "steps": _steps_json(seq)}
-    human = [f"k: {len(seq)}"]
-    for i, st in enumerate(seq.steps, start=1):
-        mult = "1" if st.s is FORMAL_IDENTITY else st.s
-        human.append(f"step {i}: x={st.x} y={st.y} s={mult}")
-    _emit(args, payload, "\n".join(human))
-    return 0
+        return {"nopath": True, "from": args.from_el, "to": args.to_el}, ["no path"]
+    steps = [{"x": st.x, "y": st.y, "s": _label(st.s)} for st in seq.steps]
+    payload = {"from": seq.a, "to": seq.b, "k": len(seq), "steps": steps}
+    return payload, [f"k: {len(seq)}"] + [
+        f"step {i}: x={st['x']} y={st['y']} s={st['s']}" for i, st in enumerate(steps, start=1)]
 
 
-def _cmd_minimize(args) -> int:
-    s = _require_semigroup(args)
-    x = parse_pairs(args.pairs, s)
-    rho = rc_generate(s, x)
+def _cmd_minimize(args, s, r):
+    rho = rc_generate(s, parse_pairs(args.pairs, s))
     out, optimal = minimal_generating_pairs(s, rho, exact_limit=args.exact_limit)
     pairs = sorted(out.pairs)
     payload = {"pairs": [list(p) for p in pairs], "optimal": optimal}
-    _emit(args, payload,
-          "pairs: " + "; ".join(f"{a} {b}" for a, b in pairs) +
-          f"\noptimal: {optimal}")
-    return 0
+    return payload, ["pairs: " + "; ".join(f"{a} {b}" for a, b in pairs),
+                     f"optimal: {optimal}"]
 
 
-def _cmd_diameter(args) -> int:
-    s = _require_semigroup(args)
-    x = parse_pairs(args.pairs, s)
-    out = rc_diameter(s, x)
+def _cmd_diameter(args, s, r):
+    out = rc_diameter(s, parse_pairs(args.pairs, s))
     if isinstance(out, Disconnected):
-        _emit(args, {"disconnected": True, "index": out.index},
-              f"disconnected (index {out.index})")
-    else:
-        _emit(args, {"diameter": out}, f"diameter: {out}")
-    return 0
+        return {"disconnected": True, "index": out.index}, [f"disconnected (index {out.index})"]
+    return {"diameter": out}, [f"diameter: {out}"]
 
 
-def _cmd_schutz(args) -> int:
-    s = _require_semigroup(args)
+def _cmd_schutz(args, s, r):
     sg = schutzenberger(s, args.element)
-    stab = ["1" if m is FORMAL_IDENTITY else m for m in sg.stabilizer]
+    stab = [_label(m) for m in sg.stabilizer]
     payload = {"h_class": list(sg.h_class), "stabilizer": stab,
                "group_size": sg.group.size,
-               "group_table": [list(r) for r in sg.group.table]}
-    human = [f"H: {list(sg.h_class)}", f"stabilizer: {stab}",
-             f"group size: {sg.group.size}"]
-    _emit(args, payload, "\n".join(human))
-    return 0
+               "group_table": [list(row) for row in sg.group.table]}
+    return payload, [f"H: {list(sg.h_class)}", f"stabilizer: {stab}",
+                     f"group size: {sg.group.size}"]
 
 
-def _cmd_decompose(args) -> int:
-    s = _require_semigroup(args)
+def _cmd_decompose(args, s, r):
     dec = cr_decomposition(s) if args.mode == "cr" else archimedean_decomposition(s)
     payload = {
         "kind": args.mode,
         "components": [{"elements": members, "kind": dec.kind[i]}
                        for i, members in enumerate(dec.components())],
         "semilattice": {"size": dec.semilattice.size,
-                        "table": [list(r) for r in dec.semilattice.table]},
+                        "table": [list(row) for row in dec.semilattice.table]},
     }
-    human = [f"components: {len(dec.kind)}"]
-    human += [f"component {i} ({dec.kind[i]}): " + " ".join(map(str, members))
+    lines = [f"components: {len(dec.kind)}"]
+    lines += [f"component {i} ({dec.kind[i]}): " + " ".join(map(str, members))
               for i, members in enumerate(dec.components())]
-    human.append(f"semilattice size: {dec.semilattice.size}")
-    _emit(args, payload, "\n".join(human))
-    return 0
+    lines.append(f"semilattice size: {dec.semilattice.size}")
+    return payload, lines
 
 
-def _cmd_rees(args) -> int:
-    s, r = parse_input(_read(args.input), args.format)
+def _cmd_rees(args, s, r):
     if args.construct:
         if r is None:
             raise _UsageError("--construct needs rees-format input")
-        payload = {"size": s.size, "table": [list(row) for row in s.table]}
-        _emit(args, payload, _cayley_text(s))
-        return 0
+        return {"size": s.size, "table": [list(row) for row in s.table]}, [_cayley_text(s)]
     # --to-coordinates
     struct, mapping = rees_coordinates(s)
     payload = {"group_size": struct.group.size, "i_size": struct.i_size,
@@ -363,24 +328,16 @@ def _cmd_rees(args) -> int:
                "p_matrix": [["-" if v is None else v for v in row]
                             for row in struct.p_matrix],
                "map": list(mapping)}
-    _emit(args, payload, _rees_text(struct))
-    return 0
+    return payload, [_rees_text(struct)]
 
 
-def _cmd_theta(args) -> int:
-    s, r = parse_input(_read(args.input), args.format)
+def _cmd_theta(args, s, r):
     if r is None:
         raise _UsageError("theta needs rees-format input")
     pattern, rho = theta_congruence(s, r)
-    payload = {"patterns": [list(v) for v in pattern.vectors],
-               **congruence_json(rho)}
-    human = ["patterns: " + " ".join("".join(map(str, v))
-                                     for v in pattern.vectors),
-             f"index: {rho.index}"]
-    human += [f"class {i}: " + " ".join(map(str, c))
-              for i, c in enumerate(rho.classes())]
-    _emit(args, payload, "\n".join(human))
-    return 0
+    payload = {"patterns": [list(v) for v in pattern.vectors], **congruence_json(rho)}
+    return payload, ["patterns: " + " ".join("".join(map(str, v)) for v in pattern.vectors),
+                     *_congruence_lines(rho)]
 
 
 def _report_json(rep) -> dict:
@@ -402,69 +359,57 @@ def _report_json(rep) -> dict:
 
 def _congruence_arg(s: FiniteSemigroup, pairs: str | None, option: str, default):
     """The right congruence generated by a pairs option, or default(s) when
-    the option is not given."""
-    return rc_generate(s, parse_pairs(pairs, s, option)) if pairs else default(s)
+    the option is not given.  An empty option is the empty pair set."""
+    return default(s) if pairs is None else rc_generate(s, parse_pairs(pairs, s, option))
 
 
-def _verify_dispatch(args) -> int:
+def _sweep_summary():
+    counts: dict[str, list[int]] = {}
+    for rep in sweep():
+        ran_ok = counts.setdefault(rep.construction, [0, 0])
+        ran_ok[0] += 1
+        ran_ok[1] += rep.passed
+    all_passed = all(ran == ok for ran, ok in counts.values())
+    payload = {"all_passed": all_passed,
+               "constructions": {k: {"runs": v[0], "passed": v[1]}
+                                 for k, v in sorted(counts.items())}}
+    lines = [f"{k:10s} {v['passed']}/{v['runs']} passed"
+             for k, v in payload["constructions"].items()]
+    return payload, lines + ["all passed" if all_passed else "FAILURES PRESENT"]
+
+
+def _cmd_verify(args, s, r):
     if args.sweep:
-        reports = sweep()
-        counts: dict[str, list[int]] = {}
-        for rep in reports:
-            counts.setdefault(rep.construction, [0, 0])
-            counts[rep.construction][0] += 1
-            counts[rep.construction][1] += rep.passed
-        all_passed = all(ran == ok for ran, ok in counts.values())
-        if args.json:
-            payload = {"all_passed": all_passed,
-                       "constructions": {k: {"runs": v[0], "passed": v[1]}
-                                         for k, v in sorted(counts.items())}}
-            print(json.dumps(payload))
-        else:
-            for k in sorted(counts):
-                ran, ok = counts[k]
-                print(f"{k:10s} {ok}/{ran} passed")
-            print("all passed" if all_passed else "FAILURES PRESENT")
-        return 0 if all_passed else 2
-
-    if not args.construction:
-        raise _UsageError("verify needs --construction or --sweep")
-    s, r = parse_input(_read(args.input), args.format)
+        return _sweep_summary()
     con = args.construction
     if con == "diagonal":
         witness = diagonal_cyclic_witness(s)
-        expected_cyclic = s.size == 1
-        passed = (witness is not None) == expected_cyclic
+        passed = (witness is not None) == (s.size == 1)
         payload = {"construction": "diagonal",
-                   "witness": list(witness) if witness else None,
-                   "passed": passed}
-        _emit(args, payload,
-              f"witness: {witness}\npassed: {passed}")
-        return 0 if passed else 2
-
+                   "witness": list(witness) if witness else None, "passed": passed}
+        return payload, [f"witness: {witness}", f"passed: {passed}"]
     if con == "fg":
-        gens = (_ints(args.gens.split(","), "--gens") if args.gens
-                else list(range(s.size)))
+        gens = (list(range(s.size)) if args.gens is None
+                else _ints(args.gens.split(","), "--gens"))
         rho = _congruence_arg(s, args.pairs, "--pairs", universal_congruence)
         rep = verify_fg_gens(s, gens, rho, inputs="cli")
     elif con == "lclass":
-        if args.pairs:
-            x = parse_pairs(args.pairs, s)
-        else:
+        if args.pairs is None:
             x, _ = minimal_generating_pairs(s, _l_congruence(s))
+        else:
+            x = parse_pairs(args.pairs, s)
         rep = verify_lclass_gens(s, x, inputs="cli")
     elif con == "dp":
         if not args.second:
             raise _UsageError("dp needs --second FILE")
-        m = s
         n2, _ = parse_input(_read(args.second), "auto")
-        p = direct_product(m, n2)
-        rho = _congruence_arg(p, args.pairs, "--pairs", universal_congruence)
-        rep = verify_dp_gens(m, n2, rho, inputs="cli")
+        rho = _congruence_arg(direct_product(s, n2), args.pairs, "--pairs",
+                              universal_congruence)
+        rep = verify_dp_gens(s, n2, rho, inputs="cli")
     elif con == "schutz":
         rep = verify_schutz_gens(s, args.element, inputs="cli")
     elif con == "quotient":
-        if not args.pairs:
+        if args.pairs is None:
             raise _UsageError("quotient needs --pairs")
         rho2 = rc_generate(s, parse_pairs(args.pairs, s), two_sided=True)
         t = quotient_semigroup(s, rho2)
@@ -472,7 +417,7 @@ def _verify_dispatch(args) -> int:
                                 universal_congruence)
         rep = verify_quotient_gens(s, t, rho2.class_of, rho_t, inputs="cli")
     elif con == "ideal":
-        if not args.ideal:
+        if args.ideal is None:
             raise _UsageError("ideal needs --ideal LIST")
         ideal = sorted(_ints(args.ideal.split(","), "--ideal"))
         isub, members = ideal_subsemigroup(s, ideal)
@@ -486,14 +431,8 @@ def _verify_dispatch(args) -> int:
         rho = _congruence_arg(s, args.pairs, "--pairs", identity_congruence)
         sigma = _congruence_arg(s, args.sigma_pairs, "--sigma-pairs", universal_congruence)
         rep = verify_extend_gens(s, rho, sigma, inputs="cli")
-    if args.json:
-        print(json.dumps(_report_json(rep)))
-    else:
-        print(f"construction: {rep.construction}")
-        print(f"passed: {rep.passed}")
-        if rep.note:
-            print(f"note: {rep.note}")
-    return 0 if rep.passed else 2
+    lines = [f"construction: {rep.construction}", f"passed: {rep.passed}"]
+    return _report_json(rep), lines + ([f"note: {rep.note}"] if rep.note else [])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -559,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, _cmd_theta)
 
     p = sub.add_parser("verify", help="replay a constructive argument")
-    common(p, _verify_dispatch)
+    common(p, _cmd_verify)
     p.add_argument("--construction",
                    choices=["fg", "lclass", "dp", "schutz", "quotient",
                             "ideal", "extend", "diagonal"])
@@ -576,17 +515,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Exit codes: 0 success, 1 usage/parse/precondition error, 2 a failed
-    verification, 3 an internal check failed (a bug).  Warnings print as
-    "warning:" lines after the output, and not at all after an error.  With
-    --stats, a run without an error ends stderr with the counts of
-    sgt.trace as one JSON object, keys sorted."""
+    """Read the input once (verify --sweep reads none), run the verb's
+    handler, and print the payload it returns as JSON, or its lines as text.
+    Exit codes: 0 success, 1 usage/parse/precondition error, 2 the payload's
+    "passed" or "all_passed" is false, 3 an internal check failed (a bug).
+    Warnings print as "warning:" lines after the output, and not at all
+    after an error.  With --stats, a run without an error ends stderr with
+    the counts of sgt.trace as one JSON object, keys sorted."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             args = build_parser().parse_args(argv)
+            sweeping = args.verb == "verify" and args.sweep
+            if args.verb == "verify" and not (sweeping or args.construction):
+                raise _UsageError("verify needs --construction or --sweep")
             with trace.counting() if args.stats else contextlib.nullcontext() as stats:
-                code = args.handler(args)
+                s, r = (None, None) if sweeping else parse_input(_read(args.input), args.format)
+                payload, lines = args.handler(args, s, r)
+            print(json.dumps(payload) if args.json else "\n".join(lines))
+            code = 0 if payload.get("passed", payload.get("all_passed", True)) else 2
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -283,17 +283,13 @@ def _adjoin(s: FiniteSemigroup, column: Sequence[int], row: list[int],
     return from_cayley(s.size + 1, table, labels=labels)
 
 
-def adjoin_identity(s: FiniteSemigroup, only_if_missing: bool = False) -> FiniteSemigroup:
+def adjoin_identity(s: FiniteSemigroup) -> FiniteSemigroup:
     """Adjoin a two-sided identity as a new element at index size."""
-    if only_if_missing and s.identity is not None:
-        return s
     return _adjoin(s, range(s.size), list(range(s.size + 1)), "1")
 
 
-def adjoin_zero(s: FiniteSemigroup, only_if_missing: bool = False) -> FiniteSemigroup:
+def adjoin_zero(s: FiniteSemigroup) -> FiniteSemigroup:
     """Adjoin a two-sided zero as a new element at index size."""
-    if only_if_missing and s.zero is not None:
-        return s
     n = s.size
     return _adjoin(s, [n] * n, [n] * (n + 1), "0")
 

@@ -253,6 +253,11 @@ BAD_INPUTS = {
     "unknown": "sudoku 2\n0 1\n1 0\n",
     "rees_float": "rees 2 1 1 0\n0 1\n1 0\n1.0\n",
     "rees_word": "rees 2 1 1 0\n0 1\n1 0\nx\n",
+    "negative_size": "cayley -1\n",
+    "negative_degree": "transformation -1 1\n0\n",
+    "negative_rees_count": "rees 1 -1 1 0\n0\n0\n",
+    "zero_flag_2": "rees 1 1 1 2\n0\n0\n",
+    "zero_flag_negative": "rees 1 1 1 -1\n0\n0\n",
 }
 
 
@@ -403,23 +408,53 @@ def test_close_human_output_snapshot(files, capsys):
     assert capsys.readouterr().out == "index: 2\nclass 0: 0 1\nclass 1: 2\n"
 
 
-def test_failed_verification_is_exit_2(files, capsys, monkeypatch):
-    # exit-code contract: a failing report maps to exit 2 (constructions are
-    # theorem-backed, so a genuine failure needs a stubbed report)
-    import sgt.cli as cli
+def _failed_report(inputs=""):
+    # constructions are theorem-backed, so a genuine failure needs a stub
     from sgt.verify import VerificationReport
+    return VerificationReport(construction="schutz", inputs=inputs,
+                              built_pairs=None, built_elements=None,
+                              expected=None, computed=None, passed=False,
+                              distinguishing_pair=None, note="stub")
 
-    def fake(s, element, inputs=""):
-        return VerificationReport(construction="schutz", inputs=inputs,
-                                  built_pairs=None, built_elements=None,
-                                  expected=None, computed=None, passed=False,
-                                  distinguishing_pair=None, note="stub")
 
-    monkeypatch.setattr(cli, "verify_schutz_gens", fake)
+def test_failed_verification_is_exit_2(files, capsys, monkeypatch):
+    import sgt.cli as cli
+    monkeypatch.setattr(cli, "verify_schutz_gens",
+                        lambda s, element, inputs="": _failed_report(inputs))
     code = run(["verify", "-i", files["z3"], "--construction", "schutz",
                 "--element", "0"])
     assert code == 2
     capsys.readouterr()
+
+
+def test_a_failed_sweep_is_exit_2_and_reads_no_stdin(capsys, monkeypatch):
+    import sgt.cli as cli
+    monkeypatch.setattr(cli, "sweep", lambda: [_failed_report()])
+    monkeypatch.setattr("sys.stdin", io.StringIO("not a table"))
+    assert run(["verify", "--sweep"]) == 2
+    assert capsys.readouterr().out == "schutz     0/1 passed\nFAILURES PRESENT\n"
+    assert run(["verify", "--sweep", "--json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "all_passed": False, "constructions": {"schutz": {"runs": 1, "passed": 0}}}
+
+
+@pytest.mark.parametrize("argv, index", [
+    (["--construction", "fg", "--pairs="], 3),
+    (["--construction", "extend", "--sigma-pairs="], 3),
+    (["--construction", "quotient", "--pairs="], 1),
+])
+def test_an_empty_pairs_option_is_the_empty_pair_set(files, capsys, argv, index):
+    # an option that is not given means the universal congruence here
+    code = run(["verify", "-i", files["z3"], *argv, "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["expected"]["index"] == index
+
+
+def test_lclass_with_an_empty_pair_set_fails(files, capsys):
+    code = run(["verify", "-i", files["z3"], "--construction", "lclass", "--pairs="])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: pair set does not generate the L-relation\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -479,6 +514,15 @@ def test_internal_failure_is_one_error_line_with_exit_3(files, capsys, monkeypat
      "--gens: expected an integer, got ''"),
     (["verify", "-i", "{z3}", "--construction", "ideal", "--ideal", "0,1.5"],
      "--ideal: expected an integer, got '1.5'"),
+    (["info", "-i", "{negative_size}"], "line 1: expected a count >= 0, got '-1'"),
+    (["info", "-i", "{negative_rees_count}"], "line 1: expected a count >= 0, got '-1'"),
+    (["info", "-i", "{zero_flag_2}"], "line 1: expected a zero flag of 0 or 1, got '2'"),
+    (["info", "-i", "{zero_flag_negative}"],
+     "line 1: expected a zero flag of 0 or 1, got '-1'"),
+    (["verify", "-i", "{z3}", "--construction", "fg", "--gens="],
+     "--gens: expected an integer, got ''"),
+    (["verify", "-i", "{z3}", "--construction", "ideal", "--ideal="],
+     "--ideal: expected an integer, got ''"),
 ])
 def test_bad_integer_token_is_named_with_its_line_or_option(files, tmp_path, capsys,
                                                             argv, message):
@@ -487,7 +531,8 @@ def test_bad_integer_token_is_named_with_its_line_or_option(files, tmp_path, cap
                        ("bad_row", "cayley 2\n0 1\n1 0.0\n"),
                        ("bad_degree", "transformation two 1\n0 0\n"),
                        ("bad_rees_header", "rees 1 y 1 0\n0\n0\n"),
-                       ("bad_sandwich", "rees 2 2 1 1\n0 1\n1 0\n- 1.0\n")]:
+                       ("bad_sandwich", "rees 2 2 1 1\n0 1\n1 0\n- 1.0\n"),
+                       *BAD_INPUTS.items()]:
         paths[name] = str(tmp_path / f"{name}.sg")
         (tmp_path / f"{name}.sg").write_text(text)
     code = run([a.format(**paths) for a in argv])

@@ -127,9 +127,8 @@ def test_adjoin_identity_unconditional():
     assert classify(one).semilattice
 
 
-def test_adjoin_identity_only_if_missing():
+def test_adjoined_elements_are_labelled():
     z2 = cyclic(2)
-    assert adjoin_identity(z2, only_if_missing=True) is z2
     assert adjoin_identity(z2).size == 3
     # the new element is labelled "1" (and an adjoined zero "0") when s has labels
     assert adjoin_identity(z2).labels == ("e", "g", "1")

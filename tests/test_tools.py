@@ -5,10 +5,17 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location(
-    "check_bench_line", ROOT / "tools" / "check_bench_line.py")
-check_bench_line = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(check_bench_line)
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+check_bench_line = _tool("check_bench_line")
+src_lines = _tool("src_lines")
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
@@ -38,3 +45,21 @@ def test_check_bench_line_accepts_a_complete_result(trace):
 ])
 def test_check_bench_line_rejects_a_bad_result(text):
     assert check_bench_line.problems(text, 0)
+
+
+MODULE = ('"""A docstring\n'
+          'on two lines."""\n'
+          '\n'
+          '# a comment line\n'
+          'X = """# a string,\n'
+          'not a comment"""  # a trailing comment\n'
+          'def f():\n'
+          '    return X\n')
+
+
+def test_src_lines_counts_no_blank_comment_or_docstring_line(tmp_path, capsys):
+    assert src_lines.count(MODULE) == (8, 4)
+    (tmp_path / "m.py").write_text(MODULE)
+    assert src_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "m.py                        8      4", "total                       8      4"]
