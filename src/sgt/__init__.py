@@ -2,7 +2,7 @@
 
 from .core import (AssociativityViolation, Classification, DegreeMismatch,
                    FiniteSemigroup, InternalAssertFailure, NotAnIdeal,
-                   RangeError, SubsetClosure, Transformation, adjoin_identity,
+                   RangeError, Transformation, adjoin_identity,
                    adjoin_zero, classify, direct_product, from_cayley,
                    from_transformations, rees_quotient, sub_semigroup,
                    subsemigroup_closure)
@@ -18,7 +18,7 @@ from .green import GreenData, SchutzGroup, green_data, maximal_subgroups, schutz
 from .structure import (Decomposition, InvalidGroup, MismatchedInput,
                         NotCommutative, NotCompletelyRegular,
                         NotCompletelySimple, RaggedMatrix, ReesStructure,
-                        ThetaPattern, ZERO, archimedean_decomposition,
+                        ZERO, archimedean_decomposition,
                         completeness_check, cr_decomposition,
                         diagonal_cyclic_witness, h_congruence_check,
                         rees_construct, rees_coordinates, rees_structure,

@@ -66,12 +66,12 @@ def _ints(tokens, where, dash: bool = False) -> list:
 
 
 def _counts(tokens, num: int) -> list[int]:
-    """Header tokens as ints, each at least 0; the first negative one is
+    """Header tokens as ints, each at least 1; the first smaller one is
     named with the header's line number."""
     values = _ints(tokens, num)
     for t, v in zip(tokens, values):
-        if v < 0:
-            raise ParseError(num, f"expected a count >= 0, got {t!r}")
+        if v < 1:
+            raise ParseError(num, f"expected a count >= 1, got {t!r}")
     return values
 
 
@@ -334,9 +334,9 @@ def _cmd_rees(args, s, r):
 def _cmd_theta(args, s, r):
     if r is None:
         raise _UsageError("theta needs rees-format input")
-    pattern, rho = theta_congruence(s, r)
-    payload = {"patterns": [list(v) for v in pattern.vectors], **congruence_json(rho)}
-    return payload, ["patterns: " + " ".join("".join(map(str, v)) for v in pattern.vectors),
+    vectors, rho = theta_congruence(s, r)
+    payload = {"patterns": [list(v) for v in vectors], **congruence_json(rho)}
+    return payload, ["patterns: " + " ".join("".join(map(str, v)) for v in vectors),
                      *_congruence_lines(rho)]
 
 

@@ -8,7 +8,8 @@ from functools import cached_property
 from typing import Iterable
 
 from . import trace
-from .core import FiniteSemigroup, RangeError, _index, _trusted, from_cayley
+from .core import (FiniteSemigroup, InternalAssertFailure, RangeError, _index, _trusted,
+                   from_cayley)
 
 #: Multiplier standing for the formal identity of S^1; serialized as "1".
 FORMAL_IDENTITY = None
@@ -184,32 +185,43 @@ def _find(parent: list[int], a: int) -> int:
     return a
 
 
+def _merge(parent: list[int], links: Iterable[tuple[int, int]]) -> list[int]:
+    """The union-find forest parent, with each link (f, x) merged in place
+    and nothing translated: the join, as equivalences, of what the links
+    relate.  It merges _close's closed partitions, each component of
+    _principals, and Green's R and L into D."""
+    for f, x in links:
+        rx, rf = _find(parent, x), _find(parent, f)
+        if rx != rf:
+            parent[rx] = rf
+    return parent
+
+
+def _forest_classes(parent: list[int]) -> tuple[int, ...]:
+    """The canonical class map of a union-find forest."""
+    return _canonical_classes([_find(parent, x) for x in range(len(parent))])
+
+
 def _close(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]] = (),
            closed: Iterable[tuple[int, ...]] = (),
            two_sided: bool = False) -> RightCongruence:
     """Union-find saturation: the least right (or two-sided) congruence
     containing the pairs and the partitions in `closed`.
 
-    The classes in `closed` are merged without translating, so each must be
-    a congruence of the kind built (the transitive closure of compatible
-    equivalences is compatible); with no pairs, the result is their plain
-    join as equivalences.  Every union that a pair adds is queued and
-    translated on the right by each generator of s (and on the left too
-    when two_sided) until the queue empties.  That is enough: every union
-    then relates its translates by each generator, so by transitivity every
-    pair of the result does, and by induction on word length so do its
-    translates by every element of S.
+    Each partition in `closed` must be a congruence of the kind built: its
+    classes are merged by _merge, untranslated, and the transitive closure
+    of compatible equivalences is compatible.  Every union that a pair adds
+    is queued and translated on the right by each generator of s (and on
+    the left too when two_sided) until the queue empties.  That is enough:
+    every union then relates its translates by each generator, so by
+    transitivity every pair of the result does, and by induction on word
+    length so do its translates by every element of S.
     """
     if trace.enabled:
         trace.counts["congruence.close.calls"] += 1
     n = s.size
     table = s.table
-    parent = list(range(n))
-    for class_of in closed:
-        for f, x in _member_links(class_of):
-            rx, rf = _find(parent, x), _find(parent, f)
-            if rx != rf:
-                parent[rx] = rf
+    parent = _merge(list(range(n)), itertools.chain.from_iterable(map(_member_links, closed)))
     queue = []
 
     def union(a, b):
@@ -229,8 +241,7 @@ def _close(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]] = (),
             union(row_a[g], row_b[g])
         for row in left:
             union(row[a], row[b])
-    canon = _canonical_classes([_find(parent, x) for x in range(n)])
-    return _trusted(RightCongruence, parent=s, class_of=canon)
+    return _trusted(RightCongruence, parent=s, class_of=_forest_classes(parent))
 
 
 def rc_generate(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]],
@@ -318,7 +329,7 @@ def find_x_sequence(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]],
                 u, remaining = v, remaining - 1
                 break
         else:
-            raise AssertionError("BFS tree walk lost the path")
+            raise InternalAssertFailure("BFS tree walk lost the path")
     return XSequence(parent=s, a=a, b=b, steps=tuple(steps))
 
 
@@ -346,7 +357,7 @@ def rc_diameter(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]]) -> i
     for src in range(s.size):
         dist = _distances(adj, src)
         if min(dist) < 0:
-            raise AssertionError("universal congruence but sequence graph disconnected")
+            raise InternalAssertFailure("universal congruence but sequence graph disconnected")
         best = max(best, max(dist))
     return best
 
@@ -448,17 +459,11 @@ def _sccs(n: int, succ):
 def _principals(s: FiniteSemigroup,
                 two_sided: bool = False) -> list[tuple[int, int, RightCongruence]]:
     """The distinct principal right (or two-sided) congruences <(a, b)>,
-    each with its first pair a < b, in lexicographic order of those pairs.
-
-    <(a, b)> is the equivalence generated by the pairs reachable from
-    {a, b} in the pair graph: its nodes are the pairs {x, y}, x < y, and
-    its edges go from {x, y} to {xg, yg} (and to {gx, gy} when two_sided)
-    for each generator g of s, except into the diagonal.  So the pairs of
-    one strongly connected component generate one congruence, and the
-    components come successors first: a component's class map is its own
-    pairs merged with the closed class maps of the components it reaches
-    in one edge, and nothing is translated or re-saturated.
-    """
+    each with its first pair a < b, in lexicographic order of those pairs,
+    from the pair graph of enumerate_right_congruences (with the edges
+    {x, y} -> {gx, gy} too when two_sided).  _sccs yields the components
+    successors first, so the components that one reaches in an edge are
+    built before it."""
     n = s.size
     table = s.table
     moves = [[row[g] for row in table] for g in s.generators]  # x -> x*g
@@ -475,15 +480,10 @@ def _principals(s: FiniteSemigroup,
     for members in components:
         # a successor outside the component is in one built before it
         reached = {id(r): r for v in members for w in succ[v] if (r := rho_of[w]) is not None}
-        parent = list(range(n))
         links = [pairs[v] for v in members]
         for r in reached.values():
             links += r._links
-        for f, x in links:
-            rx, rf = _find(parent, x), _find(parent, f)
-            if rx != rf:
-                parent[rx] = rf
-        cls = _canonical_classes([_find(parent, x) for x in range(n)])
+        cls = _forest_classes(_merge(list(range(n)), links))
         rho = principal.setdefault(cls, _trusted(RightCongruence, parent=s, class_of=cls))
         for v in members:
             rho_of[v] = rho
@@ -500,18 +500,14 @@ def _principals(s: FiniteSemigroup,
 def _principal_closure(s: FiniteSemigroup, two_sided: bool = False,
                        cap: int | None = None) -> list[RightCongruence]:
     """All right (or two-sided) congruences, ordered by (-index, class_of),
-    by the close-by-one walk of enumerate_right_congruences.  The principal
-    phase is one pass over the components of the pair graph (_principals),
-    which saturates no pair.  The walk builds each congruence once, so only
-    the principal phase dedups, and its canonicity test reads the merged
-    labels before a class map is built.  A stack entry (rho, start, witness)
-    maps each i whose merge failed the test at an ancestor to the earlier
-    pair k that it related, so that rho skips sigma_i unless it relates k."""
+    by the close-by-one walk of enumerate_right_congruences.  A stack entry
+    (rho, start, witness) maps each i whose merge failed the canonicity test
+    at an ancestor to the earlier pair k that it related, so that rho skips
+    sigma_i unless it relates k."""
     principal = _principals(s, two_sided)
     if cap is not None and 1 + len(principal) > cap:  # the identity and the principals
         raise CapExceeded(cap + 1)
-    # The principals strictly below sigma are those of larger index whose
-    # pair sigma relates; sigma is join-irreducible unless they join to it.
+    # the principals strictly below sigma: those of larger index whose pair sigma relates
     irreducible = []
     for a, b, sigma in principal:
         cls = sigma.class_of
@@ -562,29 +558,31 @@ def enumerate_right_congruences(s: FiniteSemigroup,
 
     Every right congruence rho is the join of the principal right
     congruences <(a, b)> of its own pairs: it contains each of them, and
-    together they relate all of its pairs.  The principal congruences come
-    from one pass over the strongly connected components of the graph of
-    pairs {x, y} -> {xg, yg}, g in the generating set of s: each
-    component's congruence is its own pairs merged with the congruences of
-    the components it reaches, built before it.  In a finite
-    lattice every element is a join of join-irreducible ones, and those
-    are principal here, so only the join-irreducible principals sigma_i
-    are kept, each with its first pair (a_i, b_i), in order of those pairs:
-    a principal is dropped when the principal ones strictly below it join
-    to it.  Let C(rho) be the set of i with rho relating (a_i, b_i), that
-    is, sigma_i <= rho.  As rho is the join of the sigma_i below it,
-    rho -> C(rho) is injective, onto the sets closed under
-    X -> C(join of the sigma_i, i in X).  The close-by-one walk (Kuznetsov
-    1993) with Ganter's canonicity test (1984) yields each closed set once:
-    from (identity, 0), for a pair (rho, start) and each i >= start not in
-    C(rho), j = join(rho, sigma_i) is kept, and walked on as (j, i + 1),
-    only when C(j) adds no index below i to C(rho).  Each join merges
-    classes of two closed partitions and re-saturates nothing.  A failed
-    test is passed down to the descendants (fast close-by-one, Outrata and
-    Vychodil 2012): when C(join(rho, sigma_i)) holds some k < i not in
-    C(rho), every rho' >= rho has k in C(join(rho', sigma_i)), so a
-    descendant rho' with k not in C(rho') skips that join, and only one
-    that holds k makes it.
+    together they relate all of its pairs.  <(a, b)> is the equivalence
+    generated by the pairs reachable from {a, b} in the pair graph, whose
+    nodes are the pairs {x, y}, x < y, with an edge to {xg, yg} for each
+    generator g of s unless xg = yg.  So the pairs of one strongly
+    connected component generate one congruence: its own pairs merged,
+    untranslated, with the congruences of the components it reaches in one
+    edge, and no pair is saturated.  In a finite lattice every element is
+    a join of join-irreducible ones, and those are principal here, so only
+    the join-irreducible principals sigma_i are kept, each with its first
+    pair (a_i, b_i), in order of those pairs: a principal is dropped when
+    the principal ones strictly below it join to it.  Let C(rho) be the
+    set of i with rho relating (a_i, b_i), that is, sigma_i <= rho.  As
+    rho is the join of the sigma_i below it, rho -> C(rho) is injective,
+    onto the sets closed under X -> C(join of the sigma_i, i in X).  The
+    close-by-one walk (Kuznetsov 1993) with Ganter's canonicity test
+    (1984) yields each closed set once: from (identity, 0), for a pair
+    (rho, start) and each i >= start not in C(rho), j = join(rho, sigma_i)
+    is kept, and walked on as (j, i + 1), only when C(j) adds no index
+    below i to C(rho).  Each join merges classes of two closed partitions
+    and re-saturates nothing, and the test reads the merged labels before
+    a class map is built.  A failed test is passed down to the descendants
+    (fast close-by-one, Outrata and Vychodil 2012): when
+    C(join(rho, sigma_i)) holds some k < i not in C(rho), every rho' >= rho
+    has k in C(join(rho', sigma_i)), so a descendant rho' with k not in
+    C(rho') skips that join, and only one that holds k makes it.
 
     Congruences are ordered by decreasing index, then by class map.
     Raises CapExceeded as soon as the count passes the cap, which must be
@@ -637,7 +635,7 @@ def _search_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
             combo = _first_combination(s, candidates, rho.class_of, 0, identity_congruence(s), k)
             if combo is not None:
                 return combo, True
-        raise AssertionError("within-class pairs must generate their congruence")
+        raise InternalAssertFailure("within-class pairs must generate their congruence")
     chosen: list[tuple[int, int]] = []
     current = identity_congruence(s)
     while current.class_of != rho.class_of:

@@ -126,12 +126,6 @@ class Transformation:
                            tuple(_index(v, "image", self.degree) for v in self.images))
 
 
-@dataclass(frozen=True)
-class SubsetClosure:
-    parent: FiniteSemigroup
-    members: tuple[int, ...]
-
-
 def _trusted(cls, **fields):
     """A frozen dataclass value with these fields, built without its
     __post_init__ checks.  Only for a builder whose output is valid by
@@ -379,9 +373,10 @@ def sub_semigroup(s: FiniteSemigroup, members: Sequence[int]) -> FiniteSemigroup
     return from_cayley(len(members), _restricted_table(s, members), labels=labels)
 
 
-def subsemigroup_closure(s: FiniteSemigroup, seed: Iterable[int]) -> SubsetClosure:
-    """Smallest multiplicatively closed superset of seed: the products of
-    seeds, reached by multiplying on the right by seeds only."""
+def subsemigroup_closure(s: FiniteSemigroup, seed: Iterable[int]) -> tuple[int, ...]:
+    """The sorted members of the smallest multiplicatively closed superset
+    of seed: the products of seeds, reached by multiplying on the right by
+    seeds only."""
     gens = sorted({_index(v, "seed element", s.size) for v in seed})
     members = set(gens)
     queue = list(gens)
@@ -391,7 +386,7 @@ def subsemigroup_closure(s: FiniteSemigroup, seed: Iterable[int]) -> SubsetClosu
             if row[g] not in members:
                 members.add(row[g])
                 queue.append(row[g])
-    return SubsetClosure(parent=s, members=tuple(sorted(members)))
+    return tuple(sorted(members))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .congruence import FORMAL_IDENTITY, _canonical_classes, _close, times
+from .congruence import (FORMAL_IDENTITY, _canonical_classes, _forest_classes,
+                         _member_links, _merge, times)
 from .core import (FiniteSemigroup, InternalAssertFailure, _index, classify,
                    from_cayley, sub_semigroup)
 
@@ -46,8 +47,9 @@ def green_data(s: FiniteSemigroup) -> GreenData:
     l_class = _canonical_classes(lmask)
     h_class = _canonical_classes(zip(r_class, l_class))
 
-    # D = R v L: the transitive closure of their union
-    d_class = _close(s, closed=(r_class, l_class)).class_of
+    # D = R v L, the join of the two as equivalences
+    d_class = _forest_classes(_merge(list(range(n)),
+                                     _member_links(r_class) + _member_links(l_class)))
 
     # S^1aS^1 is aS^1 together with xS^1 for every x in Sa
     jmask = []

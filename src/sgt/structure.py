@@ -51,6 +51,8 @@ class ReesStructure:
     with_zero: bool
 
     def __post_init__(self):
+        if self.with_zero is not True and self.with_zero is not False:
+            raise RangeError(f"with_zero must be True or False, got {self.with_zero!r}")
         if not classify(self.group).group:
             raise InvalidGroup("structure group must be a group")
         # then rows of one nonzero length, entries ZERO (if with_zero) or group elements
@@ -143,13 +145,10 @@ def rees_construct(r: ReesStructure) -> FiniteSemigroup:
     return s
 
 
-@dataclass(frozen=True)
-class ThetaPattern:
-    vectors: tuple[tuple[int, ...], ...]  # one 0/1 vector of length |I| per j
-
-
-def theta_congruence(s: FiniteSemigroup, r: ReesStructure) -> tuple[ThetaPattern, RightCongruence]:
-    """Per-column zero patterns of P and the right congruence they induce.
+def theta_congruence(s: FiniteSemigroup, r: ReesStructure
+                     ) -> tuple[tuple[tuple[int, ...], ...], RightCongruence]:
+    """Per-column zero patterns of P, one 0/1 vector of length |I| per j,
+    and the right congruence they induce.
 
     Nonzero elements are related iff their third coordinates have equal
     patterns; the zero forms its own class.  The index always equals the
@@ -166,7 +165,7 @@ def theta_congruence(s: FiniteSemigroup, r: ReesStructure) -> tuple[ThetaPattern
     rho = right_congruence(s, keys)
     if rho.index != len(set(vectors)) + 1:
         raise InternalAssertFailure("pattern count does not match congruence index")
-    return ThetaPattern(vectors=vectors), rho
+    return vectors, rho
 
 
 def rees_coordinates(s: FiniteSemigroup) -> tuple[ReesStructure, tuple[int, ...]]:

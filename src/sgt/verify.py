@@ -87,7 +87,7 @@ def _congruence_report(construction, inputs, t, built, expected) -> Verification
 def _elements_report(construction, inputs, x, t, built, note) -> VerificationReport:
     """The one check of an element replay: the built elements (none stands
     for the identity) generate t; note(generated) explains a failure."""
-    generated = subsemigroup_closure(t, built).members or (t.identity,)
+    generated = subsemigroup_closure(t, built) or (t.identity,)
     passed = generated == tuple(range(t.size))
     return VerificationReport(
         construction=construction, inputs=inputs, built_pairs=x,
@@ -100,8 +100,8 @@ def verify_fg_gens(s: FiniteSemigroup, gens: Iterable[int], rho: RightCongruence
                    inputs: str = "") -> VerificationReport:
     """Generator-indexed pair set for a finite-index congruence on <gens> = S."""
     rho = _congruence_on(s.table, rho)
-    gens = sorted(set(gens))
-    if subsemigroup_closure(s, gens).members != tuple(range(s.size)):
+    gens = sorted({_index(g, "seed element", s.size) for g in gens})
+    if subsemigroup_closure(s, gens) != tuple(range(s.size)):
         raise NotGenerating("given set does not generate the semigroup")
     alpha = [members[0] for members in rho.classes()]
     built = set()
@@ -167,7 +167,7 @@ def verify_dp_gens(m: FiniteSemigroup, n: FiniteSemigroup, rho: RightCongruence,
     def idx(a, b):
         return a * n.size + b
 
-    one_m, one_n = m.identity, n.identity
+    one_m = m.identity
     rho_n = _implied(n, [rho.class_of[idx(one_m, b)] for b in range(n.size)])
     d_reps = [members[0] for members in rho_n.classes()]
 
@@ -342,17 +342,18 @@ def ideals_with_identity(s: FiniteSemigroup):
     return out
 
 
-def sweep(size_limit: int = 5, schutz_limit: int = 6, dp_limit: int = 3,
-          lib: dict[str, FiniteSemigroup] | None = None) -> list[VerificationReport]:
+#: sweep() replays on the tables of at most these many elements: every
+#: construction but schutz and dp, schutz, and dp on pairs of monoids.
+SIZE_LIMIT, SCHUTZ_LIMIT, DP_LIMIT = 5, 6, 3
+
+
+def sweep(lib: dict[str, FiniteSemigroup] | None = None) -> list[VerificationReport]:
     """Run every construction over the built-in library, or over lib (a
     dict of FiniteSemigroups by name, TypeError naming the first other
-    value); returns all reports.  Each table of at most schutz_limit
-    elements gets one S^1 = adjoin_identity(s), shared by its elements'
-    schutz replays.
+    value), within the size limits above; returns all reports.  Each table
+    of at most SCHUTZ_LIMIT elements gets one S^1 = adjoin_identity(s),
+    shared by its elements' schutz replays.
     """
-    size_limit = _index(size_limit, "size_limit")
-    schutz_limit = _index(schutz_limit, "schutz_limit")
-    dp_limit = _index(dp_limit, "dp_limit")
     if lib is None:
         lib = library()
     for name, s in lib.items():
@@ -360,7 +361,7 @@ def sweep(size_limit: int = 5, schutz_limit: int = 6, dp_limit: int = 3,
             raise TypeError(f"lib[{name!r}] must be a FiniteSemigroup, got {type(s).__name__}")
     reports: list[VerificationReport] = []
     for name, s in lib.items():
-        if s.size <= size_limit:
+        if s.size <= SIZE_LIMIT:
             lattice = enumerate_right_congruences(s).congruences
             gens = tuple(range(s.size))
             for k, rho in enumerate(lattice):
@@ -389,12 +390,12 @@ def sweep(size_limit: int = 5, schutz_limit: int = 6, dp_limit: int = 3,
                     reports.append(verify_ideal_gens(
                         s, ideal, e, rho_i,
                         inputs=f"{name} ideal{list(ideal)} rho#{k2}"))
-        if s.size <= schutz_limit:
+        if s.size <= SCHUTZ_LIMIT:
             t = adjoin_identity(s)
             for el in range(s.size):
                 reports.append(_schutz_report(s, t, el, inputs=f"{name} el{el}"))
     monoids = [(name, s) for name, s in lib.items()
-               if s.identity is not None and s.size <= dp_limit]
+               if s.identity is not None and s.size <= DP_LIMIT]
     for na, m in monoids:
         for nb, n2 in monoids:
             p = direct_product(m, n2)

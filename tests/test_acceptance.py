@@ -12,7 +12,7 @@ import warnings
 from collections import Counter
 
 import oracles
-from sgt import trace
+from sgt import trace, verify
 from sgt.congruence import (enumerate_right_congruences,
                             minimal_generating_pairs, rc_diameter, rc_generate,
                             universal_congruence)
@@ -122,9 +122,11 @@ def test_criterion_04_schutzenberger_size_law():
     _run(4, "|Gamma(H)| = |H| over 100 random subsemigroups of T4", 60, check)
 
 
-def test_criterion_05_constructive_proof_sweep():
+def test_criterion_05_constructive_proof_sweep(monkeypatch):
+    monkeypatch.setattr(verify, "SCHUTZ_LIMIT", 0)  # criterion 6 replays schutz
+
     def check():
-        reports = sweep(size_limit=5, schutz_limit=0, dp_limit=3)
+        reports = sweep()
         by_construction = {}
         for rep in reports:
             by_construction.setdefault(rep.construction, []).append(rep)
@@ -173,7 +175,7 @@ def test_criterion_07_theta_congruence_law():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 s = rees_construct(r)
-            pattern, rho = theta_congruence(s, r)
+            _, rho = theta_congruence(s, r)
             assert oracles.is_right_compatible(s, rho.class_of)
             # independent recomputation of the classes
             vectors = [tuple(0 if v is ZERO else 1 for v in row) for row in p]
@@ -292,10 +294,13 @@ def test_criterion_12_large_tables():
     _run(12, "two-sided congruences of T4 and right congruences of cyclic(500)", 10, check)
 
 
-def test_criterion_13_t3_replays():
+def test_criterion_13_t3_replays(monkeypatch):
+    for limit, value in (("SIZE_LIMIT", 27), ("SCHUTZ_LIMIT", 27), ("DP_LIMIT", 0)):
+        monkeypatch.setattr(verify, limit, value)
+
     def check():
         t3 = _full_transformation_monoid(3, T3_GENS)
-        reports = sweep(size_limit=27, schutz_limit=27, dp_limit=0, lib={"T3": t3})
+        reports = sweep(lib={"T3": t3})
         bad = [r for r in reports if not r.passed]
         assert not bad, f"{len(bad)} failures, first: {bad[0]}"
         assert Counter(r.construction for r in reports) == {

@@ -258,6 +258,10 @@ BAD_INPUTS = {
     "negative_rees_count": "rees 1 -1 1 0\n0\n0\n",
     "zero_flag_2": "rees 1 1 1 2\n0\n0\n",
     "zero_flag_negative": "rees 1 1 1 -1\n0\n0\n",
+    "zero_size": "cayley 0\n",
+    "zero_count": "transformation 2 0\n",
+    "zero_group": "rees 0 1 1 0\n",
+    "zero_degree": "transformation 0 1\n",
 }
 
 
@@ -497,6 +501,26 @@ def test_internal_failure_is_one_error_line_with_exit_3(files, capsys, monkeypat
     assert captured.err == "error: internal: H-class is not a group\n"
 
 
+@pytest.mark.parametrize("argv, name, fake, message", [
+    (["diameter", "--pairs", "0 1"], "_distances", lambda adj, src: [-1] * len(adj),
+     "universal congruence but sequence graph disconnected"),
+    (["witness", "--pairs", "0 1", "--from", "0", "--to", "1"], "_distances",
+     lambda adj, src: [1] * len(adj), "BFS tree walk lost the path"),
+    (["minimize", "--pairs", "0 1"], "_first_combination", lambda *args: None,
+     "within-class pairs must generate their congruence"),
+])
+def test_a_theorem_check_of_the_congruence_module_exits_3(files, capsys, monkeypatch,
+                                                          argv, name, fake, message):
+    # these checks once raised a bare AssertionError, which run printed as a traceback
+    from sgt import congruence
+
+    monkeypatch.setattr(congruence, name, fake)
+    code = run([*argv, "-i", files["z3"]])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"error: internal: {message}\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["info", "-i", "{bad_header}"], "line 1: expected an integer, got 'x'"),
     (["info", "-i", "{bad_row}"], "line 3: expected an integer, got '0.0'"),
@@ -514,8 +538,8 @@ def test_internal_failure_is_one_error_line_with_exit_3(files, capsys, monkeypat
      "--gens: expected an integer, got ''"),
     (["verify", "-i", "{z3}", "--construction", "ideal", "--ideal", "0,1.5"],
      "--ideal: expected an integer, got '1.5'"),
-    (["info", "-i", "{negative_size}"], "line 1: expected a count >= 0, got '-1'"),
-    (["info", "-i", "{negative_rees_count}"], "line 1: expected a count >= 0, got '-1'"),
+    (["info", "-i", "{negative_size}"], "line 1: expected a count >= 1, got '-1'"),
+    (["info", "-i", "{negative_rees_count}"], "line 1: expected a count >= 1, got '-1'"),
     (["info", "-i", "{zero_flag_2}"], "line 1: expected a zero flag of 0 or 1, got '2'"),
     (["info", "-i", "{zero_flag_negative}"],
      "line 1: expected a zero flag of 0 or 1, got '-1'"),
@@ -523,6 +547,11 @@ def test_internal_failure_is_one_error_line_with_exit_3(files, capsys, monkeypat
      "--gens: expected an integer, got ''"),
     (["verify", "-i", "{z3}", "--construction", "ideal", "--ideal="],
      "--ideal: expected an integer, got ''"),
+    # a count of 0 once gave a message that named no line, or the wrong one
+    (["info", "-i", "{zero_size}"], "line 1: expected a count >= 1, got '0'"),
+    (["info", "-i", "{zero_count}"], "line 1: expected a count >= 1, got '0'"),
+    (["info", "-i", "{zero_group}"], "line 1: expected a count >= 1, got '0'"),
+    (["info", "-i", "{zero_degree}"], "line 1: expected a count >= 1, got '0'"),
 ])
 def test_bad_integer_token_is_named_with_its_line_or_option(files, tmp_path, capsys,
                                                             argv, message):

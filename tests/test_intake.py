@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sgt import congruence, verify
+from sgt import congruence, green, verify
 from sgt.cli import parse_input
 from sgt.congruence import (PairSet, RightCongruence, enumerate_right_congruences,
                             quotient_semigroup, rc_generate)
@@ -179,6 +179,7 @@ def test_every_trusted_value_rebuilds_unchanged_through_its_constructor(monkeypa
     for s in [*library().values(), T3]:
         enumerate_right_congruences(s)
         two_sided_congruences(s)
+    green.green_data.__wrapped__(T3)  # uncached: D = R v L is no right congruence of T3
     assert {type(v) for v in built} == {RightCongruence, PairSet}
     # the dp restrictions and the push-forward's pullbacks among them
     assert {"verify_dp_gens", "_push_forward"} <= callers

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -106,8 +107,8 @@ def test_rees_structure_stores_numpy_entries_as_ints():
 def test_theta_diagonal_pattern():
     r = rees_structure(trivial(), 2, 2, [[0, None], [None, 0]], with_zero=True)
     s = rees_construct(r)
-    pattern, rho = theta_congruence(s, r)
-    assert pattern.vectors == ((1, 0), (0, 1))
+    vectors, rho = theta_congruence(s, r)
+    assert vectors == ((1, 0), (0, 1))
     assert rho.index == 3
     # brute-force class count over the 5 elements
     assert len(set(rho.class_of)) == 3
@@ -117,8 +118,8 @@ def test_theta_diagonal_pattern():
 def test_theta_all_nonzero():
     r = rees_structure(trivial(), 2, 3, [[0, 0], [0, 0], [0, 0]], with_zero=True)
     s = rees_construct(r)
-    pattern, rho = theta_congruence(s, r)
-    assert set(pattern.vectors) == {(1, 1)}
+    vectors, rho = theta_congruence(s, r)
+    assert set(vectors) == {(1, 1)}
     assert rho.index == 2
 
 
@@ -126,7 +127,7 @@ def test_theta_repeated_rows():
     r = rees_structure(trivial(), 2, 3, [[0, None], [0, None], [None, 0]],
                        with_zero=True)
     s = rees_construct(r)
-    pattern, rho = theta_congruence(s, r)
+    _, rho = theta_congruence(s, r)
     assert rho.index == 3
 
 
@@ -338,6 +339,14 @@ def test_rees_structure_rejects_bad_index_set_sizes(size, which):
     sizes = (size, 1) if which == "i" else (1, size)
     with pytest.raises(RangeError, match=f"{which}_size must be"):
         rees_structure(cyclic(2), *sizes, [[0]], with_zero=False)
+
+
+@pytest.mark.parametrize("with_zero", ["no", 2, 1.0, 1, 0, None])
+def test_rees_structure_with_zero_is_true_or_false(with_zero):
+    # a truthy "no" once built a 3-element semigroup with a zero
+    with pytest.raises(RangeError, match=re.escape(
+            f"with_zero must be True or False, got {with_zero!r}")):
+        rees_structure(cyclic(2), 1, 1, [[0]], with_zero=with_zero)
 
 
 def test_rees_structure_size_zero_is_ragged():

@@ -1,5 +1,7 @@
+import ast
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +65,20 @@ def test_src_lines_counts_no_blank_comment_or_docstring_line(tmp_path, capsys):
     assert src_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == [
         "m.py                        8      4", "total                       8      4"]
+
+
+def test_src_imports_only_the_standard_library_and_sgt():
+    # src/ has no runtime dependency; numpy and hypothesis are for tests only
+    modules = sorted((ROOT / "src" / "sgt").glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [] if node.level else [node.module]  # relative: sgt itself
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "sgt", (path.name, name)
