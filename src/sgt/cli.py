@@ -276,7 +276,7 @@ def _cmd_witness(args, s, r):
 
 def _cmd_minimize(args, s, r):
     rho = rc_generate(s, parse_pairs(args.pairs, s))
-    out, optimal = minimal_generating_pairs(s, rho, exact_limit=args.exact_limit)
+    out, optimal = minimal_generating_pairs(rho, exact_limit=args.exact_limit)
     pairs = sorted(out.pairs)
     payload = {"pairs": [list(p) for p in pairs], "optimal": optimal}
     return payload, ["pairs: " + "; ".join(f"{a} {b}" for a, b in pairs),
@@ -304,13 +304,13 @@ def _cmd_decompose(args, s, r):
     dec = cr_decomposition(s) if args.mode == "cr" else archimedean_decomposition(s)
     payload = {
         "kind": args.mode,
-        "components": [{"elements": members, "kind": dec.kind[i]}
-                       for i, members in enumerate(dec.components())],
+        "components": [{"elements": members, "kind": dec.kind}
+                       for members in dec.components()],
         "semilattice": {"size": dec.semilattice.size,
                         "table": [list(row) for row in dec.semilattice.table]},
     }
-    lines = [f"components: {len(dec.kind)}"]
-    lines += [f"component {i} ({dec.kind[i]}): " + " ".join(map(str, members))
+    lines = [f"components: {dec.semilattice.size}"]
+    lines += [f"component {i} ({dec.kind}): " + " ".join(map(str, members))
               for i, members in enumerate(dec.components())]
     lines.append(f"semilattice size: {dec.semilattice.size}")
     return payload, lines
@@ -392,10 +392,10 @@ def _cmd_verify(args, s, r):
         gens = (list(range(s.size)) if args.gens is None
                 else _ints(args.gens.split(","), "--gens"))
         rho = _congruence_arg(s, args.pairs, "--pairs", universal_congruence)
-        rep = verify_fg_gens(s, gens, rho, inputs="cli")
+        rep = verify_fg_gens(gens, rho, inputs="cli")
     elif con == "lclass":
         if args.pairs is None:
-            x, _ = minimal_generating_pairs(s, _l_congruence(s))
+            x, _ = minimal_generating_pairs(_l_congruence(s))
         else:
             x = parse_pairs(args.pairs, s)
         rep = verify_lclass_gens(s, x, inputs="cli")
@@ -412,25 +412,20 @@ def _cmd_verify(args, s, r):
         if args.pairs is None:
             raise _UsageError("quotient needs --pairs")
         rho2 = rc_generate(s, parse_pairs(args.pairs, s), two_sided=True)
-        t = quotient_semigroup(s, rho2)
-        rho_t = _congruence_arg(t, args.target_pairs, "--target-pairs",
-                                universal_congruence)
-        rep = verify_quotient_gens(s, t, rho2.class_of, rho_t, inputs="cli")
+        rho_t = _congruence_arg(quotient_semigroup(rho2), args.target_pairs,
+                                "--target-pairs", universal_congruence)
+        rep = verify_quotient_gens(s, rho2.class_of, rho_t, inputs="cli")
     elif con == "ideal":
         if args.ideal is None:
             raise _UsageError("ideal needs --ideal LIST")
         ideal = sorted(_ints(args.ideal.split(","), "--ideal"))
-        isub, members = ideal_subsemigroup(s, ideal)
-        if isub.identity is None:
-            raise _UsageError("ideal has no internal identity")
-        e = members[isub.identity]
-        rho_i = _congruence_arg(isub, args.target_pairs, "--target-pairs",
-                                universal_congruence)
-        rep = verify_ideal_gens(s, ideal, e, rho_i, inputs="cli")
+        rho_i = _congruence_arg(ideal_subsemigroup(s, ideal), args.target_pairs,
+                                "--target-pairs", universal_congruence)
+        rep = verify_ideal_gens(s, ideal, rho_i, inputs="cli")
     else:  # extend; argparse choices admit nothing else
         rho = _congruence_arg(s, args.pairs, "--pairs", identity_congruence)
         sigma = _congruence_arg(s, args.sigma_pairs, "--sigma-pairs", universal_congruence)
-        rep = verify_extend_gens(s, rho, sigma, inputs="cli")
+        rep = verify_extend_gens(rho, sigma, inputs="cli")
     lines = [f"construction: {rep.construction}", f"passed: {rep.passed}"]
     return _report_json(rep), lines + ([f"note: {rep.note}"] if rep.note else [])
 

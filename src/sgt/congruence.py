@@ -66,8 +66,8 @@ def pair_set(s: FiniteSemigroup, pairs: PairSet | Iterable[tuple[int, int]]) -> 
 
 
 def _congruence_on(table, rho: RightCongruence, what: str = "rho") -> RightCongruence:
-    """The one intake of congruence arguments: rho itself when its parent
-    has this product table, else RangeError."""
+    """rho itself when its parent has this product table, else RangeError;
+    only for a congruence that a second value must match."""
     if rho.parent.table != table:
         raise RangeError(f"{what} is a congruence of another semigroup")
     return rho
@@ -593,9 +593,9 @@ def enumerate_right_congruences(s: FiniteSemigroup,
     return CongruenceLattice(parent=s, congruences=tuple(_principal_closure(s, cap=cap)))
 
 
-def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
+def minimal_generating_pairs(rho: RightCongruence,
                              exact_limit: int = 12) -> tuple[PairSet, bool]:
-    """A pair set generating rho, with an optimality flag.
+    """A pair set of rho.parent generating rho, with an optimality flag.
 
     Candidates are the within-class pairs.  When there are at most
     exact_limit candidates the minimum-cardinality subset, first in
@@ -604,17 +604,17 @@ def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
     be a non-negative int (RangeError otherwise).
 
     The answer depends only on the table, rho's class map and exact_limit,
-    so after rho and exact_limit are checked a search runs once per question
-    and semigroup instance: s memoizes, by (rho.class_of, exact_limit), the
-    pairs found and the flag, and every call wraps them in a new PairSet of
-    s, so that the memo makes no reference cycle through s.
+    so after exact_limit is checked a search runs once per question and
+    semigroup instance: rho.parent memoizes, by (rho.class_of, exact_limit),
+    the pairs found and the flag, and every call wraps them in a new
+    PairSet of rho.parent, so that the memo makes no reference cycle.
     """
-    rho = _congruence_on(s.table, rho)
+    s = rho.parent
     exact_limit = _index(exact_limit, "exact_limit")
     key = (rho.class_of, exact_limit)
     memo = s._generating_pairs_memo
     if key not in memo:
-        pairs, optimal = _search_generating_pairs(s, rho, exact_limit)
+        pairs, optimal = _search_generating_pairs(rho, exact_limit)
         memo[key] = (frozenset(pairs), optimal)
         if trace.enabled:
             trace.counts["congruence.generating_pairs.searches"] += 1
@@ -624,9 +624,10 @@ def minimal_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
     return _trusted(PairSet, parent=s, pairs=pairs), optimal
 
 
-def _search_generating_pairs(s: FiniteSemigroup, rho: RightCongruence,
+def _search_generating_pairs(rho: RightCongruence,
                              exact_limit: int) -> tuple[list[tuple[int, int]], bool]:
     """minimal_generating_pairs' search, on a checked rho and exact_limit."""
+    s = rho.parent
     candidates = sorted(within_class_pairs(rho))
     if not candidates:
         return [], True
@@ -673,9 +674,10 @@ def _first_combination(s: FiniteSemigroup, candidates, target, start: int,
     return None
 
 
-def quotient_semigroup(s: FiniteSemigroup, rho: RightCongruence) -> FiniteSemigroup:
-    """Quotient by a two-sided congruence; classes keep their canonical order."""
-    cls = _congruence_on(s.table, rho).class_of
+def quotient_semigroup(rho: RightCongruence) -> FiniteSemigroup:
+    """Quotient of rho.parent by a two-sided congruence; classes keep their
+    canonical order."""
+    s, cls = rho.parent, rho.class_of
     bad = _incompatible(s, cls, two_sided=True)
     if bad is not None:
         raise NotTwoSided(bad)

@@ -205,9 +205,9 @@ def _light_associative(rows, gens: Sequence[int]) -> bool:
 
 def from_cayley(n: int, rows: Sequence[Sequence[int]],
                 labels: Sequence[str] | None = None) -> FiniteSemigroup:
-    """The semigroup of an n-by-n table: n must be positive and the number of
-    rows (RangeError otherwise); the FiniteSemigroup constructor checks the rest."""
-    if n <= 0:
+    """The semigroup of an n-by-n table: n must be a positive int equal to the
+    number of rows (RangeError otherwise); FiniteSemigroup checks the rest."""
+    if _index(n, "size") == 0:
         raise RangeError("size must be positive")
     if len(rows) != n:
         raise RangeError(f"expected {n} rows, got {len(rows)}")
@@ -215,7 +215,8 @@ def from_cayley(n: int, rows: Sequence[Sequence[int]],
 
 
 def from_transformations(degree: int, gens: Sequence[Transformation]) -> FiniteSemigroup:
-    """Close a nonempty set of transformations under left-to-right composition.
+    """Close a nonempty set of transformations of a degree (a non-negative
+    int, else RangeError) under left-to-right composition.
 
     Elements are indexed in discovery order: the generators first (in the
     given order, duplicates dropped), then breadth-first products in
@@ -227,6 +228,7 @@ def from_transformations(degree: int, gens: Sequence[Transformation]) -> FiniteS
     Each row of the table is then read off the graph in index order, as
     a*b = (a*p)*g_gi = right[a*p][gi], where p comes before b.
     """
+    degree = _index(degree, "degree")
     if not gens:
         raise DegreeMismatch("at least one generator required")
     for g in gens:

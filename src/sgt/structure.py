@@ -233,11 +233,11 @@ class Decomposition:
     parent: FiniteSemigroup
     component_of: tuple[int, ...]
     semilattice: FiniteSemigroup
-    kind: tuple[str, ...]
+    kind: str  # of every component
     component_tables: tuple[FiniteSemigroup, ...]
 
-    def components(self) -> list[list[int]]:
-        return _class_lists(self.component_of, len(self.kind))
+    def components(self) -> list[list[int]]:  # the quotient has one element per component
+        return _class_lists(self.component_of, self.semilattice.size)
 
 
 def _decomposition(s: FiniteSemigroup, component_of, kind: str, parts: str,
@@ -248,7 +248,7 @@ def _decomposition(s: FiniteSemigroup, component_of, kind: str, parts: str,
     `quotient` name the classes and the quotient in the failure messages."""
     try:
         rho = right_congruence(s, component_of)
-        quot = quotient_semigroup(s, rho)
+        quot = quotient_semigroup(rho)
     except ValueError as exc:
         raise InternalAssertFailure(f"{parts} are not a congruence: {exc}")
     if not classify(quot).semilattice:
@@ -264,7 +264,7 @@ def _decomposition(s: FiniteSemigroup, component_of, kind: str, parts: str,
             raise InternalAssertFailure(f"component is not {kind.replace('_', ' ')}")
         tables.append(sub)
     return Decomposition(parent=s, component_of=rho.class_of, semilattice=quot,
-                         kind=(kind,) * len(comps), component_tables=tuple(tables))
+                         kind=kind, component_tables=tuple(tables))
 
 
 def cr_decomposition(s: FiniteSemigroup) -> Decomposition:

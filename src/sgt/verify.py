@@ -70,10 +70,12 @@ def _distinguish(expected: RightCongruence, computed: RightCongruence):
                  if expected.related(a, b) != computed.related(a, b)), None)
 
 
-def _congruence_report(construction, inputs, t, built, expected) -> VerificationReport:
-    """The one check of a congruence replay: generate the built pairs on t
-    and compare the result with expected.  A replay builds its pairs from
-    t's own table and class maps, so they are not checked again."""
+def _congruence_report(construction, inputs, built, expected) -> VerificationReport:
+    """The one check of a congruence replay: generate the built pairs on
+    t = expected.parent and compare the result with expected.  A replay
+    builds its pairs from t's own table and class maps, so they are not
+    checked again."""
+    t = expected.parent
     built = _trusted(PairSet, parent=t, pairs=frozenset(built))
     computed = rc_generate(t, built)
     passed = expected.class_of == computed.class_of
@@ -96,10 +98,11 @@ def _elements_report(construction, inputs, x, t, built, note) -> VerificationRep
         note="" if passed else note(generated))
 
 
-def verify_fg_gens(s: FiniteSemigroup, gens: Iterable[int], rho: RightCongruence,
+def verify_fg_gens(gens: Iterable[int], rho: RightCongruence,
                    inputs: str = "") -> VerificationReport:
-    """Generator-indexed pair set for a finite-index congruence on <gens> = S."""
-    rho = _congruence_on(s.table, rho)
+    """Generator-indexed pair set for a finite-index congruence on
+    <gens> = S, where S is rho.parent."""
+    s = rho.parent
     gens = sorted({_index(g, "seed element", s.size) for g in gens})
     if subsemigroup_closure(s, gens) != tuple(range(s.size)):
         raise NotGenerating("given set does not generate the semigroup")
@@ -111,7 +114,7 @@ def verify_fg_gens(s: FiniteSemigroup, gens: Iterable[int], rho: RightCongruence
         for x in gens:
             ax = s.table[alpha[i]][x]
             built.add((ax, alpha[rho.class_of[ax]]))
-    return _congruence_report("fg", inputs, s, built, rho)
+    return _congruence_report("fg", inputs, built, rho)
 
 
 def _implied(s: FiniteSemigroup, keys) -> RightCongruence:
@@ -182,13 +185,13 @@ def verify_dp_gens(m: FiniteSemigroup, n: FiniteSemigroup, rho: RightCongruence,
         for (i2, k), aik in alpha.items():
             if i == i2 and j != k:
                 built.add((idx(aij, d_reps[j]), idx(aik, d_reps[k])))
-    for (a, b) in minimal_generating_pairs(n, rho_n)[0]:
+    for (a, b) in minimal_generating_pairs(rho_n)[0]:
         built.add((idx(one_m, a), idx(one_m, b)))
     for j, dj in enumerate(d_reps):
         rho_j = _implied(m, [rho.class_of[idx(a, dj)] for a in range(m.size)])
-        for (a, b) in minimal_generating_pairs(m, rho_j)[0]:
+        for (a, b) in minimal_generating_pairs(rho_j)[0]:
             built.add((idx(a, dj), idx(b, dj)))
-    return _congruence_report("dp", inputs, rho.parent, built, rho)
+    return _congruence_report("dp", inputs, built, rho)
 
 
 def verify_schutz_gens(s: FiniteSemigroup, element: int,
@@ -217,7 +220,7 @@ def _schutz_report(s: FiniteSemigroup, t: FiniteSemigroup, element: int,
     for w in range(t.size):
         f = frozenset(t.table[h][w] for h in sg.h_class)
         keys.append(("in", tuple(sorted(f))) if f <= r_set else ("out",))
-    x, _ = minimal_generating_pairs(t, right_congruence(t, keys))
+    x, _ = minimal_generating_pairs(right_congruence(t, keys))
 
     h0 = sg.h_class[0]
     a_classes = set()
@@ -239,22 +242,23 @@ def _schutz_report(s: FiniteSemigroup, t: FiniteSemigroup, element: int,
 
 def _push_forward(s: FiniteSemigroup, phi: Sequence[int],
                   rho: RightCongruence) -> set[tuple[int, int]]:
-    """A generating set of the pullback of rho along phi: S -> T, mapped
-    forward by phi.  The caller has checked that phi is a homomorphism
-    (verify_quotient_gens with _hom_failure, verify_ideal_gens through e
-    being the ideal's identity), so the pullback is a right congruence
-    without a second check: phi(a) rho phi(b) gives
-    phi(ac) = phi(a)phi(c) rho phi(b)phi(c) = phi(bc)."""
+    """A generating set of the pullback of rho along phi: S -> T, where T
+    is rho.parent, mapped forward by phi.  The caller has checked that phi
+    is a homomorphism (verify_quotient_gens with _hom_failure,
+    verify_ideal_gens by taking e as the identity of rho.parent), so the
+    pullback is a right congruence without a second check: phi(a) rho
+    phi(b) gives phi(ac) = phi(a)phi(c) rho phi(b)phi(c) = phi(bc)."""
     pulled = _implied(s, [rho.class_of[v] for v in phi])
-    return {(phi[a], phi[b]) for (a, b) in minimal_generating_pairs(s, pulled)[0]}
+    return {(phi[a], phi[b]) for (a, b) in minimal_generating_pairs(pulled)[0]}
 
 
-def verify_quotient_gens(s: FiniteSemigroup, t: FiniteSemigroup,
-                         theta: Sequence[int], rho_on_t: RightCongruence,
+def verify_quotient_gens(s: FiniteSemigroup, theta: Sequence[int],
+                         rho_on_t: RightCongruence,
                          inputs: str = "") -> VerificationReport:
-    """Push a pullback's generating set through a surjective homomorphism;
-    every entry of theta must be an int in [0, |T|), else RangeError."""
-    rho_on_t = _congruence_on(t.table, rho_on_t, "rho_on_t")
+    """Push a pullback's generating set through a surjective homomorphism
+    theta: S -> T, where T is rho_on_t.parent; every entry of theta must be
+    an int in [0, |T|), else RangeError."""
+    t = rho_on_t.parent
     if len(theta) != s.size:
         raise NotHomomorphism("map length must equal source size")
     theta = [_index(v, "theta entry", t.size) for v in theta]
@@ -264,36 +268,31 @@ def verify_quotient_gens(s: FiniteSemigroup, t: FiniteSemigroup,
         raise NotHomomorphism(f"theta({a}*{b}) != theta({a})*theta({b})")
     if set(theta) != set(range(t.size)):
         raise NotSurjective("map does not cover the target")
-    return _congruence_report("quotient", inputs, t,
-                              _push_forward(s, theta, rho_on_t), rho_on_t)
+    return _congruence_report("quotient", inputs, _push_forward(s, theta, rho_on_t), rho_on_t)
 
 
-def ideal_subsemigroup(s: FiniteSemigroup, ideal: Iterable[int]) -> tuple[FiniteSemigroup, tuple[int, ...]]:
-    """Restrict s to a two-sided ideal; returns the semigroup and sorted members."""
-    members = _ideal_members(s, ideal)
-    return sub_semigroup(s, members), tuple(members)
+def ideal_subsemigroup(s: FiniteSemigroup, ideal: Iterable[int]) -> FiniteSemigroup:
+    """s restricted to a two-sided ideal, on its members in increasing order."""
+    return sub_semigroup(s, _ideal_members(s, ideal))
 
 
-def verify_ideal_gens(s: FiniteSemigroup, ideal: Iterable[int], e: int,
+def verify_ideal_gens(s: FiniteSemigroup, ideal: Iterable[int],
                       rho_on_i: RightCongruence,
                       inputs: str = "") -> VerificationReport:
-    """Left-multiply a pullback's generating set into an ideal with identity e:
-    rho_on_i's parent is the ideal's table, and its identity must be e.
-    Then a -> e*a is a homomorphism onto the ideal, as e*a*e = e*a for e*a
-    in it, which the push-forward relies on."""
+    """Left-multiply a pullback's generating set into an ideal I: rho_on_i's
+    parent is I's table, and e is the identity of that table
+    (NoInternalIdentity when it has none).  Then a -> e*a is a
+    homomorphism onto I, as e*a*e = e*a for e*a in I, which the
+    push-forward relies on."""
     members = _ideal_members(s, ideal)
     rho_on_i = _congruence_on(_restricted_table(s, members), rho_on_i, "rho_on_i")
-    e = _index(e, "e", s.size)
-    if e not in members:
-        raise NoInternalIdentity("e must belong to the ideal")
-    f = rho_on_i.parent.identity
-    if f is None or members[f] != e:
-        raise NoInternalIdentity(f"{e} is not an identity inside the ideal")
+    if rho_on_i.parent.identity is None:
+        raise NoInternalIdentity("ideal has no internal identity")
+    e = members[rho_on_i.parent.identity]
     sub_index = {v: k for k, v in enumerate(members)}
     # a -> e*a maps S onto the ideal with identity e
     phi = [sub_index[v] for v in s.table[e]]
-    return _congruence_report("ideal", inputs, rho_on_i.parent,
-                              _push_forward(s, phi, rho_on_i), rho_on_i)
+    return _congruence_report("ideal", inputs, _push_forward(s, phi, rho_on_i), rho_on_i)
 
 
 def _refines(rho: RightCongruence, sigma: RightCongruence) -> bool:
@@ -302,20 +301,20 @@ def _refines(rho: RightCongruence, sigma: RightCongruence) -> bool:
     return len(set(zip(rho.class_of, sigma.class_of))) == rho.index
 
 
-def verify_extend_gens(s: FiniteSemigroup, rho: RightCongruence,
-                       sigma: RightCongruence,
+def verify_extend_gens(rho: RightCongruence, sigma: RightCongruence,
                        inputs: str = "") -> VerificationReport:
-    """Extend a refinement's generating set by representative cross pairs."""
-    rho, sigma = _congruence_on(s.table, rho), _congruence_on(s.table, sigma, "sigma")
+    """Extend a refinement's generating set by representative cross pairs;
+    sigma must be a congruence of rho.parent."""
+    sigma = _congruence_on(rho.parent.table, sigma, "sigma")
     if not _refines(rho, sigma):
         raise NotRefinement("rho does not refine sigma")
     # rho's class representatives, grouped by their sigma class
     alpha: dict[int, list[int]] = {}
     for members in rho.classes():
         alpha.setdefault(sigma.class_of[members[0]], []).append(members[0])
-    built = set(minimal_generating_pairs(s, rho)[0].pairs)
+    built = set(minimal_generating_pairs(rho)[0].pairs)
     built.update(p for group in alpha.values() for p in itertools.permutations(group, 2))
-    return _congruence_report("extend", inputs, s, built, sigma)
+    return _congruence_report("extend", inputs, built, sigma)
 
 
 def two_sided_congruences(s: FiniteSemigroup) -> list[RightCongruence]:
@@ -365,10 +364,9 @@ def sweep(lib: dict[str, FiniteSemigroup] | None = None) -> list[VerificationRep
             lattice = enumerate_right_congruences(s).congruences
             gens = tuple(range(s.size))
             for k, rho in enumerate(lattice):
-                reports.append(verify_fg_gens(s, gens, rho,
-                                              inputs=f"{name} rho#{k}"))
+                reports.append(verify_fg_gens(gens, rho, inputs=f"{name} rho#{k}"))
             lrel = _l_congruence(s)
-            xmin, _ = minimal_generating_pairs(s, lrel)
+            xmin, _ = minimal_generating_pairs(lrel)
             reports.append(verify_lclass_gens(s, xmin, inputs=f"{name} minimal"))
             xfull = pair_set(s, within_class_pairs(lrel))
             reports.append(verify_lclass_gens(s, xfull, inputs=f"{name} full"))
@@ -377,18 +375,18 @@ def sweep(lib: dict[str, FiniteSemigroup] | None = None) -> list[VerificationRep
                 for b, sigma in enumerate(lattice[a:], start=a):
                     if _refines(rho, sigma):
                         reports.append(verify_extend_gens(
-                            s, rho, sigma, inputs=f"{name} rho#{a} sigma#{b}"))
+                            rho, sigma, inputs=f"{name} rho#{a} sigma#{b}"))
             for k, rho2 in enumerate(two_sided_congruences(s)):
-                t = quotient_semigroup(s, rho2)
+                t = quotient_semigroup(rho2)
                 for k2, rho_t in enumerate(enumerate_right_congruences(t).congruences):
                     reports.append(verify_quotient_gens(
-                        s, t, rho2.class_of, rho_t,
+                        s, rho2.class_of, rho_t,
                         inputs=f"{name} mod#{k} rho#{k2}"))
-            for ideal, e in ideals_with_identity(s):
-                isub, _ = ideal_subsemigroup(s, ideal)
+            for ideal, _ in ideals_with_identity(s):
+                isub = ideal_subsemigroup(s, ideal)
                 for k2, rho_i in enumerate(enumerate_right_congruences(isub).congruences):
                     reports.append(verify_ideal_gens(
-                        s, ideal, e, rho_i,
+                        s, ideal, rho_i,
                         inputs=f"{name} ideal{list(ideal)} rho#{k2}"))
         if s.size <= SCHUTZ_LIMIT:
             t = adjoin_identity(s)

@@ -247,7 +247,7 @@ def test_criterion_09_decomposition_guarantees(lib):
 def test_criterion_10_diameter_sanity(lib):
     def check():
         for name, s in lib.items():
-            x, _ = minimal_generating_pairs(s, universal_congruence(s))
+            x, _ = minimal_generating_pairs(universal_congruence(s))
             d = rc_diameter(s, x)
             assert isinstance(d, int), name
             assert d < s.size, (name, d)

@@ -355,6 +355,18 @@ def test_verify_quotient_and_ideal(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("target, message", [
+    (None, "ideal has no internal identity"), ("0 1", "ideal has no internal identity"),
+    # the pairs are read before the replay finds that the ideal has no identity
+    ("0 x", "--target-pairs: expected an integer, got 'x'")])
+def test_an_ideal_without_an_identity_is_one_error_line(files, capsys, target, message):
+    argv = ["verify", "-i", files["rz3"], "--construction", "ideal", "--ideal", "0,1,2"]
+    code = run(argv + ([] if target is None else ["--target-pairs", target]))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_verify_requires_mode(files, capsys):
     assert run(["verify", "-i", files["z3"]]) == 1
     assert "needs" in capsys.readouterr().err

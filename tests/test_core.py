@@ -511,6 +511,26 @@ def test_from_cayley_one_by_one_rejects_a_bad_entry(rows):
         from_cayley(1, rows)
 
 
+@pytest.mark.parametrize("n", [True, 1.0, "1", None, -1])
+def test_from_cayley_size_is_range_checked(n):
+    # True and 1.0 once built a semigroup, "1" ended in a bare TypeError
+    with pytest.raises(RangeError, match=f"size must be a non-negative int, got {n!r}"):
+        from_cayley(n, [[0]])
+
+
+def test_from_cayley_size_zero_is_not_positive():
+    with pytest.raises(RangeError, match="^size must be positive$"):
+        from_cayley(0, [])
+    assert from_cayley(np.int64(1), [[0]]).size == 1
+
+
+@pytest.mark.parametrize("degree", [2.0, True, "2", None, -2])
+def test_from_transformations_degree_is_range_checked(degree):
+    # 2.0 once built Z2, as each generator's degree compared equal to it
+    with pytest.raises(RangeError, match=f"degree must be a non-negative int, got {degree!r}"):
+        from_transformations(degree, [Transformation(2, (1, 0))])
+
+
 @pytest.mark.parametrize("cell", [(1, 2), (250, 499), (499, 499), (0, 7)])
 def test_from_cayley_names_the_first_triple_of_a_bent_cyclic_500(cell):
     rows = [list(r) for r in cyclic(500).table]

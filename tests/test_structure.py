@@ -368,7 +368,8 @@ def test_cr_decomposition_band(lib):
 
 def test_cr_decomposition_group():
     dec = cr_decomposition(cyclic(2))
-    assert len(dec.kind) == 1 and dec.semilattice.size == 1
+    assert dec.kind == "completely_simple" and len(dec.components()) == 1
+    assert dec.semilattice.size == 1
 
 
 def test_cr_decomposition_semilattice_is_itself():
@@ -481,7 +482,7 @@ def test_cryptogroup_cross_module_consistency(lib):
 
 def test_archimedean_two_chain():
     dec = archimedean_decomposition(chain(2))
-    assert len(dec.kind) == 2
+    assert dec.kind == "archimedean" and len(dec.components()) == 2
     # oracle: 0 is in 1*S^1 but no power of 1 reaches 0*S^1 = {0}
     s = chain(2)
     assert 0 in {s.table[1][x] for x in range(2)} | {1}
@@ -490,12 +491,12 @@ def test_archimedean_two_chain():
 
 def test_archimedean_group_single_component():
     dec = archimedean_decomposition(cyclic(4))
-    assert len(dec.kind) == 1
+    assert len(dec.components()) == 1
 
 
 def test_archimedean_nilpotent_single_component():
     dec = archimedean_decomposition(nilpotent_n3())
-    assert len(dec.kind) == 1
+    assert len(dec.components()) == 1
     assert dec.semilattice.size == 1
 
 

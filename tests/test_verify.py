@@ -28,7 +28,7 @@ from sgt.verify import _congruence_report
 
 def test_congruence_report_generates_the_built_pairs():
     s = right_zero(3)
-    rep = _congruence_report("extend", "", s, [(0, 1)], universal_congruence(s))
+    rep = _congruence_report("extend", "", [(0, 1)], universal_congruence(s))
     assert rep.built_pairs == pair_set(s, [(0, 1)])
     assert rep.computed.class_of == (0, 0, 1)
     assert not rep.passed and rep.distinguishing_pair == (0, 2)
@@ -43,22 +43,39 @@ Z2, Z6 = cyclic(2), cyclic(6)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: minimal_generating_pairs(Z2, universal_congruence(Z6)),
-    lambda: quotient_semigroup(Z2, universal_congruence(Z6)),
     lambda: join(universal_congruence(Z2), universal_congruence(Z6)),
-    lambda: verify_fg_gens(Z2, [1], universal_congruence(Z6)),
     # same size as Z2 x Z2, another table
     lambda: verify_dp_gens(Z2, Z2, universal_congruence(cyclic(4))),
-    lambda: verify_quotient_gens(Z6, Z2, [v % 2 for v in range(6)],
-                                 universal_congruence(cyclic(3))),
-    lambda: verify_ideal_gens(Z2, [0, 1], 0, universal_congruence(cyclic(3))),
-    lambda: verify_extend_gens(Z6, identity_congruence(Z6), universal_congruence(Z2)),
-    lambda: verify_extend_gens(Z2, identity_congruence(Z6), universal_congruence(Z2)),
-], ids=["minimal_generating_pairs", "quotient_semigroup", "join", "fg", "dp",
-        "quotient", "ideal", "extend_sigma", "extend_rho"])
+    lambda: verify_ideal_gens(Z2, [0, 1], universal_congruence(cyclic(3))),
+    lambda: verify_extend_gens(identity_congruence(Z6), universal_congruence(Z2)),
+], ids=["join", "dp", "ideal", "extend_sigma"])
 def test_congruence_of_another_semigroup_is_range_checked(call):
+    # only where a second value must match the congruence
     with pytest.raises(RangeError, match="congruence of another semigroup"):
         call()
+
+
+def test_each_call_reads_its_semigroup_from_the_congruence():
+    # s and twin share one table: what each call returns belongs to rho.parent
+    twin = from_cayley(6, cyclic(6).table)
+    s = from_cayley(6, twin.table, labels="abcdef")
+    rho = rc_generate(s, [(0, 2)])
+    x, _ = minimal_generating_pairs(rho)
+    assert x.parent is s and twin._generating_pairs_memo == {}
+    assert list(s._generating_pairs_memo) == [(rho.class_of, 12)]
+    assert quotient_semigroup(rho).labels == ("a|c|e", "b|d|f")
+    z2 = cyclic(2)
+    for rep, t in ((verify_fg_gens([1], rho), s), (verify_extend_gens(rho, rho), s),
+                   (verify_quotient_gens(twin, [v % 2 for v in range(6)],
+                                         universal_congruence(z2)), z2),
+                   (verify_ideal_gens(twin, range(6), rho), s)):
+        assert rep.passed and rep.built_pairs.parent is t and rep.expected.parent is t
+
+
+def test_an_ideal_without_an_identity_is_refused_by_name():
+    n3 = library()["n3"]  # {1, 2} is a null semigroup
+    with pytest.raises(NoInternalIdentity, match="^ideal has no internal identity$"):
+        verify_ideal_gens(n3, [1, 2], universal_congruence(sub_semigroup(n3, [1, 2])))
 
 
 @pytest.mark.parametrize("gens", [["x", 1], [None, 1]])
@@ -66,7 +83,7 @@ def test_fg_generators_are_range_checked(gens):
     # a str or None among ints once ended in a bare TypeError from sorted()
     z3 = cyclic(3)
     with pytest.raises(RangeError, match=r"seed element must be an int in \[0, 3\)"):
-        verify_fg_gens(z3, gens, universal_congruence(z3))
+        verify_fg_gens(gens, universal_congruence(z3))
 
 
 def test_lclass_takes_a_list_of_pairs():
@@ -82,14 +99,14 @@ def test_lclass_takes_a_list_of_pairs():
 
 def test_fg_universal_on_z2():
     s = cyclic(2)
-    rep = verify_fg_gens(s, [1], universal_congruence(s))
+    rep = verify_fg_gens([1], universal_congruence(s))
     assert rep.passed
     assert (1, 0) in rep.built_pairs.pairs
 
 
 def test_fg_identity_on_z2():
     s = cyclic(2)
-    rep = verify_fg_gens(s, [1], identity_congruence(s))
+    rep = verify_fg_gens([1], identity_congruence(s))
     assert rep.passed
     assert all(a == b for a, b in rep.built_pairs.pairs)
 
@@ -97,13 +114,13 @@ def test_fg_identity_on_z2():
 def test_fg_right_zero():
     s = right_zero(3)
     rho = rc_generate(s, [(0, 1)])
-    rep = verify_fg_gens(s, range(3), rho)
+    rep = verify_fg_gens(range(3), rho)
     assert rep.passed and rep.computed.class_of == rho.class_of
 
 
 def test_fg_rejects_non_generating_set():
     with pytest.raises(NotGenerating):
-        verify_fg_gens(cyclic(4), [2], universal_congruence(cyclic(4)))
+        verify_fg_gens([2], universal_congruence(cyclic(4)))
 
 
 def test_lclass_left_zero():
@@ -139,7 +156,7 @@ def test_lclass_replay_compares_without_a_checked_congruence(lib):
     # and takes its representatives from it, so it rebuilds no L-relation
     for name, s in lib.items():
         lrel = right_congruence(s, green_data(s).l_class)
-        for x in (minimal_generating_pairs(s, lrel)[0], pair_set(s, within_class_pairs(lrel))):
+        for x in (minimal_generating_pairs(lrel)[0], pair_set(s, within_class_pairs(lrel))):
             with trace.counting() as counts:
                 rep = verify_lclass_gens(s, x)
             assert rep.passed, name
@@ -215,7 +232,7 @@ def test_schutz_rectangular_band():
 def test_quotient_identity_map():
     s = cyclic(3)
     theta = tuple(range(3))
-    rep = verify_quotient_gens(s, s, theta, universal_congruence(s))
+    rep = verify_quotient_gens(s, theta, universal_congruence(s))
     assert rep.passed
 
 
@@ -223,25 +240,24 @@ def test_quotient_z4_to_z2():
     s = cyclic(4)
     t = cyclic(2)
     theta = (0, 1, 0, 1)
-    rep = verify_quotient_gens(s, t, theta, universal_congruence(t))
+    rep = verify_quotient_gens(s, theta, universal_congruence(t))
     assert rep.passed
 
 
 def test_quotient_chain_collapse():
     s = chain(3)
     rho2 = rc_generate(s, [(0, 1)], two_sided=True)
-    from sgt.congruence import quotient_semigroup
-    t = quotient_semigroup(s, rho2)
-    rep = verify_quotient_gens(s, t, rho2.class_of, identity_congruence(t))
+    t = quotient_semigroup(rho2)
+    rep = verify_quotient_gens(s, rho2.class_of, identity_congruence(t))
     assert rep.passed
 
 
 def test_quotient_validation():
     s = cyclic(4)
     with pytest.raises(NotHomomorphism):
-        verify_quotient_gens(s, cyclic(2), (0, 0, 1, 1), universal_congruence(cyclic(2)))
+        verify_quotient_gens(s, (0, 0, 1, 1), universal_congruence(cyclic(2)))
     with pytest.raises(NotSurjective):
-        verify_quotient_gens(s, cyclic(2), (0, 0, 0, 0), universal_congruence(cyclic(2)))
+        verify_quotient_gens(s, (0, 0, 0, 0), universal_congruence(cyclic(2)))
 
 
 @pytest.mark.parametrize("theta", [(0, 1, 5), (0, 1, -1), (0.0, 1, 2), (True, 1, 2),
@@ -249,20 +265,20 @@ def test_quotient_validation():
 def test_quotient_map_entries_are_range_checked(theta):
     s = cyclic(3)
     with pytest.raises(RangeError, match="theta entry"):
-        verify_quotient_gens(s, s, theta, universal_congruence(s))
+        verify_quotient_gens(s, theta, universal_congruence(s))
 
 
 def test_ideal_zero_adjoined_group():
     s = adjoin_zero(cyclic(2))
     isub = sub_semigroup(s, [2])
-    rep = verify_ideal_gens(s, [2], 2, universal_congruence(isub))
+    rep = verify_ideal_gens(s, [2], universal_congruence(isub))
     assert rep.passed
 
 
 def test_ideal_chain_bottom():
     s = chain(2)
     isub = sub_semigroup(s, [0])
-    rep = verify_ideal_gens(s, [0], 0, universal_congruence(isub))
+    rep = verify_ideal_gens(s, [0], universal_congruence(isub))
     assert rep.passed
 
 
@@ -272,28 +288,23 @@ def test_ideal_product_example():
     p = direct_product(m, n)  # (a, b) at index a*2+b
     ideal = [0, 2]  # Z2 x {bottom}
     isub = sub_semigroup(p, ideal)
-    rep = verify_ideal_gens(p, ideal, 0, universal_congruence(isub))
+    rep = verify_ideal_gens(p, ideal, universal_congruence(isub))
     assert rep.passed
 
 
 def test_ideal_validation():
-    s = chain(2)
-    isub = sub_semigroup(s, [0])
-    with pytest.raises(NoInternalIdentity):
-        verify_ideal_gens(s, [0], 1, universal_congruence(isub))
+    # e is the identity of rho_on_i's parent: 1 in {0, 1} of the chain 0 < 1 < 2
     s = chain(3)
     isub = sub_semigroup(s, [0, 1])
-    with pytest.raises(NoInternalIdentity, match="0 is not an identity inside the ideal"):
-        verify_ideal_gens(s, [0, 1], 0, universal_congruence(isub))
-    assert verify_ideal_gens(s, [0, 1], 1, universal_congruence(isub)).passed
+    rep = verify_ideal_gens(s, [0, 1], identity_congruence(isub))
+    assert rep.passed and rep.expected.parent is isub
+    assert verify_ideal_gens(s, [0, 1], universal_congruence(isub)).passed
 
 
 def _relabelled(s, rng):
     perm = list(range(s.size))
     rng.shuffle(perm)
-    inv = sorted(range(s.size), key=perm.__getitem__)
-    return from_cayley(s.size, [[perm[s.table[inv[a]][inv[b]]] for b in range(s.size)]
-                                for a in range(s.size)])
+    return oracles.relabelled(s, perm)
 
 
 def test_ideals_with_identity_matches_subset_scan():
@@ -310,22 +321,22 @@ def test_ideals_with_identity_matches_subset_scan():
 
 def test_extend_identity_to_universal():
     s = cyclic(3)
-    rep = verify_extend_gens(s, identity_congruence(s), universal_congruence(s))
+    rep = verify_extend_gens(identity_congruence(s), universal_congruence(s))
     assert rep.passed
 
 
 def test_extend_equal():
     s = cyclic(3)
     rho = universal_congruence(s)
-    rep = verify_extend_gens(s, rho, rho)
+    rep = verify_extend_gens(rho, rho)
     assert rep.passed
-    assert rep.built_pairs.pairs == minimal_generating_pairs(s, rho)[0].pairs
+    assert rep.built_pairs.pairs == minimal_generating_pairs(rho)[0].pairs
 
 
 def test_extend_z4_coset():
     s = cyclic(4)
     rho = rc_generate(s, [(0, 2)])
-    rep = verify_extend_gens(s, rho, universal_congruence(s))
+    rep = verify_extend_gens(rho, universal_congruence(s))
     assert rep.passed
 
 
@@ -334,13 +345,13 @@ def test_extend_rejects_non_refinement():
     rho = rc_generate(s, [(0, 2)])
     sigma = identity_congruence(s)
     with pytest.raises(NotRefinement):
-        verify_extend_gens(s, rho, sigma)
+        verify_extend_gens(rho, sigma)
 
 
 def test_reports_reproducible():
     s = cyclic(3)
-    a = verify_fg_gens(s, [1], universal_congruence(s), inputs="x")
-    b = verify_fg_gens(s, [1], universal_congruence(s), inputs="x")
+    a = verify_fg_gens([1], universal_congruence(s), inputs="x")
+    b = verify_fg_gens([1], universal_congruence(s), inputs="x")
     assert a == b
 
 
@@ -383,7 +394,7 @@ def test_fg_built_set_respects_size_bound(lib):
             continue
         gens = list(range(s.size))
         for rho in enumerate_right_congruences(s).congruences:
-            rep = verify_fg_gens(s, gens, rho)
+            rep = verify_fg_gens(gens, rho)
             assert rep.passed
             assert len(rep.built_pairs) <= len(gens) * (1 + rho.index)
 
@@ -398,7 +409,7 @@ def test_fg_replay_bound_on_transformation_semigroups(gens, data):
     element = st.integers(0, s.size - 1)
     pairs = data.draw(st.lists(st.tuples(element, element), max_size=3), label="pairs")
     rho = rc_generate(s, pairs)
-    rep = verify_fg_gens(s, a, rho)
+    rep = verify_fg_gens(a, rho)
     assert rep.passed
     assert len(rep.built_pairs) <= len(a) * (rho.index + 1)
 
@@ -406,8 +417,8 @@ def test_fg_replay_bound_on_transformation_semigroups(gens, data):
 def test_extend_built_set_respects_size_bound():
     s = cyclic(4)
     rho = rc_generate(s, [(0, 2)])
-    rep = verify_extend_gens(s, rho, universal_congruence(s))
-    x, _ = minimal_generating_pairs(s, rho)
+    rep = verify_extend_gens(rho, universal_congruence(s))
+    x, _ = minimal_generating_pairs(rho)
     assert len(rep.built_pairs) <= len(x) + rho.index * rho.index
 
 
@@ -418,14 +429,6 @@ def test_constructions_on_six_element_monoid():
     congruences = enumerate_right_congruences(z6).congruences
     assert len(congruences) == 4  # divisors of 6
     for rho in congruences:
-        assert verify_fg_gens(z6, [1], rho).passed
-        assert verify_extend_gens(z6, rho, universal_congruence(z6)).passed
-        assert verify_quotient_gens(z6, z6, tuple(range(6)), rho).passed
-
-
-@pytest.mark.parametrize("e", [True, 1.0, "1", -1, 3])
-def test_verify_ideal_gens_rejects_bad_identity_argument(e):
-    s = chain(3)
-    isub = sub_semigroup(s, [0, 1])
-    with pytest.raises(RangeError, match="e must be an int in"):
-        verify_ideal_gens(s, [0, 1], e, universal_congruence(isub))
+        assert verify_fg_gens([1], rho).passed
+        assert verify_extend_gens(rho, universal_congruence(z6)).passed
+        assert verify_quotient_gens(z6, tuple(range(6)), rho).passed

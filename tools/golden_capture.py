@@ -6,7 +6,8 @@ Runs ``sgt.cli.run`` in-process on every verb, in text and ``--json``, over
 the built-in library, T3, the 2-element null semigroup, Z2 with a zero,
 Rees-format inputs, tables with respelled entries (``001``, ``+1``, ``-0``,
 ``1_0``) and malformed files, with valid and invalid arguments (bad integer
-tokens included), plus ``verify --sweep`` in text and JSON.
+tokens included, and ``verify`` target pairs on quotients and on ideals
+with and without an identity), plus ``verify --sweep`` in text and JSON.
 Two Rees inputs over S3, whose tables have 36 and 37 elements, get the
 verbs that stay fast there.  Each line holds the argv, the exit code,
 stdout and stderr.  A last line holds the number of ``sweep()`` reports and
@@ -139,10 +140,14 @@ def _table_argvs(path: str, size: int) -> list[list[str]]:
             ["verify", "--construction", "quotient", "--pairs", "0 1"],
             ["verify", "--construction", "quotient", "--pairs", "0 1",
              "--target-pairs", "0 0"],
+            ["verify", "--construction", "quotient", "--pairs", "0 1",
+             "--target-pairs", "0 x"],
             ["verify", "--construction", "ideal"],
             ["verify", "--construction", "ideal", "--ideal", str(last)],
             ["verify", "--construction", "ideal", "--ideal",
              ",".join(map(str, range(size)))],
+            ["verify", "--construction", "ideal", "--ideal",
+             ",".join(map(str, range(size))), "--target-pairs", f"0 {last}"],
             ["verify", "--construction", "ideal", "--ideal", str(size)],
             ["verify", "--construction", "ideal", "--ideal", "0,x"],
             ["verify", "--construction", "extend"],
@@ -165,6 +170,12 @@ def _argvs(sizes) -> list[list[str]]:
     for path in [*MALFORMED_FILES, "missing.sg"]:
         argvs += [["info", "-i", path], ["rees", "--construct", "-i", path],
                   ["theta", "-i", path]]
+    # malformed target pairs on an ideal with an identity, and valid ones
+    # on n3's {1, 2}, which has none
+    argvs += [["verify", "-i", "z3.sg", "--construction", "ideal", "--ideal", "0,1,2",
+               "--target-pairs", "0 x"],
+              ["verify", "-i", "n3.sg", "--construction", "ideal", "--ideal", "1,2",
+               "--target-pairs", "0 1"]]
     argvs += [["info", "-i", "z3.sg", "--format", fmt]
               for fmt in ("cayley", "rees", "transformation", "xml")]
     argvs += [[], ["frobnicate"], ["--help"], ["info", "--help"],
