@@ -334,7 +334,7 @@ def _cmd_rees(args, s, r):
 def _cmd_theta(args, s, r):
     if r is None:
         raise _UsageError("theta needs rees-format input")
-    vectors, rho = theta_congruence(s, r)
+    vectors, rho = theta_congruence(r)
     payload = {"patterns": [list(v) for v in vectors], **congruence_json(rho)}
     return payload, ["patterns: " + " ".join("".join(map(str, v)) for v in vectors),
                      *_congruence_lines(rho)]

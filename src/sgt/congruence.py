@@ -8,8 +8,8 @@ from functools import cached_property
 from typing import Iterable
 
 from . import trace
-from .core import (FiniteSemigroup, InternalAssertFailure, RangeError, _index, _trusted,
-                   from_cayley)
+from .core import (FiniteSemigroup, InternalAssertFailure, RangeError, _derived, _index,
+                   _trusted)
 
 #: Multiplier standing for the formal identity of S^1; serialized as "1".
 FORMAL_IDENTITY = None
@@ -676,7 +676,8 @@ def _first_combination(s: FiniteSemigroup, candidates, target, start: int,
 
 def quotient_semigroup(rho: RightCongruence) -> FiniteSemigroup:
     """Quotient of rho.parent by a two-sided congruence; classes keep their
-    canonical order."""
+    canonical order.  The quotient of a semigroup by a two-sided congruence,
+    which _incompatible checks, is a semigroup, so its table is not checked."""
     s, cls = rho.parent, rho.class_of
     bad = _incompatible(s, cls, two_sided=True)
     if bad is not None:
@@ -685,5 +686,4 @@ def quotient_semigroup(rho: RightCongruence) -> FiniteSemigroup:
     # compatibility makes the products of representatives well defined
     reps = [members[0] for members in groups]
     table = [[cls[s.table[ra][rb]] for rb in reps] for ra in reps]
-    labels = tuple("|".join(s.label(m) for m in members) for members in groups)
-    return from_cayley(rho.index, table, labels=labels)
+    return _derived(table, ["|".join(map(s.label, members)) for members in groups])

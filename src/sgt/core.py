@@ -57,6 +57,8 @@ class FiniteSemigroup:
     RangeError) and one label per element, and decides associativity by
     Light's test over the greedy generators, in O(n^2 * k) C-level gathers
     for k generators: AssociativityViolation carries the first failing triple.
+    These checks are for tables from outside: `_derived` gives a table that
+    sgt derives from checked values the same fields without them.
     """
 
     size: int = field(init=False)
@@ -88,12 +90,8 @@ class FiniteSemigroup:
         labels = None if self.labels is None else tuple(map(str, self.labels))
         if labels is not None and len(labels) != n:
             raise RangeError("labels length must equal size")
-        z = 0  # a zero is the product of all elements, so it has one candidate
-        for x in range(n):
-            z = rows[z][x]
-        zero = z if rows[z].count(z) == n and all(row[z] == z for row in rows) else None
         self.__dict__.update(table=rows, labels=labels, size=n, identity=_identity(rows),
-                             zero=zero, generators=gens)  # frozen: set past __setattr__
+                             zero=_zero(rows), generators=gens)  # frozen: set past __setattr__
 
     @cached_property
     def _generating_pairs_memo(self) -> dict:
@@ -134,6 +132,29 @@ def _trusted(cls, **fields):
     value = object.__new__(cls)
     value.__dict__.update(fields)
     return value
+
+
+def _derived(rows, labels: Iterable[str] | None) -> FiniteSemigroup:
+    """The semigroup of a table that a check made earlier in the same call,
+    or a theorem, makes valid: its builder's docstring names which.  Every
+    field is what the checked constructor would give, but neither the type
+    scan nor Light's test runs; README lists these builders."""
+    if trace.enabled:
+        trace.counts["core.semigroups.derived"] += 1
+    rows = tuple(map(tuple, rows))  # the builders' entries are ints already
+    return _trusted(FiniteSemigroup, table=rows,
+                    labels=None if labels is None else tuple(map(str, labels)),
+                    size=len(rows), identity=_identity(rows), zero=_zero(rows),
+                    generators=tuple(_greedy_generators(rows)))
+
+
+def _zero(rows) -> int | None:
+    """The zero of a checked table, else None: a zero is the product of all
+    elements, so it has one candidate."""
+    z = 0
+    for x in range(len(rows)):
+        z = rows[z][x]
+    return z if rows[z].count(z) == len(rows) and all(row[z] == z for row in rows) else None
 
 
 def _identity(rows) -> int | None:
@@ -226,7 +247,8 @@ def from_transformations(degree: int, gens: Sequence[Transformation]) -> FiniteS
     n*k times for k generators (Froidure and Pin 1997).  It keeps each
     element's edges right[x][gi] = x*g_gi and its search parent: b = p*g_gi.
     Each row of the table is then read off the graph in index order, as
-    a*b = (a*p)*g_gi = right[a*p][gi], where p comes before b.
+    a*b = (a*p)*g_gi = right[a*p][gi], where p comes before b.  Composition
+    of maps is associative, so the table is built unchecked (`_derived`).
     """
     degree = _index(degree, "degree")
     if not gens:
@@ -267,16 +289,16 @@ def from_transformations(degree: int, gens: Sequence[Transformation]) -> FiniteS
         for p, gi in steps:
             row.append(right[row[p]][gi])
         table.append(tuple(row))
-    return from_cayley(len(elements), table, labels=words)
+    return _derived(table, words)
 
 
 def _adjoin(s: FiniteSemigroup, column: Sequence[int], row: list[int],
             label: str) -> FiniteSemigroup:
     """s with one new element at index size: x*new = column[x], and row
-    holds new*y for every y, the new element last."""
-    table = [[*r, c] for r, c in zip(s.table, column)] + [row]
-    labels = None if s.labels is None else [*s.labels, label]
-    return from_cayley(s.size + 1, table, labels=labels)
+    holds new*y for every y, the new element last.  Adjoining an identity or
+    a zero to a checked semigroup gives a semigroup, so it is not checked."""
+    table = [(*r, c) for r, c in zip(s.table, column)] + [row]
+    return _derived(table, None if s.labels is None else [*s.labels, label])
 
 
 def adjoin_identity(s: FiniteSemigroup) -> FiniteSemigroup:
@@ -298,10 +320,10 @@ def _product_table(m: FiniteSemigroup, n: FiniteSemigroup) -> tuple[tuple[int, .
 
 
 def direct_product(m: FiniteSemigroup, n: FiniteSemigroup) -> FiniteSemigroup:
-    """Componentwise product; (i, j) sits at index i*|N| + j."""
-    labels = tuple(f"({m.label(a)},{n.label(b)})"
-                   for a in range(m.size) for b in range(n.size))
-    return from_cayley(m.size * n.size, _product_table(m, n), labels=labels)
+    """Componentwise product; (i, j) sits at index i*|N| + j.  The product of
+    two checked semigroups is one, so its table is not checked again."""
+    labels = [f"({m.label(a)},{n.label(b)})" for a in range(m.size) for b in range(n.size)]
+    return _derived(_product_table(m, n), labels)
 
 
 def _hom_failure(src_table, dst_table, phi, gens: Sequence[int]) -> tuple[int, int] | None:
@@ -339,7 +361,8 @@ def _ideal_members(s: FiniteSemigroup, ideal: Iterable[int]) -> list[int]:
 
 
 def rees_quotient(s: FiniteSemigroup, ideal: Iterable[int]) -> FiniteSemigroup:
-    """Collapse a two-sided ideal to a fresh zero (placed at the last index)."""
+    """Collapse a two-sided ideal to a fresh zero (placed at the last index).
+    The Rees quotient by a checked ideal is a semigroup, so it is not checked."""
     ideal = set(_ideal_members(s, ideal))
     keep = [x for x in range(s.size) if x not in ideal]
     new_index = {x: i for i, x in enumerate(keep)}
@@ -350,8 +373,7 @@ def rees_quotient(s: FiniteSemigroup, ideal: Iterable[int]) -> FiniteSemigroup:
         for b in keep:
             p = s.table[a][b]
             table[new_index[a]][new_index[b]] = new_index.get(p, z)
-    labels = tuple(s.label(x) for x in keep) + ("0",)
-    return from_cayley(n, table, labels=labels)
+    return _derived(table, [*map(s.label, keep), "0"])
 
 
 def _restricted_table(s: FiniteSemigroup, members: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -367,12 +389,12 @@ def _restricted_table(s: FiniteSemigroup, members: Sequence[int]) -> tuple[tuple
 
 def sub_semigroup(s: FiniteSemigroup, members: Sequence[int]) -> FiniteSemigroup:
     """Restrict the table to a multiplicatively closed subset (given order);
-    RangeError for a bad or repeated member."""
+    RangeError for a bad or repeated member.  _restricted_table checks the
+    closure, and a closed subset of a semigroup is one, so it is not checked."""
     members = [_index(v, "member", s.size) for v in members]
     if len(set(members)) != len(members):
         raise RangeError(f"members must be distinct, got {members}")
-    labels = tuple(s.label(x) for x in members)
-    return from_cayley(len(members), _restricted_table(s, members), labels=labels)
+    return _derived(_restricted_table(s, members), map(s.label, members))
 
 
 def subsemigroup_closure(s: FiniteSemigroup, seed: Iterable[int]) -> tuple[int, ...]:

@@ -6,9 +6,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
-from .core import (FiniteSemigroup, InternalAssertFailure, RangeError,
-                   _greedy_generators, _hom_failure, _index, classify, from_cayley,
-                   sub_semigroup)
+from .core import (FiniteSemigroup, InternalAssertFailure, RangeError, _derived,
+                   _greedy_generators, _hom_failure, _index, classify, sub_semigroup)
 from .congruence import (RightCongruence, _class_lists, _incompatible,
                          quotient_semigroup, right_congruence)
 from .green import _principal_masks, green_data
@@ -121,6 +120,17 @@ def rees_structure(group: FiniteSemigroup, i_size: int, j_size: int,
     return ReesStructure(group=group, p_matrix=p_matrix, with_zero=with_zero)
 
 
+def _rees_semigroup(r: ReesStructure) -> FiniteSemigroup:
+    """r's matrix semigroup, unchecked: r's constructor checked the group and
+    the entries, and a Rees matrix semigroup over a group is associative
+    (Howie 1995, §3.2)."""
+    labels = [f"({i},{r.group.label(g)},{j})" for i in range(r.i_size)
+              for g in range(r.group.size) for j in range(r.j_size)]
+    if r.with_zero:
+        labels.append("0")
+    return _derived(r.table, labels)
+
+
 def rees_construct(r: ReesStructure) -> FiniteSemigroup:
     """Matrix semigroup over r: triples (i, g, j) in lexicographic order,
     product (i1, g1*p[j1][i2]*g2, j2), plus a zero when requested.
@@ -128,11 +138,7 @@ def rees_construct(r: ReesStructure) -> FiniteSemigroup:
     When P is regular the result is checked to be completely (0-)simple;
     otherwise a warning is issued and the check is skipped.
     """
-    labels = [f"({i},{r.group.label(g)},{j})" for i in range(r.i_size)
-              for g in range(r.group.size) for j in range(r.j_size)]
-    if r.with_zero:
-        labels.append("0")
-    s = from_cayley(len(r.table), r.table, labels=labels)
+    s = _rees_semigroup(r)
     if r.is_regular():
         flags = classify(s)
         want = flags.completely_zero_simple if r.with_zero else flags.completely_simple
@@ -145,10 +151,10 @@ def rees_construct(r: ReesStructure) -> FiniteSemigroup:
     return s
 
 
-def theta_congruence(s: FiniteSemigroup, r: ReesStructure
+def theta_congruence(r: ReesStructure
                      ) -> tuple[tuple[tuple[int, ...], ...], RightCongruence]:
     """Per-column zero patterns of P, one 0/1 vector of length |I| per j,
-    and the right congruence they induce.
+    and the right congruence they induce on r's matrix semigroup.
 
     Nonzero elements are related iff their third coordinates have equal
     patterns; the zero forms its own class.  The index always equals the
@@ -156,13 +162,11 @@ def theta_congruence(s: FiniteSemigroup, r: ReesStructure
     """
     if not r.with_zero:
         raise MismatchedInput("theta congruence needs a structure with zero")
-    if s.table != r.table:
-        raise MismatchedInput("semigroup was not constructed from this structure")
     vectors = tuple(tuple(1 if v is not ZERO else 0 for v in row)
                     for row in r.p_matrix)
     # element (i, g, j) has index (i*|G| + g)*|J| + j
     keys = [vectors[x % r.j_size] for x in range(r.triple_count())] + ["zero"]
-    rho = right_congruence(s, keys)
+    rho = right_congruence(_rees_semigroup(r), keys)
     if rho.index != len(set(vectors)) + 1:
         raise InternalAssertFailure("pattern count does not match congruence index")
     return vectors, rho

@@ -175,7 +175,8 @@ def test_criterion_07_theta_congruence_law():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 s = rees_construct(r)
-            _, rho = theta_congruence(s, r)
+            _, rho = theta_congruence(r)
+            assert rho.parent.table == s.table
             assert oracles.is_right_compatible(s, rho.class_of)
             # independent recomputation of the classes
             vectors = [tuple(0 if v is ZERO else 1 for v in row) for row in p]

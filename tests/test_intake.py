@@ -3,7 +3,9 @@ semigroups, RightCongruence refuses class maps that are not right
 congruences, and the builders that skip those checks build only values
 that pass them."""
 import dataclasses
+import itertools
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,16 +13,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sgt import congruence, green, verify
+from sgt import congruence, core, green, structure, verify
 from sgt.cli import parse_input
 from sgt.congruence import (PairSet, RightCongruence, enumerate_right_congruences,
                             quotient_semigroup, rc_generate)
-from sgt.core import AssociativityViolation, FiniteSemigroup, RangeError, classify, direct_product
-from sgt.library import library
+from sgt.core import (AssociativityViolation, FiniteSemigroup, RangeError, Transformation,
+                      adjoin_identity, adjoin_zero, classify, direct_product,
+                      from_transformations, rees_quotient, sub_semigroup,
+                      subsemigroup_closure)
+from sgt.library import cyclic, library, trivial
+from sgt.structure import ZERO, rees_construct, rees_coordinates, rees_structure
 from sgt.verify import (ideal_subsemigroup, ideals_with_identity, sweep,
                         two_sided_congruences)
 
 T3 = parse_input("transformation 3 3\n1 2 0\n1 0 2\n0 0 2\n")[0]
+T4_GENS = ((1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3))
 _SMALL = [s for s in library().values() if s.size <= 4]
 _BAD_ENTRIES = [-1, True, False, 0.0, 1.5, None, "0", np.int64(-1)]
 
@@ -190,6 +197,101 @@ def test_every_trusted_value_rebuilds_unchanged_through_its_constructor(monkeypa
         assert type(rho.class_of) is tuple and all(type(c) is int for c in rho.class_of)
     assert all(type(a) is int and type(b) is int
                for x in built if type(x) is PairSet for a, b in x.pairs)
+
+
+def _assert_rebuilds(s):
+    """s, a derived semigroup, has every field the checked constructor gives
+    its table and labels, an int table of tuples and str labels."""
+    ref = FiniteSemigroup(table=s.table, labels=s.labels)
+    fields = ("table", "labels", "size", "identity", "zero", "generators")
+    assert [getattr(s, f) for f in fields] == [getattr(ref, f) for f in fields], s
+    assert type(s.table) is tuple and all(type(row) is tuple for row in s.table)
+    assert all(type(v) is int for row in s.table for v in row)
+    assert s.labels is None or (type(s.labels) is tuple
+                                and all(type(x) is str for x in s.labels))
+    assert type(s.generators) is tuple
+
+
+def _criterion_8_structures():
+    """Criterion 8's Rees structures, in its order."""
+    for g in (trivial(), cyclic(2), cyclic(3)):
+        for isz, jsz in itertools.product((1, 2, 3), repeat=2):
+            for flat in itertools.product(range(g.size), repeat=isz * jsz):
+                p = [list(flat[r * isz:(r + 1) * isz]) for r in range(jsz)]
+                yield rees_structure(g, isz, jsz, p, with_zero=False)
+
+
+def test_every_derived_table_rebuilds_unchanged_through_its_constructor(monkeypatch):
+    built = []
+    callers = set()
+
+    def recording(rows, labels):
+        value = derived(rows, labels)
+        built.append(value)
+        callers.add(sys._getframe(1).f_code.co_name)
+        return value
+
+    derived = core._derived
+    for module in (core, congruence, structure):
+        monkeypatch.setattr(module, "_derived", recording)
+    sweep()  # S^1, products, quotients, ideals and sub-semigroups
+    for r in itertools.islice(_criterion_8_structures(), 500):
+        struct, _ = rees_coordinates(rees_construct(r))  # its group is a sub-semigroup
+        rees_construct(struct)
+    from_transformations(4, [Transformation(4, g) for g in T4_GENS])
+    assert callers == {"_adjoin", "direct_product", "quotient_semigroup", "sub_semigroup",
+                       "_rees_semigroup", "from_transformations"}
+    assert len(built) > 1500 and built[-1].size == 256
+    for s in built:
+        _assert_rebuilds(s)
+
+
+def _rees_semigroups(data):
+    """A Rees matrix semigroup over a relabelled trivial group, Z2 or Z3,
+    with or without a zero, its P regular or not."""
+    g = data.draw(_relabelled_copies([trivial(), cyclic(2), cyclic(3)]))
+    with_zero = data.draw(st.booleans())
+    isz, jsz = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    entry = st.sampled_from([*range(g.size), *([ZERO] if with_zero else [])])
+    p = data.draw(st.lists(st.lists(entry, min_size=isz, max_size=isz),
+                           min_size=jsz, max_size=jsz))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a P that is not regular
+        return [rees_construct(rees_structure(g, isz, jsz, p, with_zero))]
+
+
+def _products(data):
+    m, n = (data.draw(_relabelled_copies(_SMALL)) for _ in range(2))
+    return [direct_product(m, n), adjoin_identity(m), adjoin_zero(m)]
+
+
+def _quotients(data):
+    s = data.draw(_relabelled_copies([s for s in library().values() if s.size <= 5]))
+    return [quotient_semigroup(rho) for rho in two_sided_congruences(s)]
+
+
+def _ideals(data):
+    """The Rees quotient by a principal ideal S^1 a S^1 and by S."""
+    s = data.draw(st.sampled_from(list(library().values())) | _relabelled_copies(_SMALL))
+    a = data.draw(st.integers(0, s.size - 1))
+    left = {a, *(row[a] for row in s.table)}  # S^1 a
+    ideal = left | {s.table[x][y] for x in left for y in range(s.size)}
+    return [rees_quotient(s, ideal), rees_quotient(s, range(s.size))]
+
+
+def _sub_semigroups(data):
+    s = data.draw(st.sampled_from(list(library().values())) | _relabelled_copies(_SMALL))
+    seed = data.draw(st.sets(st.integers(0, s.size - 1), min_size=1))
+    members = list(subsemigroup_closure(s, seed))
+    return [sub_semigroup(s, data.draw(st.permutations(members)))]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([_rees_semigroups, _products, _quotients, _ideals, _sub_semigroups]),
+       st.data())
+def test_a_derived_semigroup_equals_its_checked_rebuild(builder, data):
+    for s in builder(data):
+        _assert_rebuilds(s)
 
 
 @pytest.mark.parametrize("rows, error", [

@@ -19,7 +19,7 @@ def test_nothing_is_counted_while_off():
     enumerate_right_congruences(t3)
     two_sided_congruences(t3)
     rc_generate(t3, [(0, 1)])
-    verify_schutz_gens(t3, 0)  # a checked S^1, a checked congruence and a search
+    verify_schutz_gens(t3, 0)  # a derived S^1, a checked group and congruence, a search
     assert not trace.counts
 
 
@@ -83,8 +83,11 @@ def test_one_library_sweep_builds_180_tables_and_checks_71_congruences():
     with trace.counting() as counts:
         reports = sweep(lib=lib)
     assert len(reports) == 896
-    # one S^1 per table of at most six elements: 17 of them, not one per element (55)
-    assert counts["core.semigroups.checked"] == 180
+    # one S^1 per table of at most six elements: 17 of them, not one per element (55);
+    # only the 55 Schutzenberger groups are checked, and the tables built from
+    # checked ones (S^1, products, quotients, ideals) are derived
+    assert counts["core.semigroups.checked"] == 55
+    assert counts["core.semigroups.derived"] == 125
     # the elements of a table share its S^1 and so 25 answers from its memo
     assert counts["congruence.generating_pairs.searches"] == 106
     assert (counts["congruence.generating_pairs.searches"]
