@@ -57,18 +57,13 @@ class FiniteSemigroup:
     RangeError) and one label per element, and decides associativity by
     Light's test over the greedy generators, in O(n^2 * k) C-level gathers
     for k generators: AssociativityViolation carries the first failing triple.
-    These checks are for tables from outside: `_derived` gives a table that
-    sgt derives from checked values the same fields without them.
     """
 
-    size: int = field(init=False)
+    # The fields hold what the caller gives; every fact derived from them is
+    # a cached_property, made on first read and kept out of equality, hashing
+    # and repr.  The same holds for sgt's other frozen dataclasses.
     table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None = field(default=None, compare=False)
-    identity: int | None = field(init=False, compare=False)
-    zero: int | None = field(init=False, compare=False)
-    #: A generating set, the greedy one of the table: every element is a
-    #: product of these.  Like size, identity and zero, derived from the table.
-    generators: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if trace.enabled:
@@ -90,14 +85,33 @@ class FiniteSemigroup:
         labels = None if self.labels is None else tuple(map(str, self.labels))
         if labels is not None and len(labels) != n:
             raise RangeError("labels length must equal size")
-        self.__dict__.update(table=rows, labels=labels, size=n, identity=_identity(rows),
-                             zero=_zero(rows), generators=gens)  # frozen: set past __setattr__
+        # frozen: set past __setattr__; Light's test found the generators
+        self.__dict__.update(table=rows, labels=labels, generators=gens)
+
+    @cached_property
+    def size(self) -> int:
+        return len(self.table)
+
+    @cached_property
+    def identity(self) -> int | None:
+        return _identity(self.table)
+
+    @cached_property
+    def zero(self) -> int | None:
+        """A zero is the product of all elements, so it has one candidate."""
+        rows, z = self.table, 0
+        for x in range(len(rows)):
+            z = rows[z][x]
+        return z if rows[z].count(z) == len(rows) and all(row[z] == z for row in rows) else None
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set, the greedy one: every element is a product of these."""
+        return tuple(_greedy_generators(self.table))
 
     @cached_property
     def _generating_pairs_memo(self) -> dict:
-        """minimal_generating_pairs' answers on this instance, by (class map,
-        exact_limit); made on first use, so it is no field and stays out of
-        equality, hashing and repr."""
+        """minimal_generating_pairs' answers, by (class map, exact_limit)."""
         return {}
 
     def idempotents(self) -> list[int]:
@@ -135,26 +149,12 @@ def _trusted(cls, **fields):
 
 
 def _derived(rows, labels: Iterable[str] | None) -> FiniteSemigroup:
-    """The semigroup of a table that a check made earlier in the same call,
-    or a theorem, makes valid: its builder's docstring names which.  Every
-    field is what the checked constructor would give, but neither the type
-    scan nor Light's test runs; README lists these builders."""
+    """The semigroup of a table that `_trusted`'s rule makes valid, counted
+    apart from the checked ones; README lists these builders."""
     if trace.enabled:
         trace.counts["core.semigroups.derived"] += 1
-    rows = tuple(map(tuple, rows))  # the builders' entries are ints already
-    return _trusted(FiniteSemigroup, table=rows,
-                    labels=None if labels is None else tuple(map(str, labels)),
-                    size=len(rows), identity=_identity(rows), zero=_zero(rows),
-                    generators=tuple(_greedy_generators(rows)))
-
-
-def _zero(rows) -> int | None:
-    """The zero of a checked table, else None: a zero is the product of all
-    elements, so it has one candidate."""
-    z = 0
-    for x in range(len(rows)):
-        z = rows[z][x]
-    return z if rows[z].count(z) == len(rows) and all(row[z] == z for row in rows) else None
+    return _trusted(FiniteSemigroup, table=tuple(map(tuple, rows)),
+                    labels=None if labels is None else tuple(map(str, labels)))
 
 
 def _identity(rows) -> int | None:
@@ -214,8 +214,7 @@ def _light_associative(rows, gens: Sequence[int]) -> bool:
     """Light's test: (x*a)*y == x*(a*y) for all x, y and every generator a.
 
     Exact: the b with (x*b)*y == x*(b*y) for all x, y are closed under
-    products, so holding on a generating set it holds on all of S.  Rows
-    are tuples, so each side is compared as one tuple of rows.
+    products, so holding on a generating set it holds on all of S.
     """
     if len(rows) == 1:  # [[0]]; a one-argument itemgetter returns a scalar
         return True
@@ -243,12 +242,10 @@ def from_transformations(degree: int, gens: Sequence[Transformation]) -> FiniteS
     given order, duplicates dropped), then breadth-first products in
     (element, generator) order.  Labels record a shortest generator word.
 
-    The search composes transformations only along the right Cayley graph,
-    n*k times for k generators (Froidure and Pin 1997).  It keeps each
-    element's edges right[x][gi] = x*g_gi and its search parent: b = p*g_gi.
-    Each row of the table is then read off the graph in index order, as
-    a*b = (a*p)*g_gi = right[a*p][gi], where p comes before b.  Composition
-    of maps is associative, so the table is built unchecked (`_derived`).
+    The search composes maps only along the right Cayley graph, n*k times
+    for k generators (Froidure and Pin 1997); row a is then read off it as
+    a*b = (a*p)*g = right[a*p][g], where the search found b = p*g, p < b.
+    Composition is associative, so the table is not checked (`_derived`).
     """
     degree = _index(degree, "degree")
     if not gens:
@@ -331,9 +328,8 @@ def _hom_failure(src_table, dst_table, phi, gens: Sequence[int]) -> tuple[int, i
 
     Both tables must be associative and gens must generate the source.  Then
     phi(a*g) == phi(a)*phi(g) for every a and every generator g makes phi a
-    homomorphism, by induction on the length of b as a word in gens; so that
-    O(n*k) check answers None, and only a failing map is scanned in full, to
-    name its first pair.
+    homomorphism, by induction on the length of b as a word in gens; only a
+    failing map is scanned in full, to name its first pair.
     """
     images = [dst_table[x] for x in phi]  # row of phi(a), by a
     gen_images = [(g, phi[g]) for g in gens]

@@ -2,12 +2,12 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
 from .core import (FiniteSemigroup, InternalAssertFailure, RangeError, _derived,
-                   _greedy_generators, _hom_failure, _index, classify, sub_semigroup)
+                   _hom_failure, _index, classify, sub_semigroup)
 from .congruence import (RightCongruence, _class_lists, _incompatible,
                          quotient_semigroup, right_congruence)
 from .green import _principal_masks, green_data
@@ -44,8 +44,6 @@ ZERO = None
 @dataclass(frozen=True)
 class ReesStructure:
     group: FiniteSemigroup
-    i_size: int = field(init=False)  # |I| and |J|, derived from p_matrix
-    j_size: int = field(init=False)
     p_matrix: tuple[tuple[int | None, ...], ...]  # j_size rows of i_size entries
     with_zero: bool
 
@@ -54,33 +52,38 @@ class ReesStructure:
             raise RangeError(f"with_zero must be True or False, got {self.with_zero!r}")
         if not classify(self.group).group:
             raise InvalidGroup("structure group must be a group")
-        # then rows of one nonzero length, entries ZERO (if with_zero) or group elements
         if not len(self.p_matrix) or not len(self.p_matrix[0]):
             raise RaggedMatrix("index sets must be nonempty")
-        i_size, n = len(self.p_matrix[0]), self.group.size
 
         def entry(v):
             if v is not ZERO:
-                return _index(v, "matrix entry", n)
+                return _index(v, "matrix entry", self.group.size)
             if not self.with_zero:
                 raise RangeError("zero entry in a structure without zero")
             return ZERO
 
         rows = []
         for row in self.p_matrix:
-            if len(row) != i_size:
-                raise RaggedMatrix(f"expected {i_size} entries, got {len(row)}")
+            if len(row) != self.i_size:
+                raise RaggedMatrix(f"expected {self.i_size} entries, got {len(row)}")
             rows.append(tuple(map(entry, row)))
         object.__setattr__(self, "p_matrix", tuple(rows))
-        object.__setattr__(self, "i_size", i_size)
-        object.__setattr__(self, "j_size", len(rows))
 
     @cached_property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        """The product table on the triples in lexicographic order, then the
-        zero, built on first use: no field, so out of equality, hash and repr.
-        (i1, g1, j1)*(i2, g2, j2) = (i1, c*g2, j2) with c = g1*p[j1][i2], so
-        the part of a row over one i2 is a block fixed by (i1, c), or zeros."""
+    def i_size(self) -> int:
+        return len(self.p_matrix[0])
+
+    @cached_property
+    def j_size(self) -> int:
+        return len(self.p_matrix)
+
+    @cached_property
+    def semigroup(self) -> FiniteSemigroup:
+        """The matrix semigroup: triples (i, g, j) in lexicographic order with
+        (i1, g1, j1)*(i2, g2, j2) = (i1, c*g2, j2) for c = g1*p[j1][i2], then
+        the zero if with_zero.  Unchecked: the constructor checked the group
+        and the entries, and a Rees matrix semigroup over a group is
+        associative (Howie 1995, §3.2)."""
         ng, jsz, gt = self.group.size, self.j_size, self.group.table
         nt = self.triple_count()  # also the index of the zero
         # blocks[i][c]: the products (i, c*g2, j2) over (g2, j2) in order
@@ -91,9 +94,12 @@ class ReesStructure:
         table = [tuple(chain.from_iterable(
                     [zeros if p is ZERO else ib[grow[p]] for p in self.p_matrix[j]] + tail))
                  for ib in blocks for grow in gt for j in range(jsz)]
+        labels = [f"({i},{self.group.label(g)},{j})" for i in range(self.i_size)
+                  for g in range(ng) for j in range(jsz)]
         if self.with_zero:
             table.append((nt,) * (nt + 1))
-        return tuple(table)
+            labels.append("0")
+        return _derived(table, labels)
 
     def triple_count(self) -> int:
         return self.i_size * self.group.size * self.j_size
@@ -120,25 +126,10 @@ def rees_structure(group: FiniteSemigroup, i_size: int, j_size: int,
     return ReesStructure(group=group, p_matrix=p_matrix, with_zero=with_zero)
 
 
-def _rees_semigroup(r: ReesStructure) -> FiniteSemigroup:
-    """r's matrix semigroup, unchecked: r's constructor checked the group and
-    the entries, and a Rees matrix semigroup over a group is associative
-    (Howie 1995, §3.2)."""
-    labels = [f"({i},{r.group.label(g)},{j})" for i in range(r.i_size)
-              for g in range(r.group.size) for j in range(r.j_size)]
-    if r.with_zero:
-        labels.append("0")
-    return _derived(r.table, labels)
-
-
 def rees_construct(r: ReesStructure) -> FiniteSemigroup:
-    """Matrix semigroup over r: triples (i, g, j) in lexicographic order,
-    product (i1, g1*p[j1][i2]*g2, j2), plus a zero when requested.
-
-    When P is regular the result is checked to be completely (0-)simple;
-    otherwise a warning is issued and the check is skipped.
-    """
-    s = _rees_semigroup(r)
+    """r.semigroup, checked to be completely (0-)simple when P is regular;
+    otherwise a warning is issued and the check is skipped."""
+    s = r.semigroup
     if r.is_regular():
         flags = classify(s)
         want = flags.completely_zero_simple if r.with_zero else flags.completely_simple
@@ -154,19 +145,15 @@ def rees_construct(r: ReesStructure) -> FiniteSemigroup:
 def theta_congruence(r: ReesStructure
                      ) -> tuple[tuple[tuple[int, ...], ...], RightCongruence]:
     """Per-column zero patterns of P, one 0/1 vector of length |I| per j,
-    and the right congruence they induce on r's matrix semigroup.
-
-    Nonzero elements are related iff their third coordinates have equal
-    patterns; the zero forms its own class.  The index always equals the
-    number of distinct patterns plus one.
-    """
+    and the right congruence on r.semigroup that relates nonzero elements
+    iff their third coordinates have equal patterns, the zero alone."""
     if not r.with_zero:
         raise MismatchedInput("theta congruence needs a structure with zero")
     vectors = tuple(tuple(1 if v is not ZERO else 0 for v in row)
                     for row in r.p_matrix)
     # element (i, g, j) has index (i*|G| + g)*|J| + j
     keys = [vectors[x % r.j_size] for x in range(r.triple_count())] + ["zero"]
-    rho = right_congruence(_rees_semigroup(r), keys)
+    rho = right_congruence(r.semigroup, keys)
     if rho.index != len(set(vectors)) + 1:
         raise InternalAssertFailure("pattern count does not match congruence index")
     return vectors, rho
@@ -175,11 +162,9 @@ def theta_congruence(r: ReesStructure
 def rees_coordinates(s: FiniteSemigroup) -> tuple[ReesStructure, tuple[int, ...]]:
     """Coordinatize a completely (0-)simple semigroup as a matrix semigroup.
 
-    Returns the structure and the element map from constructed indices to s,
-    verified to be a bijective homomorphism on a generating set of the
-    constructed semigroup, which is exact for associative tables.  P is
-    normalized so its first row and column are the group identity where
-    nonzero.
+    Returns the structure and the element map from constructed indices to
+    s, checked to be a bijective homomorphism.  P is normalized so its first
+    row and column are the group identity where nonzero.
     """
     flags = classify(s)
     if not (flags.completely_simple or flags.completely_zero_simple):
@@ -226,8 +211,8 @@ def rees_coordinates(s: FiniteSemigroup) -> tuple[ReesStructure, tuple[int, ...]
     if sorted(mapping) != list(range(s.size)):
         raise InternalAssertFailure("coordinate map is not a bijection")
     # the Rees product is associative (Howie 1995, §3.2), so generators suffice
-    if _hom_failure(struct.table, table, mapping,
-                    _greedy_generators(struct.table)) is not None:
+    rs = struct.semigroup
+    if _hom_failure(rs.table, table, mapping, rs.generators) is not None:
         raise InternalAssertFailure("coordinate map is not a homomorphism")
     return struct, mapping
 
@@ -272,11 +257,8 @@ def _decomposition(s: FiniteSemigroup, component_of, kind: str, parts: str,
 
 
 def cr_decomposition(s: FiniteSemigroup) -> Decomposition:
-    """Split a completely regular semigroup into completely simple components.
-
-    Components are the J-classes; the quotient is checked to be a
-    semilattice and every component to be completely simple.
-    """
+    """Split a completely regular semigroup into its J-classes, each
+    checked to be completely simple."""
     if not classify(s).completely_regular:
         raise NotCompletelyRegular("input is not a union of groups")
     return _decomposition(s, green_data(s).j_class, "completely_simple", "J-classes",
@@ -291,12 +273,9 @@ def h_congruence_check(s: FiniteSemigroup) -> tuple[bool, tuple[int, int, int] |
 
 
 def archimedean_decomposition(s: FiniteSemigroup) -> Decomposition:
-    """Split a commutative semigroup along mutual divisibility.
-
-    a and b share a component iff some power of each lies in the other's
-    principal ideal.  Components are checked closed and archimedean; the
-    quotient is checked to be a semilattice.
-    """
+    """Split a commutative semigroup along mutual divisibility: a and b
+    share a component iff some power of each lies in the other's principal
+    ideal."""
     if not classify(s).commutative:
         raise NotCommutative("archimedean decomposition needs a commutative semigroup")
     n = s.size

@@ -71,8 +71,7 @@ def _distinguish(expected: RightCongruence, computed: RightCongruence):
 
 
 def _congruence_report(construction, inputs, built, expected) -> VerificationReport:
-    """The one check of a congruence replay: generate the built pairs on
-    t = expected.parent and compare the result with expected.  A replay
+    """A congruence replay's one check, on t = expected.parent.  A replay
     builds its pairs from t's own table and class maps, so they are not
     checked again."""
     t = expected.parent
@@ -201,7 +200,7 @@ def verify_schutz_gens(s: FiniteSemigroup, element: int,
     Works over S^1, S with a fresh identity adjoined; the by-translate
     congruence is generated, and for each generating pair inside the
     R-class a stabilizer element realizing the translate is reduced to its
-    class.  This call builds its own S^1; sweep() builds one per table.
+    class.
     """
     return _schutz_report(s, adjoin_identity(s), element, inputs)
 
@@ -209,9 +208,8 @@ def verify_schutz_gens(s: FiniteSemigroup, element: int,
 def _schutz_report(s: FiniteSemigroup, t: FiniteSemigroup, element: int,
                    inputs: str) -> VerificationReport:
     """verify_schutz_gens over t = adjoin_identity(s), which sweep() shares
-    among the elements of s, so that t's generating-pairs memo answers the
-    questions they share.  The by-translate congruence is checked: no
-    earlier check implies it."""
+    among s's elements, so that t's memo answers the questions they share.
+    The by-translate congruence is checked: no earlier check implies it."""
     sg = schutzenberger(s, element)  # range-checks element
     # for a in S, aS^1 is the same in S and in S^1, whose 1 is alone in its R-class
     r_class = green_data(s).r_class
@@ -290,7 +288,6 @@ def verify_ideal_gens(s: FiniteSemigroup, ideal: Iterable[int],
         raise NoInternalIdentity("ideal has no internal identity")
     e = members[rho_on_i.parent.identity]
     sub_index = {v: k for k, v in enumerate(members)}
-    # a -> e*a maps S onto the ideal with identity e
     phi = [sub_index[v] for v in s.table[e]]
     return _congruence_report("ideal", inputs, _push_forward(s, phi, rho_on_i), rho_on_i)
 
@@ -308,7 +305,6 @@ def verify_extend_gens(rho: RightCongruence, sigma: RightCongruence,
     sigma = _congruence_on(rho.parent.table, sigma, "sigma")
     if not _refines(rho, sigma):
         raise NotRefinement("rho does not refine sigma")
-    # rho's class representatives, grouped by their sigma class
     alpha: dict[int, list[int]] = {}
     for members in rho.classes():
         alpha.setdefault(sigma.class_of[members[0]], []).append(members[0])
@@ -349,9 +345,7 @@ SIZE_LIMIT, SCHUTZ_LIMIT, DP_LIMIT = 5, 6, 3
 def sweep(lib: dict[str, FiniteSemigroup] | None = None) -> list[VerificationReport]:
     """Run every construction over the built-in library, or over lib (a
     dict of FiniteSemigroups by name, TypeError naming the first other
-    value), within the size limits above; returns all reports.  Each table
-    of at most SCHUTZ_LIMIT elements gets one S^1 = adjoin_identity(s),
-    shared by its elements' schutz replays.
+    value), within the size limits above; returns all reports.
     """
     if lib is None:
         lib = library()

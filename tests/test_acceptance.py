@@ -313,10 +313,12 @@ def test_criterion_13_t3_replays(monkeypatch):
 
 def _build_t5() -> dict:
     """Build T5 and check it; with the build's time and the process's peak
-    RSS, so that criterion 14 reads them in an interpreter of their own."""
+    RSS right after the build, before the check draws its sample, so that
+    criterion 14 reads them in an interpreter of their own."""
     t0 = time.perf_counter()
     t5 = _full_transformation_monoid(5, T5_GENS)
     seconds = time.perf_counter() - t0
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     rng = random.Random(SEED)
     triples = [tuple(rng.randrange(t5.size) for _ in range(3)) for _ in range(100_000)]
     return {"size": t5.size, "seconds": seconds,
@@ -324,7 +326,7 @@ def _build_t5() -> dict:
                              and t5.table[t5.identity] == tuple(range(t5.size))),
             "idempotents": len(t5.idempotents()),
             "nonassociative": oracles.brute_first_nonassociative(t5.table, triples),
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+            "peak_rss_mb": peak_rss_mb}
 
 
 def test_criterion_14_t5_from_transformations():

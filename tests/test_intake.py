@@ -212,6 +212,31 @@ def _assert_rebuilds(s):
     assert type(s.generators) is tuple
 
 
+def test_no_sgt_dataclass_has_a_field_outside_its_constructor():
+    # a fact derived from the fields is a cached_property, not a field
+    modules = (core, congruence, green, structure, verify)
+    classes = [c for m in modules for c in vars(m).values()
+               if dataclasses.is_dataclass(c) and c.__module__ == m.__name__]
+    assert len(classes) > 10
+    assert [(c.__name__, f.name) for c in classes for f in dataclasses.fields(c)
+            if not f.init] == []
+    assert [f.name for f in dataclasses.fields(FiniteSemigroup)] == ["table", "labels"]
+
+
+def test_a_derived_semigroup_holds_its_inputs_until_a_fact_is_read():
+    s = direct_product(cyclic(2), cyclic(3))
+    assert set(vars(s)) == {"table", "labels"}
+    assert (s.size, s.identity, s.zero, s.generators) == (6, 0, None, (0, 1, 3))
+    assert set(vars(s)) == {"table", "labels", "size", "identity", "zero", "generators"}
+
+
+def test_a_checked_semigroup_keeps_the_generators_lights_test_found(monkeypatch):
+    s = FiniteSemigroup(table=cyclic(4).table)
+    assert set(vars(s)) == {"table", "labels", "generators"}
+    monkeypatch.setattr(core, "_greedy_generators", None)  # no second search
+    assert s.generators == (0, 1)
+
+
 def _criterion_8_structures():
     """Criterion 8's Rees structures, in its order."""
     for g in (trivial(), cyclic(2), cyclic(3)):
@@ -240,7 +265,7 @@ def test_every_derived_table_rebuilds_unchanged_through_its_constructor(monkeypa
         rees_construct(struct)
     from_transformations(4, [Transformation(4, g) for g in T4_GENS])
     assert callers == {"_adjoin", "direct_product", "quotient_semigroup", "sub_semigroup",
-                       "_rees_semigroup", "from_transformations"}
+                       "semigroup", "from_transformations"}
     assert len(built) > 1500 and built[-1].size == 256
     for s in built:
         _assert_rebuilds(s)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sgt import core, green
 from sgt.core import (RangeError, Transformation, classify, direct_product, from_cayley,
                       from_transformations)
 from sgt.green import green_data, maximal_subgroups
@@ -79,7 +80,7 @@ def _rees_inputs(draw):
 def test_rees_table_matches_the_triple_product(case):
     gt, i_size, j_size, p, with_zero = case
     r = rees_structure(from_cayley(len(gt), gt), i_size, j_size, p, with_zero)
-    assert list(map(list, r.table)) == oracles.brute_rees_table(*case)
+    assert list(map(list, r.semigroup.table)) == oracles.brute_rees_table(*case)
 
 
 def test_rees_structure_validation():
@@ -306,14 +307,42 @@ def test_hand_built_rees_structure_checks_its_group():
         dataclasses.replace(r, group=chain(2))
 
 
-def test_rees_table_is_derived_once_and_is_no_field():
+def test_rees_semigroup_is_derived_once_and_is_no_field():
     r = rees_structure(cyclic(2), 2, 1, [[0, 1]], with_zero=False)
-    assert "table" not in [f.name for f in dataclasses.fields(ReesStructure)]
-    assert r.table is r.table and rees_construct(r).table == r.table
+    assert "semigroup" not in [f.name for f in dataclasses.fields(ReesStructure)]
+    assert r.semigroup is r.semigroup and rees_construct(r).table == r.semigroup.table
     twin = rees_structure(cyclic(2), 2, 1, [[0, 1]], with_zero=False)
-    # twin has built no table yet; the group's own table is in both reprs
-    assert repr(r.table) not in repr(r) and repr(r) == repr(twin)
+    # twin has built no semigroup yet; the group's own table is in both reprs
+    assert repr(r.semigroup.table) not in repr(r) and repr(r) == repr(twin)
     assert r == twin and hash(r) == hash(twin)
+
+
+def test_rees_construct_returns_the_structures_own_semigroup():
+    r = rees_structure(cyclic(3), 2, 2, [[0, 1], [2, 0]], with_zero=False)
+    assert rees_construct(r) is rees_construct(r) is r.semigroup
+    assert [f.name for f in dataclasses.fields(ReesStructure)] == [
+        "group", "p_matrix", "with_zero"]
+
+
+def test_a_rees_round_trip_finds_each_generating_set_once(monkeypatch):
+    """rees_coordinates checks its map with the structure's own semigroup, so
+    rees_construct(struct) reuses that semigroup and its generators: an op
+    finds at most two generating sets on average, s's and struct's."""
+    groups = (trivial(), cyclic(2), cyclic(3))
+    calls = []
+    greedy = core._greedy_generators
+    monkeypatch.setattr(core, "_greedy_generators",
+                        lambda rows: calls.append(1) or greedy(rows))
+    classify.cache_clear()  # so that no op is spared a search by a cache hit
+    green.green_data.cache_clear()
+    ops = 0
+    for g in groups:  # criterion 8's first structure of each stratum
+        for isz, jsz in itertools.product((1, 2, 3), repeat=2):
+            r = rees_structure(g, isz, jsz, [[0] * isz] * jsz, with_zero=False)
+            struct, _ = rees_coordinates(rees_construct(r))
+            rees_construct(struct)
+            ops += 1
+    assert 0 < len(calls) <= 2 * ops
 
 
 def test_hand_built_rees_structure_stores_int_entries():
