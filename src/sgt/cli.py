@@ -43,16 +43,14 @@ class ParseError(ValueError):
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
-    """(line_number, stripped line) for every non-blank, non-comment line.
-    A reader splits a line only when it reads it, so the tokens of one row
-    at a time are alive, not those of the whole file."""
+    """A reader splits a line only when it reads it, so the tokens of one
+    row at a time are alive, not those of the whole file."""
     return [(num, line) for num, line in enumerate(map(str.strip, text.splitlines()), start=1)
             if line and not line.startswith("#")]
 
 
 def _ints(tokens, where, dash: bool = False) -> list:
-    """Every token as an int, and "-" as ZERO when dash.  The first bad token
-    is named with `where`: a file line number (ParseError) or an option."""
+    """`where` is a file line number (ParseError) or an option name."""
     out = []
     for t in tokens:
         try:
@@ -66,8 +64,6 @@ def _ints(tokens, where, dash: bool = False) -> list:
 
 
 def _counts(tokens, num: int) -> list[int]:
-    """Header tokens as ints, each at least 1; the first smaller one is
-    named with the header's line number."""
     values = _ints(tokens, num)
     for t, v in zip(tokens, values):
         if v < 1:
@@ -184,9 +180,8 @@ def _rees_text(r: ReesStructure) -> str:
 
 
 def _d_classes(gd: GreenData) -> list[tuple[int, list[list[tuple[int, bool]]]]]:
-    """(d, grid) per D-class in id order, the one walk behind both egg-box
-    views.  The grid has a row per R-class and a column per L-class, by class
-    id, and each cell, an H-class, gives its size and whether it is a group."""
+    """The one walk behind both egg-box views: per D-class, its H-classes'
+    (size, is a group) in a grid of R-class rows and L-class columns."""
     cells: dict[int, dict[tuple[int, int], list[int]]] = {}
     for x in range(len(gd.h_class)):
         cells.setdefault(gd.d_class[x], {}).setdefault(
@@ -219,7 +214,6 @@ def _egg_box_grid(d_classes) -> str:
 
 
 def _label(m):
-    """A multiplier for output: the formal identity is written "1"."""
     return "1" if m is FORMAL_IDENTITY else m
 
 
@@ -321,7 +315,6 @@ def _cmd_rees(args, s, r):
         if r is None:
             raise _UsageError("--construct needs rees-format input")
         return {"size": s.size, "table": [list(row) for row in s.table]}, [_cayley_text(s)]
-    # --to-coordinates
     struct, mapping = rees_coordinates(s)
     payload = {"group_size": struct.group.size, "i_size": struct.i_size,
                "j_size": struct.j_size,
@@ -358,8 +351,7 @@ def _report_json(rep) -> dict:
 
 
 def _congruence_arg(s: FiniteSemigroup, pairs: str | None, option: str, default):
-    """The right congruence generated by a pairs option, or default(s) when
-    the option is not given.  An empty option is the empty pair set."""
+    """An empty option is the empty pair set, not a missing one."""
     return default(s) if pairs is None else rc_generate(s, parse_pairs(pairs, s, option))
 
 

@@ -66,8 +66,7 @@ def pair_set(s: FiniteSemigroup, pairs: PairSet | Iterable[tuple[int, int]]) -> 
 
 
 def _congruence_on(table, rho: RightCongruence, what: str = "rho") -> RightCongruence:
-    """rho itself when its parent has this product table, else RangeError;
-    only for a congruence that a second value must match."""
+    """Only for a congruence that a second value must match."""
     if rho.parent.table != table:
         raise RangeError(f"{what} is a congruence of another semigroup")
     return rho
@@ -126,7 +125,6 @@ def _canonical_classes(keys) -> tuple[int, ...]:
 
 
 def _class_lists(class_of, count: int) -> list[list[int]]:
-    """The members of each of the count classes of a canonical class map."""
     out: list[list[int]] = [[] for _ in range(count)]
     for x, c in enumerate(class_of):
         out[c].append(x)
@@ -178,7 +176,6 @@ def universal_congruence(s: FiniteSemigroup) -> RightCongruence:
 
 
 def _find(parent: list[int], a: int) -> int:
-    """The root of a in a union-find forest, halving the path on the way."""
     while parent[a] != a:
         parent[a] = parent[parent[a]]
         a = parent[a]
@@ -186,10 +183,8 @@ def _find(parent: list[int], a: int) -> int:
 
 
 def _merge(parent: list[int], links: Iterable[tuple[int, int]]) -> list[int]:
-    """The union-find forest parent, with each link (f, x) merged in place
-    and nothing translated: the join, as equivalences, of what the links
-    relate.  It merges _close's closed partitions, each component of
-    _principals, and Green's R and L into D."""
+    """The join, as equivalences, of what the links relate: each link (f, x)
+    is merged into the forest in place, and nothing is translated."""
     for f, x in links:
         rx, rf = _find(parent, x), _find(parent, f)
         if rx != rf:
@@ -198,7 +193,6 @@ def _merge(parent: list[int], links: Iterable[tuple[int, int]]) -> list[int]:
 
 
 def _forest_classes(parent: list[int]) -> tuple[int, ...]:
-    """The canonical class map of a union-find forest."""
     return _canonical_classes([_find(parent, x) for x in range(len(parent))])
 
 
@@ -282,8 +276,7 @@ def _sequence_edges(s: FiniteSemigroup, x: PairSet):
 
 
 def _distances(adj, src: int) -> list[int]:
-    """Breadth-first step counts from src over _sequence_edges adjacency,
-    -1 where unreachable; the one BFS behind sequences and the diameter."""
+    """The one BFS behind sequences and the diameter; -1 where unreachable."""
     dist = [-1] * len(adj)
     dist[src] = 0
     frontier = deque([src])
@@ -413,16 +406,17 @@ def _relabelled(rho: RightCongruence, root: list[int]) -> RightCongruence:
                     class_of=tuple(map(relabel.__getitem__, rho.class_of)))
 
 
-def _sccs(n: int, succ):
-    """The strongly connected components of the graph on range(n) whose
-    node v has successors succ(v), each yielded as a list of its nodes,
-    successors first: an edge leaving a component enters one yielded
-    before it.  Tarjan's algorithm (1972), with a stack of successor
-    iterators in place of recursion."""
+def _sccs(n: int, succ) -> list[int]:
+    """The component number of each node of the graph on range(n) whose
+    node v has successors succ(v), numbered successors first: an edge that
+    leaves a component enters one with a lower number.  Tarjan's algorithm
+    (1972), with a stack of successor iterators in place of recursion; a
+    node's low-link becomes its component number once its component is
+    done."""
     order = [0] * n  # depth-first number from 1, 0 while unvisited
     low = [0] * n
     path = []  # visited nodes not yet in a component, in order of visit
-    visited = 0
+    visited = done = 0
     for root in range(n):
         if order[root]:
             continue
@@ -449,11 +443,12 @@ def _sccs(n: int, succ):
                     k = len(path) - 1
                     while path[k] != v:
                         k -= 1
-                    component = path[k:]
-                    del path[k:]
-                    for w in component:
+                    for w in path[k:]:
                         order[w] = n + 1  # above every low-link from now on
-                    yield component
+                        low[w] = done
+                    del path[k:]
+                    done += 1
+    return low
 
 
 def _principals(s: FiniteSemigroup,
@@ -461,7 +456,7 @@ def _principals(s: FiniteSemigroup,
     """The distinct principal right (or two-sided) congruences <(a, b)>,
     each with its first pair a < b, in lexicographic order of those pairs,
     from the pair graph of enumerate_right_congruences (with the edges
-    {x, y} -> {gx, gy} too when two_sided).  _sccs yields the components
+    {x, y} -> {gx, gy} too when two_sided).  _sccs numbers the components
     successors first, so the components that one reaches in an edge are
     built before it."""
     n = s.size
@@ -476,7 +471,8 @@ def _principals(s: FiniteSemigroup,
              for m in moves if (u := m[x]) != (w := m[y])] for x, y in pairs]
     principal: dict[tuple[int, ...], RightCongruence] = {}  # the distinct ones, by class map
     rho_of: list[RightCongruence | None] = [None] * len(pairs)  # each node's, once built
-    components = list(_sccs(len(pairs), succ.__getitem__))
+    component = _sccs(len(pairs), succ.__getitem__)
+    components = _class_lists(component, max(component, default=-1) + 1)
     for members in components:
         # a successor outside the component is in one built before it
         reached = {id(r): r for v in members for w in succ[v] if (r := rho_of[w]) is not None}

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .congruence import (FORMAL_IDENTITY, _canonical_classes, _forest_classes,
-                         _member_links, _merge, times)
+                         _member_links, _merge, _sccs, times)
 from .core import (FiniteSemigroup, InternalAssertFailure, _index, classify,
                    from_cayley, sub_semigroup)
 
@@ -23,42 +23,29 @@ class GreenData:
         return [x for x, c in enumerate(self.h_class) if c == h]
 
 
-def _principal_masks(rows) -> list[int]:
-    """Bitmask of {a} and the a-th row's entries, for each a: aS^1 over the
-    table's rows, S^1a over its columns."""
-    masks = []
-    for a, row in enumerate(rows):
-        m = 1 << a
-        for v in row:
-            m |= 1 << v
-        masks.append(m)
-    return masks
-
-
 @lru_cache(maxsize=256)
 def green_data(s: FiniteSemigroup) -> GreenData:
-    """Compute R, L, H, D and J as canonical class maps; asserts D = J."""
+    """Compute R, L, H, D and J as canonical class maps; asserts D = J.
+
+    R, L and J are the strongly connected components of the right Cayley
+    graph x -> x*g over s.generators, of the left one x -> g*x and of both
+    (Froidure and Pin, "Algorithms for computing finite semigroups", 1997):
+    x reaches y in them iff y is in xS^1, S^1x or S^1xS^1.  _sccs numbers
+    the components successors first; _canonical_classes renumbers them by
+    first occurrence.  H labels the pairs (R, L), and D = R v L is joined
+    apart from J, so that D = J is a real check."""
     n = s.size
     table = s.table
-    columns = list(zip(*table))
-    rmask = _principal_masks(table)
-    lmask = _principal_masks(columns)
-    r_class = _canonical_classes(rmask)
-    l_class = _canonical_classes(lmask)
+    gens = s.generators
+    right = [[row[g] for g in gens] for row in table]
+    left = list(zip(*[table[g] for g in gens]))  # g*x for each g, by x
+    both = [[*r, *l] for r, l in zip(right, left)]
+    r_class = _canonical_classes(_sccs(n, right.__getitem__))
+    l_class = _canonical_classes(_sccs(n, left.__getitem__))
+    j_class = _canonical_classes(_sccs(n, both.__getitem__))
     h_class = _canonical_classes(zip(r_class, l_class))
-
-    # D = R v L, the join of the two as equivalences
     d_class = _forest_classes(_merge(list(range(n)),
                                      _member_links(r_class) + _member_links(l_class)))
-
-    # S^1aS^1 is aS^1 together with xS^1 for every x in Sa
-    jmask = []
-    for a, column in enumerate(columns):
-        m = rmask[a]
-        for x in column:
-            m |= rmask[x]
-        jmask.append(m)
-    j_class = _canonical_classes(jmask)
     if d_class != j_class:
         raise InternalAssertFailure("D != J on a finite semigroup")
 

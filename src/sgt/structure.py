@@ -7,10 +7,10 @@ from functools import cached_property
 from itertools import chain
 
 from .core import (FiniteSemigroup, InternalAssertFailure, RangeError, _derived,
-                   _hom_failure, _index, classify, sub_semigroup)
+                   _hom_failure, _index, _trusted, classify, sub_semigroup)
 from .congruence import (RightCongruence, _class_lists, _incompatible,
                          quotient_semigroup, right_congruence)
-from .green import _principal_masks, green_data
+from .green import green_data
 
 
 class InvalidGroup(ValueError):
@@ -164,7 +164,11 @@ def rees_coordinates(s: FiniteSemigroup) -> tuple[ReesStructure, tuple[int, ...]
 
     Returns the structure and the element map from constructed indices to
     s, checked to be a bijective homomorphism.  P is normalized so its first
-    row and column are the group identity where nonzero.
+    row and column are the group identity where nonzero.  The structure is
+    built unchecked (`core._trusted`): classify found s completely
+    (0-)simple, so H_e, an H-class that holds the idempotent e, is a group;
+    the inverse check below has run; and each entry is a g_index value, or
+    ZERO only with a zero.
     """
     flags = classify(s)
     if not (flags.completely_simple or flags.completely_zero_simple):
@@ -203,9 +207,10 @@ def rees_coordinates(s: FiniteSemigroup) -> tuple[ReesStructure, tuple[int, ...]
         x = table[q[0]][ri]
         if x in inverse:
             rr[i] = table[ri][inverse[x]]
-    p = [[g_index.get(table[qj][ri], ZERO) for ri in rr] for qj in q]
+    p = tuple(tuple([g_index.get(table[qj][ri], ZERO) for ri in rr]) for qj in q)
 
-    struct = ReesStructure(group=sub_semigroup(s, h), p_matrix=p, with_zero=with_zero)
+    struct = _trusted(ReesStructure, group=sub_semigroup(s, h), p_matrix=p,
+                      with_zero=with_zero)
     mapping = tuple([table[table[ri][g]][qj] for ri in rr for g in h for qj in q]
                     + ([s.zero] if with_zero else []))
     if sorted(mapping) != list(range(s.size)):
@@ -279,7 +284,7 @@ def archimedean_decomposition(s: FiniteSemigroup) -> Decomposition:
     if not classify(s).commutative:
         raise NotCommutative("archimedean decomposition needs a commutative semigroup")
     n = s.size
-    rmask = _principal_masks(s.table)
+    rmask = [sum(1 << v for v in {a, *row}) for a, row in enumerate(s.table)]  # aS^1
     powmask = []  # the powers a, a^2, ..., a^n of each a, as a bitmask
     for a in range(n):
         m, p = 0, a

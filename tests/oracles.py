@@ -293,15 +293,14 @@ def brute_diameter(s, pairs):
     return worst
 
 
-def brute_j_classes(s):
-    """Class map of Green's J: a J b iff S^1aS^1 = S^1bS^1, the ideals built as sets."""
+def principal_ideal_classes(s):
+    """Class maps of Green's R, L and J: a R b iff aS^1 = bS^1, a L b iff
+    S^1a = S^1b, a J b iff S^1aS^1 = S^1bS^1, each ideal built as a set."""
     n = s.size
-
-    def ideal(a):
-        left = {a} | {s.table[x][a] for x in range(n)}
-        return frozenset(left | {s.table[y][x] for y in left for x in range(n)})
-
-    return canonical(ideal(a) for a in range(n))
+    right = [frozenset({a, *s.table[a]}) for a in range(n)]
+    left = [frozenset({a} | {s.table[x][a] for x in range(n)}) for a in range(n)]
+    both = [frozenset().union(*(right[x] for x in left[a])) for a in range(n)]
+    return canonical(right), canonical(left), canonical(both)
 
 
 def brute_classify(s):
@@ -327,11 +326,8 @@ def brute_classify(s):
             power = {t[a][b] for a in power for b in range(n)}
             nilpotent = nilpotent or power == set(zero)
 
-    right = [frozenset({a} | set(t[a])) for a in range(n)]
-    left = [frozenset({a} | {t[x][a] for x in range(n)}) for a in range(n)]
-    r_class, l_class = canonical(right), canonical(left)
+    r_class, l_class, j_class = principal_ideal_classes(s)
     h_class = canonical(zip(r_class, l_class))
-    j_class = brute_j_classes(s)
     completely_regular = all(h_class[x] == h_class[t[x][x]] for x in range(n))
     simple = len(set(j_class)) == 1
 

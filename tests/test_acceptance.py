@@ -311,6 +311,19 @@ def test_criterion_13_t3_replays(monkeypatch):
     _run(13, "every construction replays on T3", 10, check)
 
 
+def _in_own_interpreter(function: str) -> dict:
+    """The JSON result of this module's function, run in a fresh interpreter."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trace.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, test_acceptance as a; "
+                               f"print(json.dumps(a.{function}()))"],
+        cwd=tests, env={**os.environ, "PYTHONPATH": os.pathsep.join([tests, src])},
+        capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
 def _build_t5() -> dict:
     """Build T5 and check it; with the build's time and the process's peak
     RSS right after the build, before the check draws its sample, so that
@@ -331,15 +344,7 @@ def _build_t5() -> dict:
 
 def test_criterion_14_t5_from_transformations():
     def check():
-        tests = os.path.dirname(os.path.abspath(__file__))
-        src = os.path.dirname(os.path.dirname(os.path.abspath(trace.__file__)))
-        out = subprocess.run(
-            [sys.executable, "-c", "import json, test_acceptance as a; "
-                                   "print(json.dumps(a._build_t5()))"],
-            cwd=tests, env={**os.environ, "PYTHONPATH": os.pathsep.join([tests, src])},
-            capture_output=True, text=True, timeout=60)
-        assert out.returncode == 0, out.stderr
-        got = json.loads(out.stdout)
+        got = _in_own_interpreter("_build_t5")
         # |T5| = 5^5, and sum_k C(5, k) k^(5-k) of its elements are idempotent
         assert (got["size"], got["idempotents"]) == (3125, 196)
         assert got["identity_row"] and got["nonassociative"] is None
@@ -347,3 +352,33 @@ def test_criterion_14_t5_from_transformations():
               f"peak RSS {got['peak_rss_mb']:.0f} MB (target 250 MB)")
 
     _run(14, "T5 from its generators: 3,125 elements, identity, associative sample", 10, check)
+
+
+def _green_t5() -> dict:
+    """Build T5, then take its Green data; with the time green_data takes
+    and the rise of the process's peak RSS over the build's, so that
+    criterion 15 reads them in an interpreter of their own."""
+    t5 = _full_transformation_monoid(5, T5_GENS)
+    built_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    t0 = time.perf_counter()
+    gd = green_data(t5)
+    seconds = time.perf_counter() - t0
+    rise_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 - built_rss_mb
+    counts = {name: len(set(getattr(gd, f"{name}_class"))) for name in "rlhdj"}
+    return {"seconds": seconds, "rss_rise_mb": rise_mb, "counts": counts,
+            "group_h_classes": len(gd.group_h_classes)}
+
+
+def test_criterion_15_t5_green_data():
+    def check():
+        got = _in_own_interpreter("_green_t5")
+        # kernels (Bell(5)), images (2^5 - 1), their pairs sum_k S(5, k) C(5, k),
+        # ranks, and one group H-class per idempotent
+        assert got["counts"] == {"r": 52, "l": 31, "h": 456, "d": 5, "j": 5}, got["counts"]
+        assert got["group_h_classes"] == 196
+        assert got["seconds"] < 0.5, f"green_data(T5) took {got['seconds']:.2f} s"
+        assert got["rss_rise_mb"] < 10, f"peak RSS rose {got['rss_rise_mb']:.1f} MB"
+        print(f"T5: green_data in {got['seconds']:.3f} s (budget 0.5 s), "
+              f"peak RSS +{got['rss_rise_mb']:.1f} MB over the build (budget 10 MB)")
+
+    _run(15, "Green data of T5: 52 R-, 31 L-, 456 H-classes, 5 D = J", 10, check)

@@ -1,14 +1,19 @@
 import random
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from sgt.congruence import FORMAL_IDENTITY, times
-from sgt.core import FiniteSemigroup, RangeError, classify, from_cayley
+from sgt.core import (FiniteSemigroup, RangeError, Transformation, classify, from_cayley,
+                      from_transformations)
 from sgt.green import green_data, maximal_subgroups, schutzenberger
 from sgt.library import chain, cyclic, rectangular_band, right_zero, t2
+from sgt.structure import ZERO, rees_construct, rees_structure
 
 
 def _classes_as_sets(class_of):
@@ -72,6 +77,46 @@ def test_d_equals_j_via_independent_two_sided_ideals(lib):
         gd = green_data(s)
         assert gd.j_class == oracles.canonical(masks)
         assert gd.d_class == gd.j_class
+
+
+@st.composite
+def _transformation_semigroups(draw):
+    degree = draw(st.integers(1, 4))
+    image = st.lists(st.integers(0, degree - 1), min_size=degree, max_size=degree)
+    gens = draw(st.lists(image, min_size=1, max_size=3))
+    return from_transformations(degree, [Transformation(degree, g) for g in gens])
+
+
+@st.composite
+def _rees_semigroups(draw):
+    """A relabelled Rees matrix semigroup over Z1, Z2 or Z3, with or without
+    a zero, its P regular or not."""
+    g = cyclic(draw(st.integers(1, 3)))
+    with_zero = draw(st.booleans())
+    isz, jsz = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.sampled_from([*range(g.size), *([ZERO] if with_zero else [])])
+    p = draw(st.lists(st.lists(entry, min_size=isz, max_size=isz),
+                      min_size=jsz, max_size=jsz))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a P that is not regular
+        s = rees_construct(rees_structure(g, isz, jsz, p, with_zero))
+    return oracles.relabelled(s, draw(st.permutations(range(s.size))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_transformation_semigroups() | _rees_semigroups())
+def test_r_l_and_j_are_the_principal_ideal_classes(s):
+    gd = green_data(s)
+    assert (gd.r_class, gd.l_class, gd.j_class) == oracles.principal_ideal_classes(s)
+
+
+def test_t4_r_l_and_j_are_the_principal_ideal_classes():
+    gens = ((1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3))
+    t4 = from_transformations(4, [Transformation(4, g) for g in gens])
+    gd = green_data(t4)
+    assert (gd.r_class, gd.l_class, gd.j_class) == oracles.principal_ideal_classes(t4)
+    assert [len(set(c)) for c in (gd.r_class, gd.l_class, gd.h_class, gd.j_class)] == [
+        15, 15, 71, 4]
 
 
 def test_schutzenberger_of_group_h_class():

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -22,7 +22,8 @@ from sgt.core import (AssociativityViolation, FiniteSemigroup, RangeError, Trans
                       from_transformations, rees_quotient, sub_semigroup,
                       subsemigroup_closure)
 from sgt.library import cyclic, library, trivial
-from sgt.structure import ZERO, rees_construct, rees_coordinates, rees_structure
+from sgt.structure import (ZERO, ReesStructure, rees_construct, rees_coordinates,
+                           rees_structure)
 from sgt.verify import (ideal_subsemigroup, ideals_with_identity, sweep,
                         two_sided_congruences)
 
@@ -317,6 +318,22 @@ def _sub_semigroups(data):
 def test_a_derived_semigroup_equals_its_checked_rebuild(builder, data):
     for s in builder(data):
         _assert_rebuilds(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_coordinate_structure_rebuilds_unchanged_through_its_constructor(data):
+    """rees_coordinates builds its structure unchecked, on a relabelled
+    completely (0-)simple semigroup."""
+    s = _rees_semigroups(data)[0]
+    s = oracles.relabelled(s, data.draw(st.permutations(range(s.size))))
+    flags = classify(s)
+    assume(flags.completely_simple or flags.completely_zero_simple)
+    struct, _ = rees_coordinates(s)
+    ref = ReesStructure(group=struct.group, p_matrix=struct.p_matrix, with_zero=struct.with_zero)
+    assert (struct.group.table, struct.p_matrix, struct.with_zero) == (
+        ref.group.table, ref.p_matrix, ref.with_zero)
+    assert type(struct.p_matrix) is tuple and all(type(row) is tuple for row in struct.p_matrix)
 
 
 @pytest.mark.parametrize("rows, error", [
