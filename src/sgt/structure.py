@@ -101,6 +101,13 @@ class ReesStructure:
             labels.append("0")
         return _derived(table, labels)
 
+    @cached_property
+    def _completely_simple(self) -> bool:
+        """Whether semigroup is completely simple, or completely 0-simple with
+        a zero, by classify; rees_coordinates presets it (see there)."""
+        flags = classify(self.semigroup)
+        return flags.completely_zero_simple if self.with_zero else flags.completely_simple
+
     def triple_count(self) -> int:
         return self.i_size * self.group.size * self.j_size
 
@@ -128,18 +135,16 @@ def rees_structure(group: FiniteSemigroup, i_size: int, j_size: int,
 
 def rees_construct(r: ReesStructure) -> FiniteSemigroup:
     """r.semigroup, checked to be completely (0-)simple when P is regular;
-    otherwise a warning is issued and the check is skipped."""
-    s = r.semigroup
-    if r.is_regular():
-        flags = classify(s)
-        want = flags.completely_zero_simple if r.with_zero else flags.completely_simple
-        if not want:
-            raise InternalAssertFailure("regular sandwich matrix did not yield a "
-                                        "completely (0-)simple semigroup")
-    else:
+    otherwise a warning is issued and the check is skipped.  The check reads
+    r's fact, which classify decides on first read unless rees_coordinates
+    preset it."""
+    if not r.is_regular():
         warnings.warn("sandwich matrix is not regular; classification not checked",
                       stacklevel=2)
-    return s
+    elif not r._completely_simple:
+        raise InternalAssertFailure("regular sandwich matrix did not yield a "
+                                    "completely (0-)simple semigroup")
+    return r.semigroup
 
 
 def theta_congruence(r: ReesStructure
@@ -168,7 +173,12 @@ def rees_coordinates(s: FiniteSemigroup) -> tuple[ReesStructure, tuple[int, ...]
     built unchecked (`core._trusted`): classify found s completely
     (0-)simple, so H_e, an H-class that holds the idempotent e, is a group;
     the inverse check below has run; and each entry is a g_index value, or
-    ZERO only with a zero.
+    ZERO only with a zero.  The homomorphism check runs over the preimages
+    of s.generators: phi(a*t) == phi(a)*phi(t) for every a and preimage t
+    makes, by induction on word length, every element of s the image of a
+    product of preimages, so for a bijection they generate the source.  The
+    structure's semigroup is then isomorphic to s, so the fact that it is
+    completely (0-)simple is preset, not classified again.
     """
     flags = classify(s)
     if not (flags.completely_simple or flags.completely_zero_simple):
@@ -216,9 +226,10 @@ def rees_coordinates(s: FiniteSemigroup) -> tuple[ReesStructure, tuple[int, ...]
     if sorted(mapping) != list(range(s.size)):
         raise InternalAssertFailure("coordinate map is not a bijection")
     # the Rees product is associative (Howie 1995, §3.2), so generators suffice
-    rs = struct.semigroup
-    if _hom_failure(rs.table, table, mapping, rs.generators) is not None:
+    if _hom_failure(struct.semigroup.table, table, mapping,
+                    [mapping.index(g) for g in s.generators]) is not None:
         raise InternalAssertFailure("coordinate map is not a homomorphism")
+    struct.__dict__["_completely_simple"] = True  # frozen; isomorphic to s
     return struct, mapping
 
 

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from sgt import green
 from sgt.congruence import FORMAL_IDENTITY, times
-from sgt.core import (FiniteSemigroup, RangeError, Transformation, classify, from_cayley,
-                      from_transformations)
+from sgt.core import (FiniteSemigroup, InternalAssertFailure, RangeError, Transformation,
+                      classify, from_cayley, from_transformations)
 from sgt.green import green_data, maximal_subgroups, schutzenberger
 from sgt.library import chain, cyclic, rectangular_band, right_zero, t2
 from sgt.structure import ZERO, rees_construct, rees_structure
@@ -101,6 +102,19 @@ def _rees_semigroups(draw):
         warnings.simplefilter("ignore")  # a P that is not regular
         s = rees_construct(rees_structure(g, isz, jsz, p, with_zero))
     return oracles.relabelled(s, draw(st.permutations(range(s.size))))
+
+
+@pytest.mark.parametrize("s", [
+    rectangular_band(2, 2),
+    from_transformations(3, [Transformation(3, g) for g in ((1, 2, 0), (1, 0, 2), (0, 0, 2))]),
+], ids=["rb22", "T3"])
+def test_a_d_relation_computed_too_fine_fails_the_d_equals_j_check(monkeypatch, s):
+    """D is joined apart from J, so a D that misses the joins of R and L
+    raises instead of passing for J."""
+    monkeypatch.setattr(green, "_merge", lambda parent, links: parent)  # no joins
+    green_data.cache_clear()
+    with pytest.raises(InternalAssertFailure, match="D != J"):
+        green_data(s)
 
 
 @settings(max_examples=150, deadline=None)

@@ -324,7 +324,8 @@ def test_a_derived_semigroup_equals_its_checked_rebuild(builder, data):
 @given(st.data())
 def test_every_coordinate_structure_rebuilds_unchanged_through_its_constructor(data):
     """rees_coordinates builds its structure unchecked, on a relabelled
-    completely (0-)simple semigroup."""
+    completely (0-)simple semigroup, and presets that its semigroup is
+    completely (0-)simple, which classify finds on the rebuilt structure."""
     s = _rees_semigroups(data)[0]
     s = oracles.relabelled(s, data.draw(st.permutations(range(s.size))))
     flags = classify(s)
@@ -333,6 +334,9 @@ def test_every_coordinate_structure_rebuilds_unchanged_through_its_constructor(d
     ref = ReesStructure(group=struct.group, p_matrix=struct.p_matrix, with_zero=struct.with_zero)
     assert (struct.group.table, struct.p_matrix, struct.with_zero) == (
         ref.group.table, ref.p_matrix, ref.with_zero)
+    ref_flags = classify(ref.semigroup)
+    assert vars(struct)["_completely_simple"] is (
+        ref_flags.completely_zero_simple if ref.with_zero else ref_flags.completely_simple)
     assert type(struct.p_matrix) is tuple and all(type(row) is tuple for row in struct.p_matrix)
 
 

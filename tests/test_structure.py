@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 import oracles
 from sgt import core, green, structure
-from sgt.core import (RangeError, Transformation, classify, direct_product, from_cayley,
-                      from_transformations)
+from sgt.core import (InternalAssertFailure, RangeError, Transformation, classify,
+                      direct_product, from_cayley, from_transformations)
 from sgt.green import green_data, maximal_subgroups
 from sgt.library import library
 from sgt.library import chain, cyclic, left_zero, nilpotent_n3, rectangular_band, right_zero, t2, trivial
-from sgt.structure import (InvalidGroup, MismatchedInput, NotCommutative,
+from sgt.structure import (ZERO, InvalidGroup, MismatchedInput, NotCommutative,
                            NotCompletelyRegular, NotCompletelySimple,
                            RaggedMatrix, ReesStructure, archimedean_decomposition,
                            completeness_check, cr_decomposition,
@@ -330,7 +330,7 @@ def _round_trips_with_cold_caches():
     spared work by a cache hit; yields after each op."""
     classify.cache_clear()
     green.green_data.cache_clear()
-    for g in (trivial(), cyclic(2), cyclic(3)):
+    for g in _GROUPS[:3]:  # trivial, Z2 and Z3, built before any op
         for isz, jsz in itertools.product((1, 2, 3), repeat=2):
             r = rees_structure(g, isz, jsz, [[0] * isz] * jsz, with_zero=False)
             struct, _ = rees_coordinates(rees_construct(r))
@@ -339,26 +339,60 @@ def _round_trips_with_cold_caches():
 
 
 def test_a_rees_round_trip_finds_each_generating_set_once(monkeypatch):
-    """rees_coordinates checks its map with the structure's own semigroup, so
-    rees_construct(struct) reuses that semigroup and its generators: an op
-    finds at most two generating sets on average, s's and struct's."""
+    """rees_coordinates checks its map over the preimages of s's generators,
+    which classify(s) found, and rees_construct(struct) reuses the structure's
+    own semigroup without classifying it: an op finds at most one generating
+    set on average, s's."""
     calls = []
     greedy = core._greedy_generators
     monkeypatch.setattr(core, "_greedy_generators",
                         lambda rows: calls.append(1) or greedy(rows))
     ops = sum(1 for _ in _round_trips_with_cold_caches())
-    assert 0 < len(calls) <= 2 * ops
+    assert 0 < len(calls) <= ops
 
 
 def test_a_rees_round_trip_does_not_classify_its_maximal_subgroup(monkeypatch):
     """rees_coordinates builds its structure unchecked: classify found s
-    completely simple, so H_e is a group.  An op classifies the group, s
-    twice and the rebuilt semigroup, and nothing else."""
+    completely simple, so H_e is a group, and the structure's semigroup is
+    isomorphic to s, so rees_construct(struct) need not classify it.  An op
+    classifies the group and s twice, and nothing else."""
     calls = []
     monkeypatch.setattr(structure, "classify", lambda s: calls.append(s) or classify(s))
     for _ in _round_trips_with_cold_caches():
-        assert len(calls) == 4
+        assert len(calls) == 3
         calls.clear()
+
+
+@pytest.mark.parametrize("with_zero", [False, True])
+def test_only_rees_coordinates_presets_that_its_semigroup_is_completely_simple(
+        monkeypatch, with_zero):
+    """A structure from rees_structure, the constructor or dataclasses.replace
+    classifies its semigroup when rees_construct checks it."""
+    calls = []
+    monkeypatch.setattr(structure, "classify", lambda s: calls.append(s) or classify(s))
+    p = [[0, ZERO], [1, 0]] if with_zero else [[0, 1], [1, 0]]
+    struct, _ = rees_coordinates(rees_construct(rees_structure(cyclic(2), 2, 2, p, with_zero)))
+    for r in (rees_structure(struct.group, struct.i_size, struct.j_size, struct.p_matrix,
+                             with_zero),
+              ReesStructure(group=struct.group, p_matrix=struct.p_matrix, with_zero=with_zero),
+              dataclasses.replace(struct)):
+        assert "_completely_simple" not in vars(r)
+        calls.clear()
+        assert rees_construct(r).table == struct.semigroup.table
+        assert calls == [r.semigroup] and r._completely_simple
+    calls.clear()
+    assert vars(struct)["_completely_simple"] and rees_construct(struct) is struct.semigroup
+    assert calls == []
+
+
+def test_a_regular_hand_built_structure_that_classify_rejects_still_raises(monkeypatch):
+    not_simple = dataclasses.replace(classify(trivial()), completely_simple=False,
+                                     completely_zero_simple=False)
+    r = ReesStructure(group=cyclic(2), p_matrix=((0, 1), (1, 0)), with_zero=False)
+    monkeypatch.setattr(structure, "classify",
+                        lambda s: not_simple if s is r.semigroup else classify(s))
+    with pytest.raises(InternalAssertFailure, match="completely \\(0-\\)simple"):
+        rees_construct(r)
 
 
 def test_hand_built_rees_structure_stores_int_entries():

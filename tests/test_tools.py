@@ -9,8 +9,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _tool(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+def _tool(name, folder="tools"):
+    spec = importlib.util.spec_from_file_location(name, ROOT / folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -82,3 +82,20 @@ def test_src_imports_only_the_standard_library_and_sgt():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names or top == "sgt", (path.name, name)
+
+
+def test_the_benchmark_tracer_finds_every_function_and_cache_it_reports():
+    """A traced run reports each per-layer metric that BENCHMARK.json names
+    only while every wrapped name resolves in sgt and every cached one keeps
+    its lru_cache."""
+    tracer = _tool("tracer", "bench")
+    traced = tracer.Tracer()
+    assert list(traced.originals) == list(tracer.NAMES)
+    for name in tracer.CACHED:
+        assert callable(traced.originals[name].cache_info), name
+    for metric in SPEC["per_layer"]:
+        function, _, kind = metric["name"].rpartition(".")
+        if kind in ("calls", "self_s"):
+            assert function in tracer.NAMES, metric["name"]
+        elif kind == "cache_hit_ratio":
+            assert function in tracer.CACHED, metric["name"]
