@@ -505,7 +505,8 @@ def run(argv=None) -> int:
     """Read the input once (verify --sweep reads none), run the verb's
     handler, and print the payload it returns as JSON, or its lines as text.
     Exit codes: 0 success, 1 usage/parse/precondition error, 2 the payload's
-    "passed" or "all_passed" is false, 3 an internal check failed (a bug).
+    "passed" or "all_passed" is false, 3 an internal check failed (a bug),
+    4 the run ran out of memory (MemoryError, printed as one error line).
     Warnings print as "warning:" lines after the output, and not at all
     after an error.  With --stats, a run without an error ends stderr with
     the counts of sgt.trace as one JSON object, keys sorted."""
@@ -527,6 +528,9 @@ def run(argv=None) -> int:
         except InternalAssertFailure as exc:
             print(f"error: internal: {exc}", file=sys.stderr)
             return 3
+        except MemoryError:  # what held the memory is freed as the error unwinds
+            print("error: out of memory", file=sys.stderr)
+            return 4
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     if stats is not None:

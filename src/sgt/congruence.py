@@ -377,15 +377,17 @@ def join(rho: RightCongruence, sigma: RightCongruence) -> RightCongruence:
     by sigma's links.  When nothing merges, the join is rho itself.
     """
     sigma = _congruence_on(rho.parent.table, sigma, "sigma")
-    return _relabelled(rho, _merged_labels(rho, sigma))
+    return _relabelled(rho, _merged_labels(rho.class_of, rho.index, sigma._links))
 
 
-def _merged_labels(rho: RightCongruence, sigma: RightCongruence) -> list[int]:
-    """For each class label of rho, the least label that sigma's links
-    (first member, member) merge it with, by a union-find over rho's labels."""
-    cls = rho.class_of
-    root = list(range(rho.index))
-    for f, x in sigma._links:
+def _merged_labels(cls, count: int, links: Iterable[tuple[int, int]]) -> list[int]:
+    """For each of the count labels of a class map cls, the least label
+    that the links, pairs of elements, merge it with: the join of cls and
+    the equivalence the links generate, by a union-find over the labels,
+    not the elements.  join passes rho's class map and sigma's member
+    links, green_data R's class map and L's member links."""
+    root = list(range(count))
+    for f, x in links:
         rf, rx = _find(root, cls[f]), _find(root, cls[x])
         if rf < rx:
             root[rx] = rf
@@ -530,7 +532,7 @@ def _principal_closure(s: FiniteSemigroup, two_sided: bool = False,
                     skipped += 1  # rho v sigma_i relates pair k as well
                 else:
                     tried += 1
-                    root = _merged_labels(rho, sigma)
+                    root = _merged_labels(cls, rho.index, sigma._links)
                     k = next((k for k, c, d in earlier if root[c] == root[d]), None)
                     if k is None:
                         found.append(_relabelled(rho, root))
@@ -582,7 +584,9 @@ def enumerate_right_congruences(s: FiniteSemigroup,
 
     Congruences are ordered by decreasing index, then by class map.
     Raises CapExceeded as soon as the count passes the cap, which must be
-    None or a non-negative int (RangeError otherwise).
+    None or a non-negative int (RangeError otherwise).  The cap bounds the
+    count of congruences, not memory: it is first tested after the pair
+    graph, n(n - 1)/2 nodes, is built.
     """
     if cap is not None:
         cap = _index(cap, "cap")

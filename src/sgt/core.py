@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import operator
+import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -61,7 +63,8 @@ class FiniteSemigroup:
 
     # The fields hold what the caller gives; every fact derived from them is
     # a cached_property, made on first read and kept out of equality, hashing
-    # and repr.  The same holds for sgt's other frozen dataclasses.
+    # and repr.  The same holds for sgt's other frozen dataclasses.  A
+    # derived table's labels may be made on first read too (`_derived`).
     table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None = field(default=None, compare=False)
 
@@ -122,6 +125,33 @@ class FiniteSemigroup:
             return self.labels[x]
         return str(x)
 
+    def __getstate__(self):
+        """The instance's __dict__, with labels made first: a copy or a
+        pickle then holds the tuple, not a share of a one-shot recipe."""
+        self.labels
+        return self.__dict__
+
+
+_labels_lock = threading.RLock()  # reentrant: a recipe may read another's labels
+
+
+class _LabelsOnFirstRead:
+    """FiniteSemigroup.labels where `_derived` was given an iterator: the
+    iterator is kept unread, as a recipe, and made into the tuple of str on
+    first read.  A non-data descriptor, so it runs only while the instance's
+    __dict__ holds no labels, which every other build sets at once."""
+
+    def __get__(self, s, owner=None):
+        if s is None:
+            return None  # the field's default
+        with _labels_lock:  # a recipe is read once, even by two threads
+            if "labels" not in s.__dict__:
+                s.__dict__["labels"] = tuple(map(str, s.__dict__.pop("_label_recipe")))
+        return s.__dict__["labels"]
+
+
+FiniteSemigroup.labels = _LabelsOnFirstRead()
+
 
 @dataclass(frozen=True)
 class Transformation:
@@ -150,11 +180,20 @@ def _trusted(cls, **fields):
 
 def _derived(rows, labels: Iterable[str] | None) -> FiniteSemigroup:
     """The semigroup of a table that `_trusted`'s rule makes valid, counted
-    apart from the checked ones; README lists these builders."""
+    apart from the checked ones; README lists these builders.
+
+    Labels given as an iterator are kept unread and made on first read of
+    `labels`, so a caller that never reads them never formats them; None or
+    a collection is stored as the tuple now.  The iterator must not reach
+    the value it labels, or anything that holds that value: the value would
+    then sit in a reference cycle, freed only by the cyclic collector."""
     if trace.enabled:
         trace.counts["core.semigroups.derived"] += 1
-    return _trusted(FiniteSemigroup, table=tuple(map(tuple, rows)),
-                    labels=None if labels is None else tuple(map(str, labels)))
+    if isinstance(labels, Iterator):
+        fields = {"_label_recipe": labels}
+    else:
+        fields = {"labels": None if labels is None else tuple(map(str, labels))}
+    return _trusted(FiniteSemigroup, table=tuple(map(tuple, rows)), **fields)
 
 
 def _identity(rows) -> int | None:

@@ -4,8 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .congruence import (FORMAL_IDENTITY, _canonical_classes, _forest_classes,
-                         _member_links, _merge, _sccs, times)
+from .congruence import (FORMAL_IDENTITY, _canonical_classes, _member_links,
+                         _merged_labels, _sccs, times)
 from .core import (FiniteSemigroup, InternalAssertFailure, _index, classify,
                    from_cayley, sub_semigroup)
 
@@ -32,8 +32,9 @@ def green_data(s: FiniteSemigroup) -> GreenData:
     (Froidure and Pin, "Algorithms for computing finite semigroups", 1997):
     x reaches y in them iff y is in xS^1, S^1x or S^1xS^1.  _sccs numbers
     the components successors first; _canonical_classes renumbers them by
-    first occurrence.  H labels the pairs (R, L), and D = R v L is joined
-    apart from J, so that D = J is a real check."""
+    first occurrence.  H labels the pairs (R, L), and D = R v L is R's
+    labels merged by L's member links, the lattice's join
+    (congruence._merged_labels), apart from J, so that D = J is a real check."""
     n = s.size
     table = s.table
     gens = s.generators
@@ -44,8 +45,8 @@ def green_data(s: FiniteSemigroup) -> GreenData:
     l_class = _canonical_classes(_sccs(n, left.__getitem__))
     j_class = _canonical_classes(_sccs(n, both.__getitem__))
     h_class = _canonical_classes(zip(r_class, l_class))
-    d_class = _forest_classes(_merge(list(range(n)),
-                                     _member_links(r_class) + _member_links(l_class)))
+    root = _merged_labels(r_class, max(r_class) + 1, _member_links(l_class))
+    d_class = _canonical_classes(map(root.__getitem__, r_class))
     if d_class != j_class:
         raise InternalAssertFailure("D != J on a finite semigroup")
 

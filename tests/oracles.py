@@ -138,6 +138,27 @@ def brute_rees_table(group_table, i_size, j_size, p, with_zero):
     return rows + [[zero] * (zero + 1)] * with_zero
 
 
+def brute_rees(group, i_size, j_size, p, with_zero):
+    """The matrix semigroup's table, by brute_rees_table, and its labels
+    "(i,g,j)" over the group's labels, triples in lexicographic order, then
+    "0" for the zero; both made at once."""
+    labels = [f"({i},{group.label(g)},{j})" for i, g, j in
+              itertools.product(range(i_size), range(group.size), range(j_size))]
+    return (brute_rees_table(group.table, i_size, j_size, p, with_zero),
+            labels + ["0"] * with_zero)
+
+
+def brute_diagonal_cyclic_witness(s):
+    """First (a, b) whose right orbit {(a*t, b*t)} is all of S x S, by a scan
+    of every pair."""
+    n = s.size
+    for a in range(n):
+        for b in range(n):
+            if len({(s.table[a][t], s.table[b][t]) for t in range(n)}) == n * n:
+                return (a, b)
+    return None
+
+
 def brute_closure(s, seed):
     """Smallest superset of seed closed under products, by squaring until stable."""
     members = set(seed)

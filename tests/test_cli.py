@@ -740,3 +740,22 @@ def test_stats_count_the_rows_read_with_int(tmp_path, capsys):
     assert run(["info", "-i", str(path), "--stats"]) == 0
     stats = json.loads(capsys.readouterr().err)
     assert stats["cli.parse.fallback_rows"] == 1
+
+
+def test_running_out_of_memory_is_one_error_line_not_a_traceback(tmp_path):
+    """congruences --max 5 on cyclic(1500) builds a pair graph of 1.1 million
+    nodes before the cap is tested; under a 250 MB address space it runs out
+    of memory.  The limit is set in the child only."""
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "c1500.sg"
+    path.write_text(_cayley_text(cyclic(1500)))
+    cap = 250 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(sgt.__file__).resolve().parent.parent)}
+    out = subprocess.run([sys.executable, "-m", "sgt.cli", "congruences", "--max", "5",
+                          "-i", str(path)], env=env, preexec_fn=limit,
+                         capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stdout, out.stderr) == (4, "", "error: out of memory\n")

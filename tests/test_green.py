@@ -111,7 +111,8 @@ def _rees_semigroups(draw):
 def test_a_d_relation_computed_too_fine_fails_the_d_equals_j_check(monkeypatch, s):
     """D is joined apart from J, so a D that misses the joins of R and L
     raises instead of passing for J."""
-    monkeypatch.setattr(green, "_merge", lambda parent, links: parent)  # no joins
+    # the shared label join merges nothing: D comes out as R
+    monkeypatch.setattr(green, "_merged_labels", lambda cls, count, links: list(range(count)))
     green_data.cache_clear()
     with pytest.raises(InternalAssertFailure, match="D != J"):
         green_data(s)
@@ -122,6 +123,14 @@ def test_a_d_relation_computed_too_fine_fails_the_d_equals_j_check(monkeypatch, 
 def test_r_l_and_j_are_the_principal_ideal_classes(s):
     gd = green_data(s)
     assert (gd.r_class, gd.l_class, gd.j_class) == oracles.principal_ideal_classes(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_transformation_semigroups() | _rees_semigroups())
+def test_d_is_the_element_level_join_of_r_and_l(s):
+    """D is R's labels merged by L's links; the oracle merges elements."""
+    gd = green_data(s)
+    assert gd.d_class == oracles.partition_join(gd.r_class, gd.l_class)
 
 
 def test_t4_r_l_and_j_are_the_principal_ideal_classes():

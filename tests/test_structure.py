@@ -1,6 +1,13 @@
+import copy
 import dataclasses
+import gc
 import itertools
+import pickle
+import random
 import re
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -227,6 +234,121 @@ def test_rees_coordinates_pinned_over_s3(p, with_zero, p_out, mapping_out, label
     assert struct.group.labels == labels_out
     assert struct.group.identity != 0  # e is not min(H_e)
     assert oracles.is_isomorphism(rees_construct(struct), s, mapping)
+
+
+def _rees_cases():
+    """Trivial, Z2 and Z3 with |I|, |J| <= 3, with and without a zero, three
+    sandwich matrices each (one all zero where a zero is allowed)."""
+    rng = random.Random(36)
+    for g, isz, jsz, with_zero in itertools.product(
+            _GROUPS[:3], (1, 2, 3), (1, 2, 3), (False, True)):
+        entries = [*range(g.size), *([ZERO] if with_zero else [])]
+        for k in range(3):
+            p = [[rng.choice(entries) if k or not with_zero else ZERO
+                  for _ in range(isz)] for _ in range(jsz)]
+            yield g, isz, jsz, p, with_zero
+
+
+def _assert_rees_matches_the_eager_oracle(g, isz, jsz, p, with_zero, read_labels_first):
+    table, labels = oracles.brute_rees(g, isz, jsz, p, with_zero)
+    s = rees_structure(g, isz, jsz, p, with_zero).semigroup
+    if read_labels_first:
+        assert s.labels == tuple(labels)
+    assert list(map(list, s.table)) == table
+    assert s.labels == tuple(labels) and type(s.labels) is tuple
+    assert all(type(x) is str for x in s.labels)
+    assert [s.label(x) for x in range(s.size)] == labels
+
+
+@pytest.mark.parametrize("read_labels_first", [False, True])
+def test_rees_table_and_labels_match_the_eager_oracle(read_labels_first):
+    for case in _rees_cases():
+        _assert_rees_matches_the_eager_oracle(*case, read_labels_first)
+
+
+@pytest.mark.parametrize("isz, jsz", [(64, 2), (2, 64)])
+def test_a_large_rees_table_matches_the_eager_oracle(isz, jsz):
+    rng = random.Random(isz)
+    p = [[rng.choice([0, 1, 2, ZERO]) for _ in range(isz)] for _ in range(jsz)]
+    _assert_rees_matches_the_eager_oracle(cyclic(3), isz, jsz, p, True, False)
+
+
+@pytest.mark.parametrize("p, with_zero", [(p, z) for p, z, *_ in S3_PINS])
+def test_rees_table_and_labels_over_s3_match_the_eager_oracle(p, with_zero):
+    _assert_rees_matches_the_eager_oracle(_s3(), len(p[0]), len(p), p, with_zero, False)
+
+
+def test_rees_coordinates_group_labels_are_those_of_the_maximal_subgroup():
+    """struct.group is s on H_e, in s's order, labelled as in s: its labels
+    are made on first read, after the round trip."""
+    for g, isz, jsz, p, with_zero in itertools.islice(_rees_cases(), 0, None, 5):
+        if with_zero and all(v is ZERO for row in p for v in row):
+            continue  # not completely 0-simple
+        r = rees_structure(g, isz, jsz, p, with_zero)
+        if not r.is_regular():
+            continue
+        s = rees_construct(r)
+        struct, _ = rees_coordinates(s)
+        gd = green_data(s)
+        e = min(x for x in range(s.size - with_zero) if s.table[x][x] == x)  # the zero last
+        assert struct.group.labels == tuple(map(s.label, gd.h_members(gd.h_class[e])))
+
+
+def test_a_rees_round_trip_leaves_no_reference_cycle():
+    """The label recipes hold the group and the sizes, not the structure, so
+    reference counting alone frees a round trip's structure and semigroup."""
+    gc.collect()
+    gc.disable()
+    try:
+        s = rees_construct(rees_structure(cyclic(3), 3, 3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+                                          with_zero=False))
+        struct, _ = rees_coordinates(s)
+        rebuilt = rees_construct(struct)
+        refs = [weakref.ref(struct), weakref.ref(rebuilt)]
+        del struct, rebuilt
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_unread_labels_survive_a_copy_and_a_pickle():
+    """A copy made before the labels are read holds them, not a share of the
+    one-shot recipe."""
+    r = rees_structure(cyclic(2), 2, 1, [[0, 1]], with_zero=False)
+    expected = oracles.brute_rees(r.group, 2, 1, [[0, 1]], False)[1]
+    s = r.semigroup
+    assert "labels" not in vars(s)
+    twin, clone = copy.copy(s), pickle.loads(pickle.dumps(s))
+    assert s.labels == twin.labels == clone.labels == tuple(expected)
+    assert s == twin == clone
+
+
+def test_threads_that_read_unread_labels_at_once_all_get_them():
+    """A recipe is one-shot; the lock makes it run once, so no reader gets a
+    share of it.  Four threads on a two-core host start their reads
+    together and switch often."""
+    p = [[0] * 8] * 8
+    expected = tuple(oracles.brute_rees(cyclic(3), 8, 8, p, False)[1])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            s = rees_structure(cyclic(3), 8, 8, p, with_zero=False).semigroup
+            start, seen = threading.Barrier(4), []
+
+            def read():
+                start.wait(timeout=10)
+                seen.append(s.labels)
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10)
+            assert not any(th.is_alive() for th in threads)
+            assert seen == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_rees_coordinates_orders_classes_by_first_occurrence_in_s():
@@ -608,3 +730,17 @@ def test_diagonal_cyclic_witness(lib):
     for name, s in lib.items():
         if s.size >= 2:
             assert diagonal_cyclic_witness(s) is None, name
+
+
+def test_diagonal_cyclic_witness_agrees_with_the_scan_on_the_library(lib):
+    for name, s in lib.items():
+        assert diagonal_cyclic_witness(s) == oracles.brute_diagonal_cyclic_witness(s), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda degree: st.lists(
+    st.lists(st.integers(0, degree - 1), min_size=degree, max_size=degree),
+    min_size=1, max_size=3).map(lambda gens: from_transformations(
+        degree, [Transformation(degree, g) for g in gens]))))
+def test_diagonal_cyclic_witness_agrees_with_the_scan_on_random_tables(s):
+    assert diagonal_cyclic_witness(s) == oracles.brute_diagonal_cyclic_witness(s)
