@@ -198,7 +198,8 @@ def _forest_classes(parent: list[int]) -> tuple[int, ...]:
 
 def _close(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]] = (),
            closed: Iterable[tuple[int, ...]] = (),
-           two_sided: bool = False) -> RightCongruence:
+           two_sided: bool = False,
+           within: RightCongruence | None = None) -> RightCongruence:
     """Union-find saturation: the least right (or two-sided) congruence
     containing the pairs and the partitions in `closed`.
 
@@ -210,31 +211,47 @@ def _close(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]] = (),
     every union then relates its translates by each generator, so by
     transitivity every pair of the result does, and by induction on word
     length so do its translates by every element of S.
+
+    A caller that knows a congruence `within` of the kind built, which
+    relates every pair and holds every partition in `closed`, may pass it.
+    Every union then relates translates of pairs of within, so the
+    partition refines within all along, and equals it once it has
+    within.index classes: the saturation stops there and returns within
+    itself.  A result that is not within is a strictly finer congruence.
     """
     if trace.enabled:
         trace.counts["congruence.close.calls"] += 1
     n = s.size
     table = s.table
     parent = _merge(list(range(n)), itertools.chain.from_iterable(map(_member_links, closed)))
+    # the unions still to make before the partition is within; without within
+    # it starts at -1 and only falls, so it never reaches 0
+    need = -1 if within is None else sum(p == x for x, p in enumerate(parent)) - within.index
     queue = []
 
     def union(a, b):
+        nonlocal need
         ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[rb] = ra
             queue.append((a, b))
+            need -= 1
 
     for a, b in pairs:
         union(a, b)
     gens = s.generators
     left = [table[g] for g in gens] if two_sided else []
-    while queue:
+    while queue and need:
         a, b = queue.pop()
         row_a, row_b = table[a], table[b]
         for g in gens:
             union(row_a[g], row_b[g])
         for row in left:
             union(row[a], row[b])
+    if not need:
+        if trace.enabled:
+            trace.counts["congruence.close.stopped"] += 1
+        return within
     return _trusted(RightCongruence, parent=s, class_of=_forest_classes(parent))
 
 
@@ -511,7 +528,7 @@ def _principal_closure(s: FiniteSemigroup, two_sided: bool = False,
         cls = sigma.class_of
         below = [tau.class_of for c, d, tau in principal
                  if tau.index > sigma.index and cls[c] == cls[d]]
-        if not below or _close(s, closed=below).class_of != cls:
+        if not below or _close(s, closed=below, within=sigma) is not sigma:
             irreducible.append((a, b, sigma))
     found = [identity_congruence(s)]
     stack = [(found[0], 0, {})]
@@ -633,7 +650,7 @@ def _search_generating_pairs(rho: RightCongruence,
         return [], True
     if len(candidates) <= exact_limit:
         for k in range(1, len(candidates) + 1):
-            combo = _first_combination(s, candidates, rho.class_of, 0, identity_congruence(s), k)
+            combo = _first_combination(s, candidates, rho, 0, identity_congruence(s), k)
             if combo is not None:
                 return combo, True
         raise InternalAssertFailure("within-class pairs must generate their congruence")
@@ -654,21 +671,23 @@ def _search_generating_pairs(rho: RightCongruence,
     return chosen, False
 
 
-def _first_combination(s: FiniteSemigroup, candidates, target, start: int,
+def _first_combination(s: FiniteSemigroup, candidates, target: RightCongruence, start: int,
                        prefix: RightCongruence, k: int) -> list[tuple[int, int]] | None:
     """The first k-combination of candidates[start:], in lexicographic order,
-    that closes onto prefix to the class map target, else None, walked depth
-    first.  A pair that the prefix already relates is skipped with all its
-    extensions: they close like a smaller combination, and every smaller
-    one has failed."""
+    that closes onto prefix to target, else None, walked depth first.  The
+    candidates are target's within-class pairs, so every closure refines
+    target and _close returns target itself once it is reached.  A pair
+    that the prefix already relates is skipped with all its extensions:
+    they close like a smaller combination, and every smaller one has
+    failed."""
     if k == 0:
-        return [] if prefix.class_of == target else None
+        return [] if prefix is target else None
     cls = prefix.class_of
     for i in range(start, len(candidates) - k + 1):
         a, b = candidates[i]
         if cls[a] != cls[b]:
             rest = _first_combination(s, candidates, target, i + 1,
-                                      _close(s, [(a, b)], closed=(cls,)), k - 1)
+                                      _close(s, [(a, b)], closed=(cls,), within=target), k - 1)
             if rest is not None:
                 return [(a, b), *rest]
     return None

@@ -425,11 +425,15 @@ def _restricted_table(s: FiniteSemigroup, members: Sequence[int]) -> tuple[tuple
 def sub_semigroup(s: FiniteSemigroup, members: Sequence[int]) -> FiniteSemigroup:
     """Restrict the table to a multiplicatively closed subset (given order);
     RangeError for a bad or repeated member.  _restricted_table checks the
-    closure, and a closed subset of a semigroup is one, so it is not checked."""
+    closure, and a closed subset of a semigroup is one, so it is not checked.
+    The member labels are copied now when s holds its own, so the result
+    keeps no reference to s; only a parent whose labels are still unread
+    passes them on as a recipe, which holds s until they are read."""
     members = [_index(v, "member", s.size) for v in members]
     if len(set(members)) != len(members):
         raise RangeError(f"members must be distinct, got {members}")
-    return _derived(_restricted_table(s, members), map(s.label, members))
+    labels = [s.label(m) for m in members] if "labels" in s.__dict__ else map(s.label, members)
+    return _derived(_restricted_table(s, members), labels)
 
 
 def subsemigroup_closure(s: FiniteSemigroup, seed: Iterable[int]) -> tuple[int, ...]:

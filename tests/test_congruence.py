@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sgt import congruence
+from sgt import congruence, trace
 from sgt.congruence import _congruence_on, _incompatible
 from sgt.congruence import (CapExceeded, Disconnected, NotTwoSided, PairSet,
                             RightCongruence, enumerate_right_congruences, find_x_sequence,
@@ -746,6 +746,35 @@ def test_join_matches_partition_join_up_to_nine_elements(s, data):
     assert oracles.is_right_compatible(s, joined.class_of)
     if two_sided:
         assert oracles.is_left_compatible(s, joined.class_of)
+
+
+@_PROPERTY
+@given(_SMALL_TABLES, st.data())
+def test_a_closure_within_a_congruence_stops_exactly_at_it(s, data):
+    # the pairs lie in rho, and so does the partition tau in closed, so the
+    # closure refines rho: it is rho itself exactly when it has rho's classes
+    lattice = enumerate_right_congruences(s).congruences
+    rho = data.draw(st.sampled_from(lattice), label="rho")
+    inside = within_class_pairs(rho)
+    pairs = data.draw(st.lists(st.sampled_from(inside), max_size=4) if inside
+                      else st.just([]), label="pairs")
+    tau = data.draw(st.sampled_from([t for t in lattice if _refines(t, rho)]), label="tau")
+    for closed, extra in (((), []), ((tau.class_of,), within_class_pairs(tau))):
+        stopped = congruence._close(s, pairs, closed=closed, within=rho)
+        generated = rc_generate(s, pairs + extra)
+        assert (stopped is rho) == (generated.class_of == rho.class_of)
+        assert stopped.class_of == generated.class_of
+
+
+def test_a_closure_within_counts_its_stops():
+    s = cyclic(4)
+    universal = universal_congruence(s)
+    with trace.counting() as counts:
+        assert congruence._close(s, [(0, 1)], within=universal) is universal
+        assert congruence._close(s, [(0, 2)], within=universal).class_of == (0, 1, 0, 1)
+        rc_generate(s, [(0, 1)])
+    assert counts["congruence.close.calls"] == 3
+    assert counts["congruence.close.stopped"] == 1
 
 
 @_PROPERTY

@@ -311,6 +311,40 @@ def test_a_rees_round_trip_leaves_no_reference_cycle():
         gc.enable()
 
 
+def _groups_with_members(s, call):
+    """(members, group) for each group that call builds on s; no group's
+    labels are read."""
+    if call == "maximal_subgroups":
+        return maximal_subgroups(s)
+    struct, _ = rees_coordinates(s)
+    gd = green_data(s)
+    e = min(x for x in range(s.size) if s.table[x][x] == x)
+    return [(gd.h_members(gd.h_class[e]), struct.group)]
+
+
+@pytest.mark.parametrize("labels", [None, [f"x{v}" for v in range(18)]], ids=["none", "named"])
+@pytest.mark.parametrize("call", ["maximal_subgroups", "rees_coordinates"])
+def test_a_sub_semigroup_of_a_parent_with_its_labels_does_not_keep_it(call, labels):
+    """sub_semigroup copies the member labels of a parent that holds its
+    own, so a from_cayley parent goes with its last reference, and the
+    groups keep the labels that the recipe would have made."""
+    table = rees_structure(cyclic(3), 3, 2, [[0, 1, 2], [2, 0, 1]], with_zero=False).semigroup.table
+    gc.collect()
+    gc.disable()
+    try:
+        s = from_cayley(len(table), table, labels=labels)
+        found = _groups_with_members(s, call)
+        expected = [tuple(map(s.label, members)) for members, _ in found]
+        classify.cache_clear()  # the caches hold s as a key
+        green.green_data.cache_clear()
+        ref = weakref.ref(s)
+        del s
+        assert ref() is None
+        assert [group.labels for _, group in found] == expected
+    finally:
+        gc.enable()
+
+
 def test_unread_labels_survive_a_copy_and_a_pickle():
     """A copy made before the labels are read holds them, not a share of the
     one-shot recipe."""

@@ -1,13 +1,15 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sgt import trace
-from sgt.congruence import (identity_congruence, join, minimal_generating_pairs,
+from sgt import trace, verify
+from sgt.congruence import (enumerate_right_congruences, identity_congruence, join,
+                            minimal_generating_pairs,
                             pair_set, quotient_semigroup, rc_generate,
                             right_congruence, universal_congruence, within_class_pairs)
 from sgt.core import (FiniteSemigroup, RangeError, Transformation, adjoin_identity,
@@ -37,6 +39,39 @@ def test_congruence_report_generates_the_built_pairs():
     assert rep.built_pairs.parent is s and rep.built_pairs.pairs == frozenset({(0, 1)})
     with pytest.raises(RangeError):
         pair_set(s, [(0, 3)])
+
+
+def _first_difference(p, q):
+    n = len(p)
+    return next(((a, b) for a in range(n) for b in range(a + 1, n)
+                 if (p[a] == p[b]) != (q[a] == q[b])), None)
+
+
+@pytest.mark.parametrize("name", ["z4", "rz3", "n3", "t2", "rb22"])
+def test_a_failing_report_carries_the_full_closure(lib, name):
+    # built pairs that miss a pair of expected stop short of it; pairs that
+    # leave expected are saturated in full: either way the report fails with
+    # the closure of the built pairs and their first pair that it splits
+    s = lib[name]
+    lattice = enumerate_right_congruences(s).congruences
+    cases = [(rho, sigma) for rho in lattice for sigma in lattice
+             if rho.class_of != sigma.class_of and oracles.partition_join(
+                 rho.class_of, sigma.class_of) in (rho.class_of, sigma.class_of)]
+    assert cases
+    for rho, sigma in cases:
+        built = within_class_pairs(rho)
+        rep = _congruence_report("extend", "", built, sigma)
+        assert not rep.passed and rep.computed is not sigma
+        assert rep.computed.class_of == oracles.brute_generated(s, built) == rho.class_of
+        assert rep.distinguishing_pair == _first_difference(sigma.class_of, rho.class_of)
+        assert rep.distinguishing_pair is not None
+
+
+def test_a_passing_report_computes_expected_itself():
+    s = cyclic(4)
+    expected = universal_congruence(s)
+    rep = _congruence_report("fg", "", [(0, 1)], expected)
+    assert rep.passed and rep.computed is expected and rep.distinguishing_pair is None
 
 
 Z2, Z6 = cyclic(2), cyclic(6)
@@ -377,6 +412,49 @@ def test_sweep_schutz_reports_equal_the_replay_called_alone(lib):
     assert len(swept) == len(alone) == 55
     for a, b in zip(swept, alone):
         assert [getattr(a, f) for f in names] == [getattr(b, f) for f in names], b.inputs
+
+
+def _sweep_counting_enumerations(monkeypatch, lib):
+    """sweep(lib=lib) with the tables that it enumerates, in call order."""
+    tables = []
+    enumerate_all = verify.enumerate_right_congruences
+
+    def counted(t, *args, **kwargs):
+        tables.append(t.table)
+        return enumerate_all(t, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "enumerate_right_congruences", counted)
+    return sweep(lib=lib), tables
+
+
+def _check_one_enumeration_per_table(reports, tables, counts):
+    assert len(tables) == len(set(tables))
+    # every table whose congruences a replay ran on, and only those
+    assert set(tables) == {r.expected.parent.table for r in reports if r.expected is not None}
+    assert all(r.passed for r in reports)
+    assert Counter(r.construction for r in reports) == counts
+
+
+def test_sweep_enumerates_each_distinct_table_once(monkeypatch, lib):
+    # quotients by the identity, ideals equal to S and products with the
+    # trivial monoid repeat tables: 124 enumerations were 35 distinct tables
+    reports, tables = _sweep_counting_enumerations(monkeypatch, lib)
+    assert len(tables) == 35
+    _check_one_enumeration_per_table(reports, tables, {
+        "dp": 276, "extend": 221, "quotient": 208, "fg": 76, "schutz": 55,
+        "lclass": 32, "ideal": 28})
+
+
+def test_t3_sweep_enumerates_each_distinct_table_once(monkeypatch):
+    # the input of acceptance criterion 13, with its report counts
+    for limit, value in (("SIZE_LIMIT", 27), ("SCHUTZ_LIMIT", 27), ("DP_LIMIT", 0)):
+        monkeypatch.setattr(verify, limit, value)
+    t3 = from_transformations(3, [Transformation(3, g)
+                                  for g in ((1, 2, 0), (1, 0, 2), (0, 0, 2))])
+    reports, tables = _sweep_counting_enumerations(monkeypatch, {"T3": t3})
+    _check_one_enumeration_per_table(reports, tables, {
+        "fg": 287, "extend": 5963, "quotient": 446, "ideal": 287, "schutz": 27,
+        "lclass": 2})
 
 
 def test_sweep_small_library_passes():
