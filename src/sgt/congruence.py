@@ -168,11 +168,11 @@ def right_congruence(s: FiniteSemigroup, class_of: Iterable) -> RightCongruence:
 
 
 def identity_congruence(s: FiniteSemigroup) -> RightCongruence:
-    return _trusted(RightCongruence, parent=s, class_of=tuple(range(s.size)))
+    return _trusted(RightCongruence, parent=s, class_of=tuple(range(s.size)), index=s.size)
 
 
 def universal_congruence(s: FiniteSemigroup) -> RightCongruence:
-    return _trusted(RightCongruence, parent=s, class_of=(0,) * s.size)
+    return _trusted(RightCongruence, parent=s, class_of=(0,) * s.size, index=1)
 
 
 def _find(parent: list[int], a: int) -> int:
@@ -224,35 +224,34 @@ def _close(s: FiniteSemigroup, pairs: Iterable[tuple[int, int]] = (),
     n = s.size
     table = s.table
     parent = _merge(list(range(n)), itertools.chain.from_iterable(map(_member_links, closed)))
-    # the unions still to make before the partition is within; without within
-    # it starts at -1 and only falls, so it never reaches 0
-    need = -1 if within is None else sum(p == x for x, p in enumerate(parent)) - within.index
+    index = sum(p == x for x, p in enumerate(parent))  # the classes so far
+    stop = 0 if within is None else within.index  # index >= 1 never reaches 0
     queue = []
 
     def union(a, b):
-        nonlocal need
+        nonlocal index
         ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[rb] = ra
             queue.append((a, b))
-            need -= 1
+            index -= 1
 
     for a, b in pairs:
         union(a, b)
     gens = s.generators
     left = [table[g] for g in gens] if two_sided else []
-    while queue and need:
+    while queue and index != stop:
         a, b = queue.pop()
         row_a, row_b = table[a], table[b]
         for g in gens:
             union(row_a[g], row_b[g])
         for row in left:
             union(row[a], row[b])
-    if not need:
+    if index == stop:
         if trace.enabled:
             trace.counts["congruence.close.stopped"] += 1
         return within
-    return _trusted(RightCongruence, parent=s, class_of=_forest_classes(parent))
+    return _trusted(RightCongruence, parent=s, class_of=_forest_classes(parent), index=index)
 
 
 def rc_generate(s: FiniteSemigroup, x: PairSet | Iterable[tuple[int, int]],
@@ -402,10 +401,18 @@ def _merged_labels(cls, count: int, links: Iterable[tuple[int, int]]) -> list[in
     that the links, pairs of elements, merge it with: the join of cls and
     the equivalence the links generate, by a union-find over the labels,
     not the elements.  join passes rho's class map and sigma's member
-    links, green_data R's class map and L's member links."""
+    links, green_data R's class map and L's member links, and the
+    irreducibility test the identity's class map and the member links of
+    the principals below sigma.  A link inside one label is skipped."""
     root = list(range(count))
     for f, x in links:
-        rf, rx = _find(root, cls[f]), _find(root, cls[x])
+        rf, rx = cls[f], cls[x]
+        if rf == rx:
+            continue
+        while root[rf] != rf:
+            rf = root[rf]
+        while root[rx] != rx:
+            rx = root[rx]
         if rf < rx:
             root[rx] = rf
         elif rx < rf:
@@ -419,10 +426,11 @@ def _relabelled(rho: RightCongruence, root: list[int]) -> RightCongruence:
     """rho with its labels merged to their roots: a root is its group's least
     label, the first in S, so numbering roots in order gives canonical labels."""
     relabel = _canonical_classes(root)
-    if relabel[-1] + 1 == rho.index:  # the last label keeps its number only if none merged
+    index = max(relabel) + 1
+    if index == rho.index:  # nothing merged
         return rho
     return _trusted(RightCongruence, parent=rho.parent,
-                    class_of=tuple(map(relabel.__getitem__, rho.class_of)))
+                    class_of=tuple(map(relabel.__getitem__, rho.class_of)), index=index)
 
 
 def _sccs(n: int, succ) -> list[int]:
@@ -499,7 +507,8 @@ def _principals(s: FiniteSemigroup,
         for r in reached.values():
             links += r._links
         cls = _forest_classes(_merge(list(range(n)), links))
-        rho = principal.setdefault(cls, _trusted(RightCongruence, parent=s, class_of=cls))
+        rho = principal.setdefault(cls, _trusted(RightCongruence, parent=s, class_of=cls,
+                                                 index=max(cls) + 1))
         for v in members:
             rho_of[v] = rho
     if trace.enabled:
@@ -515,27 +524,34 @@ def _principals(s: FiniteSemigroup,
 def _principal_closure(s: FiniteSemigroup, two_sided: bool = False,
                        cap: int | None = None) -> list[RightCongruence]:
     """All right (or two-sided) congruences, ordered by (-index, class_of),
-    by the close-by-one walk of enumerate_right_congruences.  A stack entry
-    (rho, start, witness) maps each i whose merge failed the canonicity test
-    at an ancestor to the earlier pair k that it related, so that rho skips
-    sigma_i unless it relates k."""
+    by the close-by-one walk of enumerate_right_congruences.  The walk holds
+    each congruence rho as (-index, class map) only.  A stack entry (rho,
+    start, witness) maps each i whose merge failed the canonicity test at an
+    ancestor to the earlier pair k that it related, so that rho skips
+    sigma_i unless it relates k.  After the walk the tuples are sorted and
+    each becomes a RightCongruence, unchecked and with its index: it is a
+    join of principal congruences, each closed, and so closed itself."""
     principal = _principals(s, two_sided)
     if cap is not None and 1 + len(principal) > cap:  # the identity and the principals
         raise CapExceeded(cap + 1)
-    # the principals strictly below sigma: those of larger index whose pair sigma relates
+    n = s.size
+    identity = tuple(range(n))
     irreducible = []
     for a, b, sigma in principal:
+        # the links of the principals strictly below sigma: those of larger
+        # index whose pair sigma relates; their join misses (a, b) exactly
+        # when it is not sigma = <(a, b)>
         cls = sigma.class_of
-        below = [tau.class_of for c, d, tau in principal
-                 if tau.index > sigma.index and cls[c] == cls[d]]
-        if not below or _close(s, closed=below, within=sigma) is not sigma:
+        below = [link for c, d, tau in principal if tau.index > sigma.index and cls[c] == cls[d]
+                 for link in tau._links]
+        root = _merged_labels(identity, n, below)
+        if root[a] != root[b]:
             irreducible.append((a, b, sigma))
-    found = [identity_congruence(s)]
+    found = [(-n, identity)]  # (-index, class map): the identity, then each kept join
     stack = [(found[0], 0, {})]
     tried = skipped = 0  # label merges made, and skipped on a witness
     while stack:
-        rho, start, inherited = stack.pop()
-        cls = rho.class_of
+        (neg_index, cls), start, inherited = stack.pop()
         # i -> k < i: a pair that rho v sigma_i relates; rho's children share
         # it, and each copies it when popped, after rho's loop has filled it
         witness = dict(inherited)
@@ -549,10 +565,12 @@ def _principal_closure(s: FiniteSemigroup, two_sided: bool = False,
                     skipped += 1  # rho v sigma_i relates pair k as well
                 else:
                     tried += 1
-                    root = _merged_labels(cls, rho.index, sigma._links)
+                    root = _merged_labels(cls, -neg_index, sigma._links)
                     k = next((k for k, c, d in earlier if root[c] == root[d]), None)
                     if k is None:
-                        found.append(_relabelled(rho, root))
+                        # a root is its group's least label, so roots in order are canonical
+                        relabel = _canonical_classes(root)
+                        found.append((-1 - max(relabel), tuple(map(relabel.__getitem__, cls))))
                         if cap is not None and len(found) > cap:
                             raise CapExceeded(len(found))
                         stack.append((found[-1], i + 1, witness))
@@ -563,7 +581,9 @@ def _principal_closure(s: FiniteSemigroup, two_sided: bool = False,
         trace.counts.update({"congruence.walk.merges_tried": tried,
                              "congruence.walk.merges_skipped": skipped,
                              "congruence.walk.merges_kept": len(found) - 1})
-    return sorted(found, key=lambda r: (-r.index, r.class_of))
+    found.sort()
+    return [_trusted(RightCongruence, parent=s, class_of=cls, index=-neg_index)
+            for neg_index, cls in found]
 
 
 def enumerate_right_congruences(s: FiniteSemigroup,
@@ -583,7 +603,9 @@ def enumerate_right_congruences(s: FiniteSemigroup,
     a join of join-irreducible ones, and those are principal here, so only
     the join-irreducible principals sigma_i are kept, each with its first
     pair (a_i, b_i), in order of those pairs: a principal is dropped when
-    the principal ones strictly below it join to it.  Let C(rho) be the
+    the principal ones strictly below it join to it, that is, when their
+    member links, merged over the identity's labels, relate its first
+    pair.  Let C(rho) be the
     set of i with rho relating (a_i, b_i), that is, sigma_i <= rho.  As
     rho is the join of the sigma_i below it, rho -> C(rho) is injective,
     onto the sets closed under X -> C(join of the sigma_i, i in X).  The
@@ -593,7 +615,9 @@ def enumerate_right_congruences(s: FiniteSemigroup,
     is kept, and walked on as (j, i + 1), only when C(j) adds no index
     below i to C(rho).  Each join merges classes of two closed partitions
     and re-saturates nothing, and the test reads the merged labels before
-    a class map is built.  A failed test is passed down to the descendants
+    a class map is built.  The walk holds class maps and class counts
+    only; each RightCongruence is built once, after the walk, with its
+    index set.  A failed test is passed down to the descendants
     (fast close-by-one, Outrata and Vychodil 2012): when
     C(join(rho, sigma_i)) holds some k < i not in C(rho), every rho' >= rho
     has k in C(join(rho', sigma_i)), so a descendant rho' with k not in

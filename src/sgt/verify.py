@@ -127,7 +127,8 @@ def _implied(s: FiniteSemigroup, keys) -> RightCongruence:
     """The right congruence of s with these class keys, numbered by first
     occurrence and not checked again: only for a map that a check made
     earlier in the same call makes right compatible."""
-    return _trusted(RightCongruence, parent=s, class_of=_canonical_classes(keys))
+    cls = _canonical_classes(keys)
+    return _trusted(RightCongruence, parent=s, class_of=cls, index=max(cls) + 1)
 
 
 def _l_congruence(s: FiniteSemigroup) -> RightCongruence:
@@ -171,7 +172,14 @@ def verify_dp_gens(m: FiniteSemigroup, n: FiniteSemigroup, rho: RightCongruence,
     """
     if m.identity is None or n.identity is None:
         raise NotMonoids("both factors must be monoids")
-    rho = _congruence_on(_product_table(m, n), rho)  # compared, not rebuilt
+    return _dp_report(m, n, _product_table(m, n), rho, inputs)
+
+
+def _dp_report(m: FiniteSemigroup, n: FiniteSemigroup, table, rho: RightCongruence,
+               inputs: str) -> VerificationReport:
+    """verify_dp_gens on monoids m and n, whose product's table the caller
+    holds: sweep() passes its direct_product's, so no call rebuilds it."""
+    rho = _congruence_on(table, rho)  # compared, not rebuilt
 
     def idx(a, b):
         return a * n.size + b
@@ -414,6 +422,5 @@ def sweep(lib: dict[str, FiniteSemigroup] | None = None) -> list[VerificationRep
         for nb, n2 in monoids:
             p = direct_product(m, n2)
             for k, rho in enumerate(lattice_of(p)):
-                reports.append(verify_dp_gens(m, n2, rho,
-                                              inputs=f"{na}x{nb} rho#{k}"))
+                reports.append(_dp_report(m, n2, p.table, rho, inputs=f"{na}x{nb} rho#{k}"))
     return reports

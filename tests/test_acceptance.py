@@ -286,7 +286,7 @@ def test_criterion_12_large_tables():
         # function of its own
         assert all(len(set(zip(finer.class_of, coarser.class_of))) == finer.index
                    for finer, coarser in zip(chain, chain[1:]))
-        # one pass over the pair graph; only the irreducibility test closes
+        # one pass over the pair graph, and no closure
         assert counts["congruence.pair_graph.nodes"] == 256 * 255 // 2
         assert counts["congruence.principals"] == 10
         assert counts["congruence.close.calls"] < counts["congruence.principals"]

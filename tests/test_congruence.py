@@ -749,6 +749,22 @@ def test_join_matches_partition_join_up_to_nine_elements(s, data):
 
 
 @_PROPERTY
+@given(st.data())
+def test_merged_labels_are_the_partition_join(data):
+    # any two partitions, not only congruences; cls's own member links lie
+    # inside one label each, and so do other's wherever other refines cls
+    n = data.draw(st.integers(1, 9), label="n")
+    cls, other = (oracles.canonical(data.draw(st.lists(st.integers(0, n - 1), min_size=n,
+                                                       max_size=n), label=name))
+                  for name in ("cls", "other"))
+    links = congruence._member_links(other) + congruence._member_links(cls)
+    links = data.draw(st.permutations(links), label="links")
+    root = congruence._merged_labels(cls, max(cls) + 1, links)
+    assert all(root[root[c]] == root[c] <= c for c in range(len(root)))  # each group's least
+    assert oracles.canonical([root[c] for c in cls]) == oracles.partition_join(cls, other)
+
+
+@_PROPERTY
 @given(_SMALL_TABLES, st.data())
 def test_a_closure_within_a_congruence_stops_exactly_at_it(s, data):
     # the pairs lie in rho, and so does the partition tau in closed, so the

@@ -171,11 +171,14 @@ def test_every_pullback_along_a_checked_homomorphism_is_a_right_congruence(s, da
 
 def test_every_trusted_value_rebuilds_unchanged_through_its_constructor(monkeypatch):
     built = []
+    preset = []  # each right congruence with the index it was built with
     callers = set()  # the functions that asked for them, and their callers
 
     def recording(cls, **fields):
         value = trusted(cls, **fields)
         built.append(value)
+        if cls is RightCongruence:  # read now, before any read of index could fill it
+            preset.append((value, vars(value).get("index")))
         caller = sys._getframe(1)
         callers.update((caller.f_code.co_name, caller.f_back.f_code.co_name))
         return value
@@ -184,18 +187,29 @@ def test_every_trusted_value_rebuilds_unchanged_through_its_constructor(monkeypa
     for module in (congruence, verify):
         monkeypatch.setattr(module, "_trusted", recording)
     sweep()  # every replay, and minimal_generating_pairs' memo hits and misses
+    returned = []
     for s in [*library().values(), T3]:
-        enumerate_right_congruences(s)
-        two_sided_congruences(s)
+        lattice = enumerate_right_congruences(s).congruences
+        returned += lattice
+        returned += two_sided_congruences(s)
+        returned += [congruence.identity_congruence(s), congruence.universal_congruence(s)]
+        returned += [rc_generate(s, [(0, s.size - 1)], two_sided=two_sided)
+                     for two_sided in (False, True)]
+        returned += [congruence.join(rho, sigma) for rho, sigma in zip(lattice, lattice[::-1])]
     green.green_data.__wrapped__(T3)  # uncached: D = R v L is no right congruence of T3
     assert {type(v) for v in built} == {RightCongruence, PairSet}
     # the dp restrictions and the push-forward's pullbacks among them
-    assert {"verify_dp_gens", "_push_forward"} <= callers
+    assert {"_dp_report", "_push_forward"} <= callers
     for v in built:
         fields = {f.name: getattr(v, f.name) for f in dataclasses.fields(v) if f.init}
         assert type(v)(**fields) == v, v
     for rho in (v for v in built if type(v) is RightCongruence):
         assert type(rho.class_of) is tuple and all(type(c) is int for c in rho.class_of)
+    # every builder presets the index, so no read computes it
+    assert [index for rho, index in preset] == [max(rho.class_of) + 1 for rho, _ in preset]
+    for rho in returned:
+        assert rho.index == max(rho.class_of) + 1
+        assert RightCongruence(parent=rho.parent, class_of=rho.class_of).class_of == rho.class_of
     assert all(type(a) is int and type(b) is int
                for x in built if type(x) is PairSet for a, b in x.pairs)
 

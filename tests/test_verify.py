@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sgt import trace, verify
+from sgt import core, trace, verify
 from sgt.congruence import (enumerate_right_congruences, identity_congruence, join,
                             minimal_generating_pairs,
                             pair_set, quotient_semigroup, rc_generate,
@@ -412,6 +412,44 @@ def test_sweep_schutz_reports_equal_the_replay_called_alone(lib):
     assert len(swept) == len(alone) == 55
     for a, b in zip(swept, alone):
         assert [getattr(a, f) for f in names] == [getattr(b, f) for f in names], b.inputs
+
+
+def test_sweep_dp_reports_equal_the_replay_called_alone(lib):
+    # the sweep hands each replay the product it holds
+    swept = [rep for rep in sweep(lib=lib) if rep.construction == "dp"]
+    monoids = [(name, s) for name, s in lib.items() if s.identity is not None and s.size <= 3]
+    alone = [verify_dp_gens(m, n, rho, inputs=f"{na}x{nb} rho#{k}")
+             for na, m in monoids for nb, n in monoids
+             for k, rho in enumerate(enumerate_right_congruences(direct_product(m, n)).congruences)]
+    names = [f.name for f in dataclasses.fields(VerificationReport)]
+    assert len(swept) == len(alone) == 276
+    for a, b in zip(swept, alone):
+        assert [getattr(a, f) for f in names] == [getattr(b, f) for f in names], b.inputs
+
+
+def test_sweep_builds_each_product_table_once(monkeypatch, lib):
+    # one table per direct_product of two small monoids, and none per dp replay
+    calls = Counter()
+
+    def counting(module):
+        build = module._product_table
+
+        def counted(m, n):
+            calls[module.__name__] += 1
+            return build(m, n)
+        return counted
+
+    for module in (core, verify):
+        monkeypatch.setattr(module, "_product_table", counting(module))
+    reports = sweep(lib=lib)
+    monoids = [s for s in lib.values() if s.identity is not None and s.size <= verify.DP_LIMIT]
+    assert len(monoids) ** 2 == 25
+    assert calls == {"sgt.core": 25}
+    assert sum(r.construction == "dp" for r in reports) == 276
+    # the public replay builds the product's table once itself
+    m, n = monoids[:2]
+    verify_dp_gens(m, n, identity_congruence(direct_product(m, n)))
+    assert calls == {"sgt.core": 26, "sgt.verify": 1}
 
 
 def _sweep_counting_enumerations(monkeypatch, lib):
